@@ -35,6 +35,10 @@ class StabilityError(RuntimeError):
     """A queueing formula was evaluated at or beyond its stability limit."""
 
 
+class InfeasibleError(RuntimeError):
+    """No schedule can satisfy the stability margin."""
+
+
 def check_schedule(p: np.ndarray, config: SystemConfig | None = None) -> list[str]:
     """Rule violations for a schedule matrix; empty list means valid."""
     problems: list[str] = []
@@ -46,6 +50,8 @@ def check_schedule(p: np.ndarray, config: SystemConfig | None = None) -> list[st
             f"schedule shape {p.shape} does not match "
             f"(J={config.num_classes}, V={config.num_vms})"
         )
+    if not np.all(np.isfinite(p)):
+        return problems + ["schedule entries must be finite"]
     if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
         problems.append("schedule entries must lie in [0, 1]")
     bad_rows = np.where(np.abs(p.sum(axis=1) - 1.0) > 1e-9)[0]
@@ -56,38 +62,37 @@ def check_schedule(p: np.ndarray, config: SystemConfig | None = None) -> list[st
     return problems
 
 
+def _shifted_exp_moments(b, inv_rate, moment_mode: str):
+    """First and second moments of b + Exp with mean inv_rate.
+
+    The exact second moment is (b + 1/a)^2 + 1/a^2 expanded below; the
+    "paper_literal" mode reproduces a published variant b^2 + b + (b+2)/a
+    that drops the size scaling on its middle terms.
+    """
+    m1 = b + inv_rate
+    if moment_mode == "paper_literal":
+        m2 = b * b + b + (b + 2.0) * inv_rate
+    else:
+        m2 = b * b + 2.0 * b * inv_rate + 2.0 * inv_rate * inv_rate
+    return m1, m2
+
+
 def service_moment_matrices(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """First and second compute-service moments, shape (J, V).
 
-    A class-j job on VM v is served in shift*size + Exp(rate/size) ms. The
-    exact second moment is (b + 1/a)^2 + 1/a^2 expanded below; the
-    "paper_literal" mode reproduces a published variant b^2 + b + (b+2)/a
-    that drops the size scaling on its middle terms.
+    A class-j job on VM v is served in shift*size + Exp(rate/size) ms.
     """
     d = config.compute_sizes()[:, None]
     rate = np.array([v.rate for v in config.vms])[None, :]
     shift = np.array([v.shift for v in config.vms])[None, :]
-    b = shift * d
-    inv_a = d / rate
-    m1 = b + inv_a
-    if config.moment_mode == "paper_literal":
-        m2 = b * b + b + (b + 2.0) * inv_a
-    else:
-        m2 = b * b + 2.0 * b * inv_a + 2.0 * inv_a * inv_a
-    return m1, m2
+    return _shifted_exp_moments(shift * d, d / rate, config.moment_mode)
 
 
 def net_service_moments(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """First and second network-service moments per class, shape (J,) each."""
     e = config.output_sizes()
     b = config.network.shift * e
-    inv_g = e / config.network.rate
-    m1 = b + inv_g
-    if config.moment_mode == "paper_literal":
-        m2 = b * b + b + (b + 2.0) * inv_g
-    else:
-        m2 = b * b + 2.0 * b * inv_g + 2.0 * inv_g * inv_g
-    return m1, m2
+    return _shifted_exp_moments(b, e / config.network.rate, config.moment_mode)
 
 
 def vm_arrival_rates(p: np.ndarray, config: SystemConfig) -> np.ndarray:
@@ -146,14 +151,18 @@ def wsept_order(config: SystemConfig) -> np.ndarray:
     depends on arrival rates and output sizes. Ties break toward the lower
     class id.
     """
-    lam = config.arrival_rates()
-    key = (lam / lam.sum()) / config.output_sizes()
+    key = wsept_keys(config.arrival_rates(), config.output_sizes())
     ids = np.arange(1, config.num_classes + 1)
     order = np.lexsort((ids, -key))
     return ids[order]
 
 
-def _priority_waits(config: SystemConfig) -> np.ndarray:
+def wsept_keys(rates: np.ndarray, output_sizes: np.ndarray) -> np.ndarray:
+    """Per-class priority key, rate share over output size; larger goes first."""
+    return (rates / rates.sum()) / output_sizes
+
+
+def priority_waiting_times(config: SystemConfig) -> np.ndarray:
     """Mean network wait per class (class-id order) under WSEPT priorities."""
     lam = config.arrival_rates()
     mean_s2, m2_s2 = net_service_moments(config)
@@ -174,11 +183,6 @@ def _priority_waits(config: SystemConfig) -> np.ndarray:
     return waits
 
 
-def priority_waiting_times(config: SystemConfig) -> np.ndarray:
-    """Per-class mean network wait, indexed by class id order."""
-    return _priority_waits(config)
-
-
 def fcfs_waiting_time(config: SystemConfig) -> float:
     """Mean network wait if the link served FCFS instead of by priority."""
     lam = config.arrival_rates()
@@ -192,12 +196,83 @@ def fcfs_waiting_time(config: SystemConfig) -> float:
     return residual / (1.0 - rho)
 
 
-def _network_waits(config: SystemConfig, networking: str) -> np.ndarray:
-    if networking == "priority":
-        return priority_waiting_times(config)
-    if networking == "fcfs":
-        return np.full(config.num_classes, fcfs_waiting_time(config))
-    raise ValueError(f"networking must be 'priority' or 'fcfs', got {networking!r}")
+class Evaluator:
+    """The objective's schedule-independent pieces, computed once per config.
+
+    Holds the service moments, traffic shares, AoI network weights c_j and
+    the per-class network waits under one discipline. `classes` gives the
+    per-class results at a schedule; `value` and `grad` are the optimizer's
+    objective and its gradient in p, with the p-independent network terms
+    folded into one constant.
+    """
+
+    def __init__(self, config: SystemConfig, networking: str = "priority"):
+        self.config = config
+        self.lam = config.arrival_rates()
+        self.total = float(self.lam.sum())
+        self.share = self.lam / self.total
+        self.theta = config.theta
+        self.m1, self.m2 = service_moment_matrices(config)
+        self.mean_s2, _ = net_service_moments(config)
+        if networking == "priority":
+            self.w2 = priority_waiting_times(config)
+        elif networking == "fcfs":
+            self.w2 = np.full(config.num_classes, fcfs_waiting_time(config))
+        else:
+            raise ValueError(
+                f"networking must be 'priority' or 'fcfs', got {networking!r}"
+            )
+        if config.aoi_network_weighting == "paper_theorem1":
+            self.c = self.share
+        else:
+            self.c = np.ones(config.num_classes)
+        weight = self.share * (self.theta + (1.0 - self.theta) * self.c)
+        self.net_const = float(np.dot(weight, self.w2 + self.mean_s2))
+        self.lin = self.share[:, None] * self.m1
+
+    def classes(self, p: np.ndarray):
+        """Per-class (w1, s1, w2, s2, aoi, completion) at schedule p."""
+        p = np.asarray(p, dtype=np.float64)
+        s1 = (p * self.m1).sum(axis=1)
+        w1 = p @ vm_waiting_times(p, self.config)
+        aoi = s1 + self.c * (self.w2 + self.mean_s2)
+        completion = w1 + s1 + self.w2 + self.mean_s2
+        return w1, s1, self.w2, self.mean_s2, aoi, completion
+
+    def weighted(self, aoi, completion) -> tuple[float, float]:
+        """(weighted completion, weighted age) of per-class vectors."""
+        return float(np.dot(self.share, completion)), float(np.dot(self.share, aoi))
+
+    def _loads(self, p: np.ndarray):
+        flow = self.lam[:, None] * p
+        lam_v = flow.sum(axis=0)
+        a = (flow * self.m1).sum(axis=0)  # utilization per VM
+        b = (flow * self.m2).sum(axis=0)  # Lambda_v * E[Z^2] per VM
+        return lam_v, a, b
+
+    def utilization(self, p: np.ndarray) -> np.ndarray:
+        return self._loads(p)[1]
+
+    def value(self, p: np.ndarray, margin: float = 0.0) -> float:
+        """Objective at p; +inf past the stability margin."""
+        lam_v, a, b = self._loads(p)
+        if np.any(a > 1.0 - margin + 1e-12):
+            return np.inf
+        wait_part = float(np.sum(lam_v * b / (2.0 * (1.0 - a))))
+        return float(
+            np.sum(self.lin * p)
+            + self.theta * wait_part / self.total
+            + self.net_const
+        )
+
+    def grad(self, p: np.ndarray) -> np.ndarray:
+        lam_v, a, b = self._loads(p)
+        if np.any(a >= 1.0):
+            raise InfeasibleError("gradient requested at an unstable point")
+        denom = 2.0 * (1.0 - a)
+        t1 = (b[None, :] + lam_v[None, :] * self.m2) / denom[None, :]
+        t2 = (lam_v * b)[None, :] * self.m1 / (denom * (1.0 - a))[None, :]
+        return self.lin + (self.theta / self.total) * self.lam[:, None] * (t1 + t2)
 
 
 def expected_aoi(
@@ -205,39 +280,23 @@ def expected_aoi(
 ) -> np.ndarray:
     """Per-class mean age: schedule-averaged compute service plus the
     (optionally traffic-share weighted) network wait and service."""
-    p = np.asarray(p, dtype=np.float64)
-    m1, _ = service_moment_matrices(config)
-    s1 = (p * m1).sum(axis=1)
-    mean_s2, _ = net_service_moments(config)
-    w2 = _network_waits(config, networking)
-    if config.aoi_network_weighting == "paper_theorem1":
-        share = config.arrival_rates() / config.total_rate
-    else:
-        share = np.ones(config.num_classes)
-    return s1 + share * (w2 + mean_s2)
+    return Evaluator(config, networking).classes(p)[4]
 
 
 def expected_completion(
     p: np.ndarray, config: SystemConfig, networking: str = "priority"
 ) -> np.ndarray:
     """Per-class mean completion: both waits plus both services."""
-    p = np.asarray(p, dtype=np.float64)
-    m1, _ = service_moment_matrices(config)
-    s1 = (p * m1).sum(axis=1)
-    w1 = p @ vm_waiting_times(p, config)
-    mean_s2, _ = net_service_moments(config)
-    w2 = _network_waits(config, networking)
-    return w1 + s1 + w2 + mean_s2
+    return Evaluator(config, networking).classes(p)[5]
 
 
 def weighted_metrics(
     p: np.ndarray, config: SystemConfig, networking: str = "priority"
 ) -> tuple[float, float]:
     """(weighted completion, weighted age), both share-weighted over classes."""
-    share = config.arrival_rates() / config.total_rate
-    comp = expected_completion(p, config, networking)
-    aoi = expected_aoi(p, config, networking)
-    return float(np.dot(share, comp)), float(np.dot(share, aoi))
+    ev = Evaluator(config, networking)
+    *_, aoi, completion = ev.classes(p)
+    return ev.weighted(aoi, completion)
 
 
 def objective(
@@ -282,16 +341,17 @@ def stability_report(
     )
 
 
-REPORT_COLUMNS = [
-    "class_id",
-    "arrival_rate",
-    "mean_wait_compute",
-    "mean_service_compute",
-    "mean_wait_network",
-    "mean_service_network",
-    "mean_aoi",
-    "mean_completion",
-]
+# Per-class report columns after class_id, each with its AnalyticReport field.
+_REPORT_FIELDS = {
+    "arrival_rate": "arrival_rates",
+    "mean_wait_compute": "wait_compute",
+    "mean_service_compute": "service_compute",
+    "mean_wait_network": "wait_network",
+    "mean_service_network": "service_network",
+    "mean_aoi": "aoi",
+    "mean_completion": "completion",
+}
+REPORT_COLUMNS = ["class_id", *_REPORT_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -331,13 +391,10 @@ class AnalyticReport:
             "classes": [
                 {
                     "class_id": int(self.class_ids[j]),
-                    "arrival_rate": float(self.arrival_rates[j]),
-                    "mean_wait_compute": float(self.wait_compute[j]),
-                    "mean_service_compute": float(self.service_compute[j]),
-                    "mean_wait_network": float(self.wait_network[j]),
-                    "mean_service_network": float(self.service_network[j]),
-                    "mean_aoi": float(self.aoi[j]),
-                    "mean_completion": float(self.completion[j]),
+                    **{
+                        col: float(getattr(self, attr)[j])
+                        for col, attr in _REPORT_FIELDS.items()
+                    },
                 }
                 for j in range(len(self.class_ids))
             ],
@@ -352,16 +409,8 @@ class AnalyticReport:
             writer.writerow(REPORT_COLUMNS)
             for j in range(len(self.class_ids)):
                 writer.writerow(
-                    [
-                        int(self.class_ids[j]),
-                        repr(float(self.arrival_rates[j])),
-                        repr(float(self.wait_compute[j])),
-                        repr(float(self.service_compute[j])),
-                        repr(float(self.wait_network[j])),
-                        repr(float(self.service_network[j])),
-                        repr(float(self.aoi[j])),
-                        repr(float(self.completion[j])),
-                    ]
+                    [int(self.class_ids[j])]
+                    + [repr(float(getattr(self, a)[j])) for a in _REPORT_FIELDS.values()]
                 )
 
 
@@ -376,34 +425,22 @@ def analytic_report(
     problems = check_schedule(p, config)
     if problems:
         raise ValueError("; ".join(problems))
-    m1, _ = service_moment_matrices(config)
-    s1 = (p * m1).sum(axis=1)
-    w1 = p @ vm_waiting_times(p, config)
-    mean_s2, _ = net_service_moments(config)
-    w2 = _network_waits(config, networking)
-    lam = config.arrival_rates()
-    share = lam / lam.sum()
-    if config.aoi_network_weighting == "paper_theorem1":
-        aoi = s1 + share * (w2 + mean_s2)
-    else:
-        aoi = s1 + w2 + mean_s2
-    completion = w1 + s1 + w2 + mean_s2
-    lam_v = vm_arrival_rates(p, config)
-    ez, _ = vm_aggregate_moments(p, config)
-    wc = float(np.dot(share, completion))
-    wa = float(np.dot(share, aoi))
+    ev = Evaluator(config, networking)
+    w1, s1, w2, mean_s2, aoi, completion = ev.classes(p)
+    wc, wa = ev.weighted(aoi, completion)
+    stability = stability_report(p, config)
     return AnalyticReport(
         class_ids=np.arange(1, config.num_classes + 1),
-        arrival_rates=lam,
+        arrival_rates=ev.lam,
         wait_compute=w1,
         service_compute=s1,
         wait_network=w2,
         service_network=mean_s2,
         aoi=aoi,
         completion=completion,
-        vm_rates=lam_v,
-        vm_utilization=lam_v * ez,
-        priority_order=wsept_order(config),
+        vm_rates=vm_arrival_rates(p, config),
+        vm_utilization=stability.vm_utilization,
+        priority_order=stability.priority_order,
         weighted_completion=wc,
         weighted_aoi=wa,
         objective=config.theta * wc + (1.0 - config.theta) * wa,

@@ -27,7 +27,6 @@ from . import __version__
 from .analytics import (
     StabilityError,
     analytic_report,
-    objective,
     weighted_metrics,
 )
 from .model import (

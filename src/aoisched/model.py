@@ -175,6 +175,15 @@ class SystemConfig:
         return replace(self, classes=new_classes)
 
 
+# Both checks fail for NaN, which passes every "x <= 0" style test.
+def _positive(x: float) -> bool:
+    return bool(np.isfinite(x) and x > 0.0)
+
+
+def _non_negative(x: float) -> bool:
+    return bool(np.isfinite(x) and x >= 0.0)
+
+
 def validate_config(config: SystemConfig) -> list[str]:
     """Collect rule violations as human-readable strings.
 
@@ -207,14 +216,14 @@ def validate_config(config: SystemConfig) -> list[str]:
 
     known = set(class_ids)
     for c in config.classes:
-        if c.arrival_rate <= 0.0:
-            problems.append(f"class {c.id}: arrival_rate must be positive")
-        if c.compute_size <= 0.0:
-            problems.append(f"class {c.id}: compute_size must be positive")
-        if c.output_size <= 0.0:
-            problems.append(f"class {c.id}: output_size must be positive")
-        if c.update_rate is not None and c.update_rate <= 0.0:
-            problems.append(f"class {c.id}: update_rate must be positive when set")
+        if not _positive(c.arrival_rate):
+            problems.append(f"class {c.id}: arrival_rate must be positive and finite")
+        if not _positive(c.compute_size):
+            problems.append(f"class {c.id}: compute_size must be positive and finite")
+        if not _positive(c.output_size):
+            problems.append(f"class {c.id}: output_size must be positive and finite")
+        if c.update_rate is not None and not _positive(c.update_rate):
+            problems.append(f"class {c.id}: update_rate must be positive and finite when set")
         if c.info_set is not None:
             missing = [i for i in c.info_set if i not in known]
             if missing:
@@ -222,14 +231,14 @@ def validate_config(config: SystemConfig) -> list[str]:
                     f"class {c.id}: info_set references unknown class ids {missing}"
                 )
     for v in config.vms:
-        if v.rate <= 0.0:
-            problems.append(f"vm {v.id}: rate must be positive")
-        if v.shift < 0.0:
-            problems.append(f"vm {v.id}: shift must be non-negative")
-    if config.network.rate <= 0.0:
-        problems.append("network rate must be positive")
-    if config.network.shift < 0.0:
-        problems.append("network shift must be non-negative")
+        if not _positive(v.rate):
+            problems.append(f"vm {v.id}: rate must be positive and finite")
+        if not _non_negative(v.shift):
+            problems.append(f"vm {v.id}: shift must be non-negative and finite")
+    if not _positive(config.network.rate):
+        problems.append("network rate must be positive and finite")
+    if not _non_negative(config.network.shift):
+        problems.append("network shift must be non-negative and finite")
 
     if not problems:
         # Networking load does not depend on the schedule, so an overloaded

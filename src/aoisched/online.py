@@ -26,16 +26,20 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from .analytics import wsept_keys
 from .model import ConfigError, SystemConfig, validate_config
 from .optimizer import InfeasibleError, OptimizerSettings, optimize_pps
 from .simulator import (
     SimResult,
-    _backlog_growing,
-    _class_means,
-    _poisson_arrivals,
+    _aggregate,
+    _class_stats,
+    _empirical_objective,
+    _Flow,
+    _reduce_run,
     assign_vms,
-    interdeparture_stats,
+    merged_arrivals,
     network_start_times,
+    service_times,
 )
 
 
@@ -161,12 +165,11 @@ def synthesize_poisson_trace(
     if horizon <= 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
     rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
-    records: list[TraceRecord] = []
-    for c in config.classes:
-        for t in _poisson_arrivals(rng, c.arrival_rate, horizon):
-            records.append(TraceRecord(timestamp=float(t), class_key=str(c.id)))
-    records.sort(key=lambda r: r.timestamp)
-    return records
+    times, cls = merged_arrivals(rng, config.arrival_rates(), horizon)
+    return [
+        TraceRecord(timestamp=t, class_key=str(j + 1))
+        for t, j in zip(times.tolist(), cls.tolist())
+    ]
 
 
 def template_class_map(config: SystemConfig) -> dict[str, int]:
@@ -248,153 +251,19 @@ def _window_partition(
     return win, n_windows
 
 
-def _replay(
-    config: SystemConfig,
-    times: np.ndarray,
-    cls: np.ndarray,
-    row_of_job: np.ndarray,
-    keys: np.ndarray,
-    seed: int,
-) -> dict[str, np.ndarray]:
-    """Push the trace through both queueing phases with per-job schedules.
+@dataclass(frozen=True)
+class _Trace:
+    """A trace cut to its full windows: jobs in arrival order."""
 
-    row_of_job selects each job's schedule matrix (e.g. its window); service
-    randomness depends only on (seed, job position), so two replays of the
-    same trace with the same seed are driven by identical draws even when
-    their schedules differ.
-    """
-    rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
-    n = len(times)
-    u = rng.random(n)
-    e1 = rng.exponential(1.0, n)
-    e2 = rng.exponential(1.0, n)
-    return _replay_with_draws(config, times, cls, row_of_job, keys, u, e1, e2)
+    times: np.ndarray
+    cls: np.ndarray
+    win: np.ndarray  # zero-based window index per job
+    windows: list[TraceWindow]
+    mapping: dict[str, int]
+    window_length: float
 
 
-def _replay_with_draws(config, times, cls, row_of_job, keys, u, e1, e2):
-    schedules = row_of_job["schedules"]
-    win = row_of_job["window"]
-    vm_idx = np.empty(len(times), dtype=np.int64)
-    for k in range(schedules.shape[0]):
-        mask = win == k
-        if np.any(mask):
-            vm_idx[mask] = assign_vms(u[mask], schedules[k], cls[mask])
-    d = config.compute_sizes()
-    e = config.output_sizes()
-    vrate = np.array([v.rate for v in config.vms])
-    vshift = np.array([v.shift for v in config.vms])
-    s1 = d[cls] * (vshift[vm_idx] + e1 / vrate[vm_idx])
-    s2 = e[cls] * (config.network.shift + e2 / config.network.rate)
-    start1 = _kernels.fcfs_start(times, vm_idx, s1, config.num_vms)
-    dep1 = start1 + s1
-    start2 = network_start_times(
-        dep1, cls, keys, s2, config.num_classes, "priority"
-    )
-    return {
-        "vm_idx": vm_idx,
-        "s1": s1,
-        "s2": s2,
-        "start1": start1,
-        "dep1": dep1,
-        "start2": start2,
-        "dep2": start2 + s2,
-    }
-
-
-def _weighted_objective(
-    config: SystemConfig,
-    kc: np.ndarray,
-    s1: np.ndarray,
-    w2: np.ndarray,
-    s2: np.ndarray,
-    completion: np.ndarray,
-) -> float:
-    """Empirical weighted objective with empirical class frequencies."""
-    if len(kc) == 0:
-        return float("nan")
-    n_classes = config.num_classes
-    counts = np.bincount(kc, minlength=n_classes)
-    freq = counts / counts.sum()
-    nz = counts > 0
-    s1m = _class_means(kc, s1, n_classes, counts)
-    w2m = _class_means(kc, w2, n_classes, counts)
-    s2m = _class_means(kc, s2, n_classes, counts)
-    cm = _class_means(kc, completion, n_classes, counts)
-    if config.aoi_network_weighting == "paper_theorem1":
-        aoi_term = np.where(nz, s1m + freq * (w2m + s2m), 0.0)
-    else:
-        aoi_term = np.where(nz, s1m + w2m + s2m, 0.0)
-    return float(
-        np.sum(
-            freq[nz] * (config.theta * cm[nz] + (1.0 - config.theta) * aoi_term[nz])
-        )
-    )
-
-
-def _single_pass_result(
-    config: SystemConfig,
-    times: np.ndarray,
-    cls: np.ndarray,
-    flow: dict[str, np.ndarray],
-    keep: np.ndarray,
-    horizon: float,
-) -> SimResult:
-    n_classes = config.num_classes
-    n_vms = config.num_vms
-    w1 = flow["start1"] - times
-    w2 = flow["start2"] - flow["dep1"]
-    completion = flow["dep2"] - times
-    aoi = flow["s1"] + w2 + flow["s2"]
-    kc = cls[keep]
-    counts = np.bincount(kc, minlength=n_classes)
-    nanarr = np.full(n_classes, np.nan)
-    freq = counts / max(counts.sum(), 1)
-    c_m = _class_means(kc, completion[keep], n_classes, counts)
-    aoi_m = _class_means(kc, aoi[keep], n_classes, counts)
-    dep_mean, dep_cv = interdeparture_stats(flow["dep1"][keep])
-    return SimResult(
-        class_ids=np.arange(1, n_classes + 1),
-        counts=counts,
-        mean_wait_compute=_class_means(kc, w1[keep], n_classes, counts),
-        mean_service_compute=_class_means(kc, flow["s1"][keep], n_classes, counts),
-        mean_wait_network=_class_means(kc, w2[keep], n_classes, counts),
-        mean_service_network=_class_means(kc, flow["s2"][keep], n_classes, counts),
-        mean_aoi=aoi_m,
-        ci_aoi=nanarr,
-        mean_completion=c_m,
-        ci_completion=nanarr,
-        se_wait_compute=nanarr,
-        se_service_compute=nanarr,
-        se_wait_network=nanarr,
-        se_service_network=nanarr,
-        se_aoi=nanarr,
-        se_completion=nanarr,
-        weighted_objective=_weighted_objective(
-            config, kc, flow["s1"][keep], w2[keep], flow["s2"][keep],
-            completion[keep],
-        ),
-        ci_weighted_objective=float("nan"),
-        weighted_completion=float(np.nansum(freq * c_m)),
-        weighted_aoi=float(np.nansum(freq * aoi_m)),
-        vm_utilization=np.bincount(
-            flow["vm_idx"], weights=flow["s1"], minlength=n_vms
-        )
-        / max(horizon, float(flow["dep1"].max())),
-        unstable_vms=_backlog_growing(
-            times, flow["start1"], horizon, flow["vm_idx"], n_vms
-        ),
-        unstable_network=bool(
-            _backlog_growing(flow["dep1"], flow["start2"], horizon, None, 1)[0]
-        ),
-        interdeparture_mean=dep_mean,
-        interdeparture_cv=dep_cv,
-        replications=1,
-        horizon=horizon,
-        backend=_kernels.backend_name(),
-    )
-
-
-def _prepare_trace(trace, config, window_length, class_map):
+def _prepare_trace(trace, config, window_length, class_map) -> _Trace:
     problems = validate_config(config)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -415,7 +284,60 @@ def _prepare_trace(trace, config, window_length, class_map):
         )
         for k in range(n_windows)
     ]
-    return times, cls, win, windows, mapping, window_length, n_windows
+    return _Trace(times, cls, win, windows, mapping, window_length)
+
+
+def _replay(
+    config: SystemConfig,
+    tr: _Trace,
+    schedules: np.ndarray,
+    sources: list[str],
+    keys: np.ndarray,
+    seed: int,
+) -> OnlineResult:
+    """Push the trace through both queueing phases and score every window.
+
+    Window k's jobs are dispatched by schedules[k] and served at the link by
+    their per-job priority keys. Service randomness depends only on (seed,
+    job position), so two replays of the same trace with the same seed are
+    driven by identical draws even when their schedules differ. Statistics
+    cover windows 1..K-1; the uniform cold-start window counts as warmup.
+    """
+    rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
+    n = len(tr.times)
+    J, n_windows = config.num_classes, len(tr.windows)
+    u = rng.random(n)
+    vm_idx = np.empty(n, dtype=np.int64)
+    for k in range(n_windows):
+        mask = tr.win == k
+        if np.any(mask):
+            vm_idx[mask] = assign_vms(u[mask], schedules[k], tr.cls[mask])
+    s1, s2 = service_times(config, tr.cls, vm_idx, *rng.exponential(1.0, (2, n)))
+    start1 = _kernels.fcfs_start(tr.times, vm_idx, s1, config.num_vms)
+    dep1 = start1 + s1
+    start2 = network_start_times(dep1, tr.cls, keys, s2, J, "priority")
+    flow = _Flow(tr.times, tr.cls, vm_idx, s1, s2, start1, dep1, start2)
+
+    window_objectives = np.array(
+        [
+            _empirical_objective(config, _class_stats(flow, J, tr.win == k))
+            for k in range(n_windows)
+        ]
+    )
+    horizon = n_windows * tr.window_length
+    stats = _reduce_run(flow, J, config.num_vms, tr.win >= 1, horizon)
+    stats.objective = _empirical_objective(config, stats)
+    return OnlineResult(
+        windows=tr.windows,
+        schedules=schedules,
+        sources=sources,
+        window_objectives=window_objectives,
+        result=_aggregate(
+            [stats], np.arange(1, J + 1), horizon, _kernels.backend_name()
+        ),
+        class_map=tr.mapping,
+        window_length=tr.window_length,
+    )
 
 
 def online_driver(
@@ -436,9 +358,8 @@ def online_driver(
     1..K-1; the uniform cold-start window is treated as warmup.
     """
     settings = settings or OptimizerSettings()
-    times, cls, win, windows, mapping, window_length, n_windows = _prepare_trace(
-        trace, config, window_length, class_map
-    )
+    tr = _prepare_trace(trace, config, window_length, class_map)
+    n_windows = len(tr.windows)
     J, V = config.num_classes, config.num_vms
     e_sizes = config.output_sizes()
 
@@ -447,15 +368,15 @@ def online_driver(
     key_rows = np.empty((n_windows, J))
     schedules[0] = np.full((J, V), 1.0 / V)
     sources.append("uniform")
-    key_rows[0] = (1.0 / J) / e_sizes  # no estimates yet: act as if uniform
+    key_rows[0] = wsept_keys(np.ones(J), e_sizes)  # no estimates yet: uniform
     for k in range(1, n_windows):
-        est = windows[k - 1].rates
+        est = tr.windows[k - 1].rates
         if est.sum() <= 0.0:
             schedules[k] = schedules[k - 1]
             key_rows[k] = key_rows[k - 1]
             sources.append("fallback")
             continue
-        key_rows[k] = (est / est.sum()) / e_sizes
+        key_rows[k] = wsept_keys(est, e_sizes)
         try:
             trace_cfg = config.with_rates(est)
             sched = optimize_pps(
@@ -470,43 +391,7 @@ def online_driver(
         except InfeasibleError:
             schedules[k] = schedules[k - 1]
             sources.append("fallback")
-
-    flow = _replay(
-        config,
-        times,
-        cls,
-        {"schedules": schedules, "window": win},
-        key_rows[win, cls],
-        seed,
-    )
-
-    w2 = flow["start2"] - flow["dep1"]
-    completion = flow["dep2"] - times
-    window_objectives = np.array(
-        [
-            _weighted_objective(
-                config,
-                cls[win == k],
-                flow["s1"][win == k],
-                w2[win == k],
-                flow["s2"][win == k],
-                completion[win == k],
-            )
-            for k in range(n_windows)
-        ]
-    )
-    result = _single_pass_result(
-        config, times, cls, flow, win >= 1, n_windows * window_length
-    )
-    return OnlineResult(
-        windows=windows,
-        schedules=schedules,
-        sources=sources,
-        window_objectives=window_objectives,
-        result=result,
-        class_map=mapping,
-        window_length=window_length,
-    )
+    return _replay(config, tr, schedules, sources, key_rows[tr.win, tr.cls], seed)
 
 
 def offline_reference(
@@ -524,49 +409,13 @@ def offline_reference(
     comparison. Statistics cover the same windows (1..K-1).
     """
     settings = settings or OptimizerSettings()
-    times, cls, win, windows, mapping, window_length, n_windows = _prepare_trace(
-        trace, config, window_length, class_map
-    )
-    J = config.num_classes
+    tr = _prepare_trace(trace, config, window_length, class_map)
+    n_windows = len(tr.windows)
     schedule = optimize_pps(config, settings).schedule
     schedules = np.broadcast_to(
-        schedule, (n_windows, J, config.num_vms)
+        schedule, (n_windows, config.num_classes, config.num_vms)
     ).copy()
-    lam = config.arrival_rates()
-    key_row = (lam / lam.sum()) / config.output_sizes()
-
-    flow = _replay(
-        config,
-        times,
-        cls,
-        {"schedules": schedules, "window": win},
-        key_row[cls],
-        seed,
-    )
-    w2 = flow["start2"] - flow["dep1"]
-    completion = flow["dep2"] - times
-    window_objectives = np.array(
-        [
-            _weighted_objective(
-                config,
-                cls[win == k],
-                flow["s1"][win == k],
-                w2[win == k],
-                flow["s2"][win == k],
-                completion[win == k],
-            )
-            for k in range(n_windows)
-        ]
-    )
-    result = _single_pass_result(
-        config, times, cls, flow, win >= 1, n_windows * window_length
-    )
-    return OnlineResult(
-        windows=windows,
-        schedules=schedules,
-        sources=["offline"] * n_windows,
-        window_objectives=window_objectives,
-        result=result,
-        class_map=mapping,
-        window_length=window_length,
+    key_row = wsept_keys(config.arrival_rates(), config.output_sizes())
+    return _replay(
+        config, tr, schedules, ["offline"] * n_windows, key_row[tr.cls], seed
     )

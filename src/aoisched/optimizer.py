@@ -23,16 +23,12 @@ from scipy.optimize import linprog
 
 from .analytics import (
     STABILITY_MARGIN,
-    fcfs_waiting_time,
+    Evaluator,
+    InfeasibleError,
     net_service_moments,
-    priority_waiting_times,
     service_moment_matrices,
 )
 from .model import ConfigError, SystemConfig, VmProfile
-
-
-class InfeasibleError(RuntimeError):
-    """No schedule can satisfy the stability margin."""
 
 
 @dataclass(frozen=True)
@@ -93,72 +89,21 @@ def project_simplex_rows(m: np.ndarray) -> np.ndarray:
     return np.maximum(m - tau[:, None], 0.0)
 
 
-class _Core:
-    """Precomputed objective pieces: value and gradient as functions of p."""
-
-    def __init__(self, config: SystemConfig):
-        self.lam = config.arrival_rates()
-        self.total = float(self.lam.sum())
-        self.share = self.lam / self.total
-        self.theta = config.theta
-        self.m1, self.m2 = service_moment_matrices(config)
-        mean_s2, _ = net_service_moments(config)
-        w2 = priority_waiting_times(config)
-        if config.aoi_network_weighting == "paper_theorem1":
-            c = self.share
-        else:
-            c = np.ones(config.num_classes)
-        self.net_const = float(
-            np.dot(self.share * (self.theta + (1.0 - self.theta) * c), w2 + mean_s2)
-        )
-        self.lin = self.share[:, None] * self.m1
-
-    def _loads(self, p: np.ndarray):
-        flow = self.lam[:, None] * p
-        lam_v = flow.sum(axis=0)
-        a = (flow * self.m1).sum(axis=0)  # utilization per VM
-        b = (flow * self.m2).sum(axis=0)  # Lambda_v * E[Z^2] per VM
-        return lam_v, a, b
-
-    def utilization(self, p: np.ndarray) -> np.ndarray:
-        return self._loads(p)[1]
-
-    def value(self, p: np.ndarray, margin: float = 0.0) -> float:
-        """Objective at p; +inf past the stability margin."""
-        lam_v, a, b = self._loads(p)
-        if np.any(a > 1.0 - margin + 1e-12):
-            return np.inf
-        wait_part = float(np.sum(lam_v * b / (2.0 * (1.0 - a))))
-        return float(
-            np.sum(self.lin * p)
-            + self.theta * wait_part / self.total
-            + self.net_const
-        )
-
-    def grad(self, p: np.ndarray) -> np.ndarray:
-        lam_v, a, b = self._loads(p)
-        if np.any(a >= 1.0):
-            raise InfeasibleError("gradient requested at an unstable point")
-        denom = 2.0 * (1.0 - a)
-        t1 = (b[None, :] + lam_v[None, :] * self.m2) / denom[None, :]
-        t2 = (lam_v * b)[None, :] * self.m1 / (denom * (1.0 - a))[None, :]
-        return self.lin + (self.theta / self.total) * self.lam[:, None] * (t1 + t2)
-
-
 def objective_gradient(p: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Gradient of the analytic tradeoff objective with respect to p."""
-    return _Core(config).grad(np.asarray(p, dtype=np.float64))
+    return Evaluator(config).grad(np.asarray(p, dtype=np.float64))
 
 
-def _require_network_stable(config: SystemConfig) -> None:
-    # Networking load ignores p entirely, so check it once up front.
+def _require_network_stable(config: SystemConfig, margin: float) -> None:
+    # Networking load ignores p entirely, so check it once up front, against
+    # the same margin stability_report applies.
     lam = config.arrival_rates()
     mean_s2, _ = net_service_moments(config)
     rho = float(np.dot(lam, mean_s2))
-    if rho >= 1.0:
+    if rho >= 1.0 - margin:
         raise InfeasibleError(
-            f"networking queue unstable at utilization {rho:.6f}; "
-            "no schedule can fix this"
+            f"networking queue unstable at utilization {rho:.6f} "
+            f"(margin {margin:g}); no schedule can fix this"
         )
 
 
@@ -204,7 +149,7 @@ def _nearest_feasible(
     and each VM's stability halfspace; falls back to blending toward the LP
     minimizer to clear any residual overshoot.
     """
-    core = _Core(config)
+    core = Evaluator(config)
     if np.all(core.utilization(anchor) <= 1.0 - margin):
         return anchor.copy()
     t_star, p_lp = _min_load_lp(config)
@@ -213,9 +158,7 @@ def _nearest_feasible(
             f"no schedule satisfies the stability margin: best achievable "
             f"max utilization {t_star:.6f} > {1.0 - margin:.6f}"
         )
-    lam = config.arrival_rates()
-    m1, _ = service_moment_matrices(config)
-    coeff = lam[:, None] * m1  # halfspace normals, one column per VM
+    coeff = core.lam[:, None] * core.m1  # halfspace normals, one column per VM
     sqnorm = (coeff**2).sum(axis=0)
     bound = 1.0 - margin
 
@@ -262,7 +205,7 @@ def feasible_init(
     config: SystemConfig, margin: float = STABILITY_MARGIN
 ) -> np.ndarray:
     """Uniform schedule, minimally shifted to meet the stability margin."""
-    _require_network_stable(config)
+    _require_network_stable(config, margin)
     uniform = np.full((config.num_classes, config.num_vms), 1.0 / config.num_vms)
     return _nearest_feasible(uniform, config, margin)
 
@@ -286,7 +229,7 @@ def baseline_pca(
     the reciprocal (faster VMs get more). Compute size cancels row-wise, so
     every class gets the same row.
     """
-    _require_network_stable(config)
+    _require_network_stable(config, margin)
     m1, _ = service_moment_matrices(config)
     if mode == "paper_literal":
         w = m1
@@ -299,7 +242,7 @@ def baseline_pca(
 
 
 def _pgd(
-    core: _Core, p0: np.ndarray, settings: OptimizerSettings
+    core: Evaluator, p0: np.ndarray, settings: OptimizerSettings
 ) -> tuple[np.ndarray, list[float], bool]:
     margin = settings.stability_margin
     p = p0.copy()
@@ -349,9 +292,9 @@ def optimize_pps(
     result is never worse than those baselines even off the convex regime.
     """
     settings = settings or OptimizerSettings()
-    _require_network_stable(config)
-    core = _Core(config)
     margin = settings.stability_margin
+    _require_network_stable(config, margin)
+    core = Evaluator(config)
 
     starts: list[tuple[str, np.ndarray]] = []
     if initial is not None:
@@ -433,7 +376,8 @@ def optimize_two_stage(
     the schedule plus the objective after every accepted half-step.
     """
     settings = settings or OptimizerSettings()
-    _require_network_stable(config)
+    margin = settings.stability_margin
+    _require_network_stable(config, margin)
     if num_tors < 1:
         raise ConfigError(f"num_tors must be >= 1, got {num_tors}")
     J, V = config.num_classes, config.num_vms
@@ -442,8 +386,7 @@ def optimize_two_stage(
         tor=np.full((num_tors, V), 1.0 / V),
     )
     q, flat = expand_two_stage(ts, config)
-    core = _Core(flat)
-    margin = settings.stability_margin
+    core = Evaluator(flat)
     if not np.isfinite(core.value(q, margin)):
         # Uniform/uniform overloads some VM; lean on the single-stage
         # feasible point replicated across switches.

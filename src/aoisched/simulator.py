@@ -26,6 +26,7 @@ come from across-replication means (Student t).
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,10 +35,30 @@ from scipy import stats as _sps
 
 from . import _kernels
 from .model import ConfigError, SystemConfig, validate_config
-from .analytics import check_schedule
+from .analytics import check_schedule, wsept_keys
 
 SERVICE_MODES = ("shifted_exponential", "deterministic")
 NETWORKING_DISCIPLINES = ("priority", "fcfs")
+# Per-class means a run reports, each with a standard error across runs.
+CLASS_QUANTITIES = (
+    "wait_compute",
+    "service_compute",
+    "wait_network",
+    "service_network",
+    "aoi",
+    "completion",
+)
+# Per-class float columns of simulation.csv and of the JSON report.
+CLASS_COLUMNS = (
+    "mean_wait_compute",
+    "mean_service_compute",
+    "mean_wait_network",
+    "mean_service_network",
+    "mean_aoi",
+    "ci_aoi",
+    "mean_completion",
+    "ci_completion",
+)
 
 EVENT_LOG_COLUMNS = [
     "serial",
@@ -134,14 +155,7 @@ class SimResult:
                 {
                     "class_id": int(self.class_ids[j]),
                     "count": int(self.counts[j]),
-                    "mean_wait_compute": _nanfloat(self.mean_wait_compute[j]),
-                    "mean_service_compute": _nanfloat(self.mean_service_compute[j]),
-                    "mean_wait_network": _nanfloat(self.mean_wait_network[j]),
-                    "mean_service_network": _nanfloat(self.mean_service_network[j]),
-                    "mean_aoi": _nanfloat(self.mean_aoi[j]),
-                    "ci_aoi": _nanfloat(self.ci_aoi[j]),
-                    "mean_completion": _nanfloat(self.mean_completion[j]),
-                    "ci_completion": _nanfloat(self.ci_completion[j]),
+                    **{c: _nanfloat(getattr(self, c)[j]) for c in CLASS_COLUMNS},
                 }
                 for j in range(len(self.class_ids))
             ],
@@ -151,35 +165,13 @@ class SimResult:
         return out
 
     def write_csv(self, path: str | Path) -> None:
-        cols = [
-            "class_id",
-            "count",
-            "mean_wait_compute",
-            "mean_service_compute",
-            "mean_wait_network",
-            "mean_service_network",
-            "mean_aoi",
-            "ci_aoi",
-            "mean_completion",
-            "ci_completion",
-        ]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(cols)
+            writer.writerow(["class_id", "count", *CLASS_COLUMNS])
             for j in range(len(self.class_ids)):
                 writer.writerow(
-                    [
-                        int(self.class_ids[j]),
-                        int(self.counts[j]),
-                        repr(float(self.mean_wait_compute[j])),
-                        repr(float(self.mean_service_compute[j])),
-                        repr(float(self.mean_wait_network[j])),
-                        repr(float(self.mean_service_network[j])),
-                        repr(float(self.mean_aoi[j])),
-                        repr(float(self.ci_aoi[j])),
-                        repr(float(self.mean_completion[j])),
-                        repr(float(self.ci_completion[j])),
-                    ]
+                    [int(self.class_ids[j]), int(self.counts[j])]
+                    + [repr(float(getattr(self, c)[j])) for c in CLASS_COLUMNS]
                 )
 
 
@@ -232,6 +224,20 @@ def _poisson_arrivals(
         base = times[-1] if times.size else 0.0
         times = np.concatenate([times, base + extra])
     return times[times < horizon]
+
+
+def merged_arrivals(
+    rng: np.random.Generator, rates: np.ndarray, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class Poisson arrivals on [0, horizon), drawn in class order and
+    merged: sorted times plus each job's zero-based class (ties by class)."""
+    per_class = [_poisson_arrivals(rng, rate, horizon) for rate in rates]
+    t = np.concatenate(per_class) if per_class else np.empty(0)
+    cls = np.concatenate(
+        [np.full(len(a), j, dtype=np.int64) for j, a in enumerate(per_class)]
+    )
+    order = np.argsort(t, kind="stable")
+    return t[order], cls[order]
 
 
 def assign_vms(u: np.ndarray, p: np.ndarray, cls: np.ndarray) -> np.ndarray:
@@ -342,29 +348,141 @@ def _backlog_growing(
     return rising & (backlog[-1] >= 10)
 
 
+def service_times(
+    config: SystemConfig,
+    cls: np.ndarray,
+    vm_idx: np.ndarray,
+    e1: np.ndarray,
+    e2: np.ndarray,
+    mode: str = "shifted_exponential",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Compute and network service time per job from unit exponential draws.
+
+    Deterministic mode keeps only the shifts (callers still draw e1 and e2,
+    so the random stream does not depend on the mode).
+    """
+    d = config.compute_sizes()[cls]
+    e = config.output_sizes()[cls]
+    vshift = np.array([v.shift for v in config.vms])
+    if mode == "deterministic":
+        return d * vshift[vm_idx], e * config.network.shift
+    vrate = np.array([v.rate for v in config.vms])
+    s1 = d * (vshift[vm_idx] + e1 / vrate[vm_idx])
+    return s1, e * (config.network.shift + e2 / config.network.rate)
+
+
 @dataclass
-class _RepStats:
-    counts: np.ndarray
-    w1: np.ndarray
+class _Flow:
+    """Per-job times of one run, jobs in arrival order."""
+
+    t: np.ndarray  # arrival
+    cls: np.ndarray  # zero-based class index
+    vm_idx: np.ndarray
     s1: np.ndarray
-    w2: np.ndarray
     s2: np.ndarray
+    start1: np.ndarray
+    dep1: np.ndarray
+    start2: np.ndarray
+
+    def event_log(self, class_ids: np.ndarray) -> np.ndarray:
+        serial = np.arange(len(self.t), dtype=np.int64)
+        times = [self.t, self.start1, self.dep1, self.start2, self.start2 + self.s2]
+        return np.rec.fromarrays([serial, class_ids, *times], names=EVENT_LOG_COLUMNS)
+
+
+@dataclass
+class _RunStats:
+    """Per-class means over one run's kept jobs, plus run-level checks."""
+
+    counts: np.ndarray
+    wait_compute: np.ndarray
+    service_compute: np.ndarray
+    wait_network: np.ndarray
+    service_network: np.ndarray
     aoi: np.ndarray
     completion: np.ndarray
-    objective: float
-    vm_util: np.ndarray
-    unstable_vms: np.ndarray
-    unstable_net: bool
-    dep_mean: float
-    dep_cv: float
+    staleness: np.ndarray
+    objective: float = float("nan")
+    vm_util: np.ndarray | None = None
+    unstable_vms: np.ndarray | None = None
+    unstable_net: bool = False
+    dep_mean: float = float("nan")
+    dep_cv: float = float("nan")
 
 
-def _class_means(cls, values, n_classes, counts):
-    sums = np.bincount(cls, weights=values, minlength=n_classes)
-    out = np.full(n_classes, np.nan)
+def _class_stats(
+    flow: _Flow, n_classes: int, keep: np.ndarray, y: np.ndarray | None = None
+) -> _RunStats:
+    """Per-class means of the kept jobs; y is the per-job source staleness.
+
+    Each per-job quantity is derived, reduced and dropped in turn rather than
+    held all at once, which bounds peak memory on million-job runs. Classes
+    with no kept job get nan.
+    """
+    kc = flow.cls[keep]
+    counts = np.bincount(kc, minlength=n_classes)
     nz = counts > 0
-    out[nz] = sums[nz] / counts[nz]
-    return out
+
+    def mean(values):
+        sums = np.bincount(kc, weights=values[keep], minlength=n_classes)
+        out = np.full(n_classes, np.nan)
+        out[nz] = sums[nz] / counts[nz]
+        return out
+
+    age = flow.s1 + (flow.start2 - flow.dep1) + flow.s2
+    if y is not None:
+        age += y
+    age = mean(age)
+    return _RunStats(
+        counts=counts,
+        wait_compute=mean(flow.start1 - flow.t),
+        service_compute=mean(flow.s1),
+        wait_network=mean(flow.start2 - flow.dep1),
+        service_network=mean(flow.s2),
+        aoi=age,
+        completion=mean(flow.start2 + flow.s2 - flow.t),
+        staleness=np.zeros(n_classes) if y is None else mean(y),
+    )
+
+
+def _reduce_run(
+    flow: _Flow, n_classes: int, n_vms: int, keep: np.ndarray, horizon: float, y=None
+) -> _RunStats:
+    """Class means plus utilization, backlog growth and departure statistics."""
+    stats = _class_stats(flow, n_classes, keep, y)
+    span = max(horizon, float(flow.dep1.max()))
+    stats.vm_util = np.bincount(flow.vm_idx, weights=flow.s1, minlength=n_vms) / span
+    stats.unstable_vms = _backlog_growing(
+        flow.t, flow.start1, horizon, flow.vm_idx, n_vms
+    )
+    stats.unstable_net = bool(
+        _backlog_growing(flow.dep1, flow.start2, horizon, None, 1)[0]
+    )
+    stats.dep_mean, stats.dep_cv = interdeparture_stats(flow.dep1[keep])
+    return stats
+
+
+def _empirical_objective(config: SystemConfig, stats: _RunStats) -> float:
+    """The configured objective on one run's class means.
+
+    Classes are weighted by their empirical frequencies; under
+    "paper_theorem1" the network terms are scaled by them as well. nan when
+    the run kept no job.
+    """
+    total = stats.counts.sum()
+    if total == 0:
+        return float("nan")
+    nz = stats.counts > 0
+    freq = stats.counts / total
+    if config.aoi_network_weighting == "paper_theorem1":
+        net = stats.wait_network + stats.service_network
+        aoi = stats.service_compute + stats.staleness + freq * net
+    else:
+        aoi = stats.aoi
+    theta = config.theta
+    return float(
+        np.sum(freq[nz] * (theta * stats.completion[nz] + (1.0 - theta) * aoi[nz]))
+    )
 
 
 def _replication(
@@ -373,150 +491,96 @@ def _replication(
     sim: SimConfig,
     seed_seq: np.random.SeedSequence,
     want_log: bool,
-) -> tuple[_RepStats, np.ndarray | None]:
+) -> tuple[_RunStats, np.ndarray | None]:
     rng = np.random.Generator(np.random.PCG64DXSM(seed_seq))
     lam = config.arrival_rates()
     n_classes = config.num_classes
-    n_vms = config.num_vms
-
-    per_class = [_poisson_arrivals(rng, lam[j], sim.horizon) for j in range(n_classes)]
-    t = np.concatenate(per_class) if per_class else np.empty(0)
-    cls = np.concatenate(
-        [np.full(len(a), j, dtype=np.int64) for j, a in enumerate(per_class)]
-    )
-    order = np.argsort(t, kind="stable")  # ties resolve by ascending class id
-    t = t[order]
-    cls = cls[order]
+    t, cls = merged_arrivals(rng, lam, sim.horizon)
     n = len(t)
     if n == 0:
         raise ConfigError("no arrivals generated; horizon too short for the rates")
 
-    u = rng.random(n)
-    e1 = rng.exponential(1.0, n)
-    e2 = rng.exponential(1.0, n)
-
-    vm_idx = assign_vms(u, p, cls)
-    d = config.compute_sizes()
-    vrate = np.array([v.rate for v in config.vms])
-    vshift = np.array([v.shift for v in config.vms])
-    if sim.service_mode == "deterministic":
-        s1 = d[cls] * vshift[vm_idx]
-    else:
-        s1 = d[cls] * (vshift[vm_idx] + e1 / vrate[vm_idx])
-    e = config.output_sizes()
-    if sim.service_mode == "deterministic":
-        s2 = e[cls] * config.network.shift
-    else:
-        s2 = e[cls] * (config.network.shift + e2 / config.network.rate)
-
-    fcfs = _kernels.fcfs_start
-    start1 = fcfs(t, vm_idx, s1, n_vms)
+    # Draw order is fixed: VM-choice uniforms, then n compute and n network
+    # exponentials (one (2, n) draw takes the same stream as two of n).
+    vm_idx = assign_vms(rng.random(n), p, cls)
+    draws = rng.exponential(1.0, (2, n))
+    s1, s2 = service_times(config, cls, vm_idx, *draws, sim.service_mode)
+    del draws  # every job-length array alive here counts toward peak memory
+    start1 = _kernels.fcfs_start(t, vm_idx, s1, config.num_vms)
     dep1 = start1 + s1
 
-    class_key = (lam / lam.sum()) / config.output_sizes()
+    class_key = wsept_keys(lam, config.output_sizes())
     start2 = network_start_times(
         dep1, cls, class_key[cls], s2, n_classes, sim.networking
     )
-    dep2 = start2 + s2
-
-    y = None
-    if sim.simulate_updates:
-        y = _staleness(rng, config, cls, start1)
-
+    flow = _Flow(t, cls, vm_idx, s1, s2, start1, dep1, start2)
+    y = _staleness(rng, config, cls, start1) if sim.simulate_updates else None
     keep = t >= sim.warmup_fraction * sim.horizon
-    kc = cls[keep]
-    counts = np.bincount(kc, minlength=n_classes)
-    w1 = _class_means(kc, (start1 - t)[keep], n_classes, counts)
-    s1m = _class_means(kc, s1[keep], n_classes, counts)
-    w2 = _class_means(kc, (start2 - dep1)[keep], n_classes, counts)
-    s2m = _class_means(kc, s2[keep], n_classes, counts)
-    aoi_samples = s1 + (start2 - dep1) + s2
-    if y is not None:
-        aoi_samples = aoi_samples + y
-    aoim = _class_means(kc, aoi_samples[keep], n_classes, counts)
-    complm = _class_means(kc, (dep2 - t)[keep], n_classes, counts)
-
-    nz = counts > 0
-    freq = counts / counts.sum()
-    if config.aoi_network_weighting == "paper_theorem1":
-        ym = (
-            _class_means(kc, y[keep], n_classes, counts)
-            if y is not None
-            else np.zeros(n_classes)
-        )
-        aoi_term = np.where(nz, s1m + ym + freq * (w2 + s2m), 0.0)
-    else:
-        aoi_term = np.where(nz, aoim, 0.0)
-    obj = float(
-        np.sum(
-            freq[nz]
-            * (
-                config.theta * complm[nz]
-                + (1.0 - config.theta) * aoi_term[nz]
-            )
-        )
-    )
-
-    span = max(sim.horizon, float(dep1.max()))
-    vm_util = np.bincount(vm_idx, weights=s1, minlength=n_vms) / span
-    unstable_vms = _backlog_growing(t, start1, sim.horizon, vm_idx, n_vms)
-    unstable_net = bool(
-        _backlog_growing(dep1, start2, sim.horizon, None, 1)[0]
-    )
-    dep_mean, dep_cv = interdeparture_stats(dep1[keep])
-
-    log = None
-    if want_log:
-        log = np.rec.fromarrays(
-            [
-                np.arange(n, dtype=np.int64),
-                (cls + 1).astype(np.int64),
-                t,
-                start1,
-                dep1,
-                start2,
-                dep2,
-            ],
-            names=EVENT_LOG_COLUMNS,
-        )
-
-    return (
-        _RepStats(
-            counts=counts,
-            w1=w1,
-            s1=s1m,
-            w2=w2,
-            s2=s2m,
-            aoi=aoim,
-            completion=complm,
-            objective=obj,
-            vm_util=vm_util,
-            unstable_vms=unstable_vms,
-            unstable_net=unstable_net,
-            dep_mean=dep_mean,
-            dep_cv=dep_cv,
-        ),
-        log,
-    )
+    stats = _reduce_run(flow, n_classes, config.num_vms, keep, sim.horizon, y)
+    stats.objective = _empirical_objective(config, stats)
+    return stats, flow.event_log(cls + 1) if want_log else None
 
 
 def _mean_se_ci(rep_values: np.ndarray, confidence: float):
-    """Aggregate per-replication values: (mean, se, ci half-width), nan-aware."""
+    """Aggregate per-replication values: (mean, se, ci half-width), nan-aware.
+
+    A column with no value has a nan mean, and one with fewer than two
+    values a nan se and ci; numpy's warnings about those slices are dropped.
+    """
     vals = np.asarray(rep_values, dtype=np.float64)
     n = np.sum(~np.isnan(vals), axis=0)
-    mean = np.where(n > 0, np.nanmean(vals, axis=0), np.nan)
-    se = np.full(mean.shape, np.nan)
-    ci = np.full(mean.shape, np.nan)
-    multi = n > 1
-    if np.any(multi):
-        sd = np.nanstd(vals, axis=0, ddof=1)
-        se = np.where(multi, sd / np.sqrt(np.maximum(n, 1)), np.nan)
-        # Student t on the replication means; dof varies if classes miss reps.
-        tq = np.where(
-            multi, _sps.t.ppf(0.5 + confidence / 2.0, np.maximum(n - 1, 1)), np.nan
-        )
-        ci = tq * se
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
+        warnings.filterwarnings("ignore", "Degrees of freedom", RuntimeWarning)
+        mean = np.where(n > 0, np.nanmean(vals, axis=0), np.nan)
+        se = np.full(mean.shape, np.nan)
+        ci = np.full(mean.shape, np.nan)
+        multi = n > 1
+        if np.any(multi):
+            sd = np.nanstd(vals, axis=0, ddof=1)
+            se = np.where(multi, sd / np.sqrt(np.maximum(n, 1)), np.nan)
+            # Student t on the replication means; dof varies if classes miss reps.
+            tq = np.where(
+                multi, _sps.t.ppf(0.5 + confidence / 2.0, np.maximum(n - 1, 1)), np.nan
+            )
+            ci = tq * se
     return mean, se, ci
+
+
+def _aggregate(
+    reps: list[_RunStats], class_ids, horizon, backend, confidence=0.95, event_log=None
+) -> SimResult:
+    """Across-run means, standard errors and intervals as a SimResult."""
+    column = lambda attr: np.array([getattr(s, attr) for s in reps])[:, None]
+    per_class = {}
+    for name in CLASS_QUANTITIES:
+        mean, se, ci = _mean_se_ci(
+            np.vstack([getattr(s, name) for s in reps]), confidence
+        )
+        per_class.update({f"mean_{name}": mean, f"se_{name}": se})
+        if f"ci_{name}" in CLASS_COLUMNS:
+            per_class[f"ci_{name}"] = ci
+    obj_m, _, obj_ci = _mean_se_ci(column("objective"), confidence)
+    counts = np.sum([s.counts for s in reps], axis=0)
+    freq = counts / max(counts.sum(), 1)
+    return SimResult(
+        class_ids=class_ids,
+        counts=counts,
+        **per_class,
+        weighted_objective=float(obj_m[0]),
+        ci_weighted_objective=float(obj_ci[0]),
+        weighted_completion=float(np.nansum(freq * per_class["mean_completion"])),
+        weighted_aoi=float(np.nansum(freq * per_class["mean_aoi"])),
+        vm_utilization=np.mean([s.vm_util for s in reps], axis=0),
+        unstable_vms=np.any([s.unstable_vms for s in reps], axis=0),
+        unstable_network=any(s.unstable_net for s in reps),
+        interdeparture_mean=float(_mean_se_ci(column("dep_mean"), confidence)[0][0]),
+        interdeparture_cv=float(_mean_se_ci(column("dep_cv"), confidence)[0][0]),
+        replications=len(reps),
+        horizon=horizon,
+        backend=backend,
+        event_log=event_log,
+    )
 
 
 def run_simulation(
@@ -530,8 +594,8 @@ def run_simulation(
     sched_problems = check_schedule(p, config)
     if sched_problems:
         raise ConfigError("; ".join(sched_problems))
-    if sim.horizon <= 0.0:
-        raise ConfigError(f"horizon must be positive, got {sim.horizon}")
+    if not (np.isfinite(sim.horizon) and sim.horizon > 0.0):
+        raise ConfigError(f"horizon must be positive and finite, got {sim.horizon}")
     if not 0.0 <= sim.warmup_fraction < 1.0:
         raise ConfigError(
             f"warmup_fraction must lie in [0, 1), got {sim.warmup_fraction}"
@@ -545,7 +609,7 @@ def run_simulation(
 
     p = np.asarray(p, dtype=np.float64)
     children = np.random.SeedSequence(sim.seed).spawn(sim.replications)
-    reps: list[_RepStats] = []
+    reps: list[_RunStats] = []
     event_log = None
     for r, child in enumerate(children):
         stats, log = _replication(
@@ -554,54 +618,13 @@ def run_simulation(
         if log is not None:
             event_log = log
         reps.append(stats)
-
-    J = config.num_classes
-    stack = lambda attr: np.vstack([getattr(s, attr) for s in reps])
-    counts = np.sum([s.counts for s in reps], axis=0)
-    w1_m, w1_se, _ = _mean_se_ci(stack("w1"), sim.confidence)
-    s1_m, s1_se, _ = _mean_se_ci(stack("s1"), sim.confidence)
-    w2_m, w2_se, _ = _mean_se_ci(stack("w2"), sim.confidence)
-    s2_m, s2_se, _ = _mean_se_ci(stack("s2"), sim.confidence)
-    aoi_m, aoi_se, aoi_ci = _mean_se_ci(stack("aoi"), sim.confidence)
-    c_m, c_se, c_ci = _mean_se_ci(stack("completion"), sim.confidence)
-    obj_m, _, obj_ci = _mean_se_ci(
-        np.array([s.objective for s in reps])[:, None], sim.confidence
-    )
-
-    freq = counts / counts.sum()
-    wc = float(np.nansum(freq * c_m))
-    wa = float(np.nansum(freq * aoi_m))
-
-    return SimResult(
-        class_ids=np.arange(1, J + 1),
-        counts=counts,
-        mean_wait_compute=w1_m,
-        mean_service_compute=s1_m,
-        mean_wait_network=w2_m,
-        mean_service_network=s2_m,
-        mean_aoi=aoi_m,
-        ci_aoi=aoi_ci,
-        mean_completion=c_m,
-        ci_completion=c_ci,
-        se_wait_compute=w1_se,
-        se_service_compute=s1_se,
-        se_wait_network=w2_se,
-        se_service_network=s2_se,
-        se_aoi=aoi_se,
-        se_completion=c_se,
-        weighted_objective=float(obj_m[0]),
-        ci_weighted_objective=float(obj_ci[0]),
-        weighted_completion=wc,
-        weighted_aoi=wa,
-        vm_utilization=np.mean([s.vm_util for s in reps], axis=0),
-        unstable_vms=np.any([s.unstable_vms for s in reps], axis=0),
-        unstable_network=any(s.unstable_net for s in reps),
-        interdeparture_mean=float(np.nanmean([s.dep_mean for s in reps])),
-        interdeparture_cv=float(np.nanmean([s.dep_cv for s in reps])),
-        replications=sim.replications,
-        horizon=sim.horizon,
-        backend=_kernels.backend_name(),
-        event_log=event_log,
+    return _aggregate(
+        reps,
+        np.arange(1, config.num_classes + 1),
+        sim.horizon,
+        _kernels.backend_name(),
+        sim.confidence,
+        event_log,
     )
 
 
@@ -613,8 +636,10 @@ def scripted_arrivals(
     Jobs tied on release time are served in list order. The network link runs
     FCFS on compute departures (with deterministic times and one waiter at a
     time this coincides with any priority rule). Class ids need not be
-    contiguous here; each distinct id reports its own row. Always uses the
-    interpreted kernels, so tiny scripted runs never pay JIT compile time.
+    contiguous here; each distinct id reports its own row. Every job counts
+    (no warmup) and, with no config to weigh them by, weighted_objective is
+    nan. Always uses the interpreted kernels, so tiny scripted runs never pay
+    JIT compile time.
     """
     if len(jobs) != len(vm_assignment):
         raise ConfigError("need one VM id per scripted job")
@@ -638,45 +663,14 @@ def scripted_arrivals(
     start2 = network_start_times(
         dep1, cls, np.zeros(len(t)), s2, n_classes, "fcfs", use_python_kernels=True
     )
-    dep2 = start2 + s2
-
-    counts = np.bincount(cls, minlength=n_classes)
-    w2 = start2 - dep1
-    nanarr = np.full(n_classes, np.nan)
-    return SimResult(
-        class_ids=distinct,
-        counts=counts,
-        mean_wait_compute=_class_means(cls, start1 - t, n_classes, counts),
-        mean_service_compute=_class_means(cls, s1, n_classes, counts),
-        mean_wait_network=_class_means(cls, w2, n_classes, counts),
-        mean_service_network=_class_means(cls, s2, n_classes, counts),
-        mean_aoi=_class_means(cls, s1 + w2 + s2, n_classes, counts),
-        ci_aoi=nanarr,
-        mean_completion=_class_means(cls, dep2 - t, n_classes, counts),
-        ci_completion=nanarr,
-        se_wait_compute=nanarr,
-        se_service_compute=nanarr,
-        se_wait_network=nanarr,
-        se_service_network=nanarr,
-        se_aoi=nanarr,
-        se_completion=nanarr,
-        weighted_objective=float("nan"),
-        ci_weighted_objective=float("nan"),
-        weighted_completion=float("nan"),
-        weighted_aoi=float("nan"),
-        vm_utilization=np.bincount(vm_idx, weights=s1, minlength=num_vms)
-        / max(float(dep1.max()), 1e-12),
-        unstable_vms=np.zeros(num_vms, dtype=bool),
-        unstable_network=False,
-        interdeparture_mean=float("nan"),
-        interdeparture_cv=float("nan"),
-        replications=1,
-        horizon=float(dep2.max()),
-        backend="python",
-        event_log=np.rec.fromarrays(
-            [np.arange(len(t)), ids, t, start1, dep1, start2, dep2],
-            names=EVENT_LOG_COLUMNS,
-        ),
+    flow = _Flow(t, cls, vm_idx, s1, s2, start1, dep1, start2)
+    stats = _reduce_run(flow, n_classes, num_vms, np.ones(len(t), dtype=bool), 0.0)
+    return _aggregate(
+        [stats],
+        distinct,
+        float((start2 + s2).max()),
+        "python",
+        event_log=flow.event_log(ids),
     )
 
 

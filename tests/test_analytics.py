@@ -235,6 +235,32 @@ def test_check_schedule_violations():
     )
 
 
+def test_check_schedule_rejects_nan_entry():
+    cfg = make_system(
+        [(0.01, 1.0, 1.0), (0.01, 1.0, 1.0)], [(0.05, 0.0), (0.04, 0.0)]
+    )
+    p = np.array([[np.nan, 0.5], [0.5, 0.5]])
+    assert check_schedule(p, cfg) == ["schedule entries must be finite"]
+
+
+def test_reports_and_metrics_agree_bitwise():
+    # Every analytic entry point evaluates the same assembly, so the numbers
+    # must agree exactly, not just to rounding.
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        base = random_instance(rng)
+        p = rng.dirichlet(np.ones(base.num_vms), size=base.num_classes)
+        for weighting in ("paper_theorem1", "unweighted"):
+            cfg = dataclasses.replace(base, aoi_network_weighting=weighting)
+            for net in ("priority", "fcfs"):
+                rep = analytic_report(p, cfg, net)
+                wc, wa = weighted_metrics(p, cfg, net)
+                assert rep.weighted_completion == wc
+                assert rep.weighted_aoi == wa
+                assert rep.objective == objective(p, cfg, net)
+                assert np.array_equal(rep.aoi, expected_aoi(p, cfg, net))
+
+
 def test_stability_report_margin_verdict():
     cfg = make_system(
         [(0.012, 1.0, 1.0), (0.006, 1.0, 0.7)], [(0.05, 0.0), (0.04, 0.0)]

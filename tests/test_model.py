@@ -62,6 +62,11 @@ def test_validate_collects_field_violations():
     assert any("shift must be non-negative" in p for p in problems)
 
 
+def test_validate_rejects_nan_vm_rate():
+    cfg = make_system([(0.01, 1.0, 1.0)], [(float("nan"), 0.0), (0.05, 0.0)])
+    assert any(p.startswith("vm 1: rate") for p in validate_config(cfg))
+
+
 def test_validate_info_set_references():
     cfg = SystemConfig(
         classes=(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from aoisched.analytics import objective
+from aoisched.analytics import objective, stability_report
 from aoisched.model import ConfigError
 from aoisched.optimizer import (
     InfeasibleError,
@@ -188,6 +188,27 @@ def test_infeasible_network_raises():
     cfg = make_system([(0.06, 1.0, 1.0)], [(0.5, 0.0)])
     with pytest.raises(InfeasibleError, match="networking"):
         optimize_pps(cfg)
+
+
+def test_network_load_inside_margin_band_is_infeasible():
+    # Link utilization 0.9995: below 1 but inside the default 1e-3 margin,
+    # where stability_report already calls any schedule unstable.
+    e = 0.02
+    cfg = make_system([(0.9995 / (e * (18.0 + 1.0 / 112.0)), 0.01, e)], [(1e3, 0.0)])
+    assert not stability_report(np.ones((1, 1)), cfg).stable
+    solvers = [
+        optimize_pps,
+        feasible_init,
+        baseline_pca,
+        lambda c: optimize_two_stage(c, num_tors=2),
+    ]
+    for solve in solvers:
+        with pytest.raises(InfeasibleError, match="networking"):
+            solve(cfg)
+    # A smaller margin admits the same load, and the verdicts still agree.
+    settings = OptimizerSettings(stability_margin=1e-4)
+    schedule = optimize_pps(cfg, settings).schedule
+    assert stability_report(schedule, cfg, margin=1e-4).stable
 
 
 def test_baseline_pca_modes():

@@ -1,12 +1,13 @@
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aoisched import _kernels
-from aoisched.model import ConfigError
+from aoisched.model import ConfigError, default_config
 from aoisched.simulator import (
     ScriptedJob,
     SimConfig,
@@ -311,6 +312,46 @@ def test_sim_config_validation(small_system):
         run_simulation(small_system, np.full((2, 2), 0.3), SimConfig())
     with pytest.raises(ConfigError, match="shape"):
         run_simulation(small_system, np.full((3, 2), 0.5), SimConfig())
+
+
+def test_nan_vm_rate_rejected(small_system):
+    vms = (replace(small_system.vms[0], rate=float("nan")), small_system.vms[1])
+    # FCFS link: were the rate let through, the priority scan would never
+    # finish on NaN departure times.
+    with pytest.raises(ConfigError, match="vm 1: rate"):
+        run_simulation(
+            replace(small_system, vms=vms),
+            np.full((2, 2), 0.5),
+            SimConfig(horizon=5e3, replications=1, networking="fcfs"),
+        )
+
+
+def test_nan_schedule_entry_rejected(small_system):
+    p = np.array([[np.nan, 0.5], [0.5, 0.5]])
+    with pytest.raises(ConfigError, match="schedule entries must be finite"):
+        run_simulation(small_system, p, SimConfig(horizon=5e3, replications=1))
+
+
+def test_nan_horizon_rejected(small_system):
+    with pytest.raises(ConfigError, match="horizon"):
+        run_simulation(
+            small_system, np.full((2, 2), 0.5), SimConfig(horizon=float("nan"))
+        )
+
+
+def test_classes_without_kept_jobs_report_nan_without_warnings():
+    # ~70 jobs over 400 classes: most classes see no job in some or all runs.
+    cfg = default_config(num_classes=400)
+    p = np.full((400, cfg.num_vms), 1.0 / cfg.num_vms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_simulation(cfg, p, SimConfig(horizon=2e3, replications=3))
+    empty = res.counts == 0
+    assert empty.any() and not empty.all()
+    for values in (res.mean_aoi, res.se_aoi, res.ci_completion):
+        assert np.isnan(values[empty]).all()
+    assert np.isfinite(res.mean_aoi[~empty]).all()
+    assert np.isfinite(res.weighted_objective)
 
 
 def test_result_csv_round_trip(tmp_path, small_system):
