@@ -332,9 +332,7 @@ def _replay(
         schedules=schedules,
         sources=sources,
         window_objectives=window_objectives,
-        result=_aggregate(
-            [stats], np.arange(1, J + 1), horizon, _kernels.backend_name()
-        ),
+        result=_aggregate([stats], np.arange(1, J + 1), horizon),
         class_map=tr.mapping,
         window_length=tr.window_length,
     )

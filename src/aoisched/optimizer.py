@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .analytics import (
     STABILITY_MARGIN,
@@ -43,6 +42,8 @@ class OptimizerSettings:
     stability_margin: float = STABILITY_MARGIN
     multistart: bool = True
     seed: int = 0
+    """Recorded in manifests only: PGD and its starting points are
+    deterministic, so no optimizer code draws from it."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,17 @@ def _require_network_stable(config: SystemConfig, margin: float) -> None:
         )
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use.
+
+    The LP only runs when a starting point is infeasible, and importing
+    scipy.optimize costs most of ``import aoisched``.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _min_load_lp(config: SystemConfig) -> tuple[float, np.ndarray]:
     """Minimize the max VM utilization over row-stochastic schedules.
 
@@ -121,7 +133,7 @@ def _min_load_lp(config: SystemConfig) -> tuple[float, np.ndarray]:
     c[-1] = 1.0
     a_ub = np.zeros((V, n + 1))
     for v in range(V):
-        a_ub[v, v::V] = lam * m1[:, v]
+        a_ub[v, v:n:V] = lam * m1[:, v]
         a_ub[v, -1] = -1.0
     a_eq = np.zeros((J, n + 1))
     for j in range(J):

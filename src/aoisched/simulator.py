@@ -13,7 +13,7 @@ order: per-class arrival gaps (ascending class id), VM-choice uniforms (in
 merged arrival order), compute-service exponentials, network-service
 exponentials, then per-class update-process gaps (ascending class id, only
 when simulate_updates is on). Identical seeds therefore give identical
-results, on either kernel backend.
+results.
 
 Per-job samples: wait and service in each phase, completion = their sum, and
 age = compute service + network wait + network service (+ source staleness at
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _sps
 
 from . import _kernels
 from .model import ConfigError, SystemConfig, validate_config
@@ -271,18 +270,11 @@ def network_start_times(
     s2: np.ndarray,
     n_classes: int,
     networking: str,
-    use_python_kernels: bool = False,
 ) -> np.ndarray:
     """Service start time at the shared link for every job."""
-    fcfs = _kernels._fcfs_start_impl if use_python_kernels else _kernels.fcfs_start
-    prio = (
-        _kernels._priority_start_impl
-        if use_python_kernels
-        else _kernels.priority_start
-    )
     order = np.argsort(dep1, kind="stable")
     if networking == "fcfs":
-        start_sorted = fcfs(
+        start_sorted = _kernels.fcfs_start(
             dep1[order], np.zeros(len(order), dtype=np.int64), s2[order], 1
         )
         start2 = np.empty_like(dep1)
@@ -291,7 +283,9 @@ def network_start_times(
     if networking != "priority":
         raise ValueError(f"unknown networking discipline {networking!r}")
     grouped, offsets = group_by_class(cls, order, n_classes)
-    return prio(dep1, grouped, offsets, key.astype(np.float64), s2)
+    return _kernels.priority_start(
+        dep1, grouped, offsets, key.astype(np.float64), s2
+    )
 
 
 def _staleness(
@@ -539,16 +533,18 @@ def _mean_se_ci(rep_values: np.ndarray, confidence: float):
         if np.any(multi):
             sd = np.nanstd(vals, axis=0, ddof=1)
             se = np.where(multi, sd / np.sqrt(np.maximum(n, 1)), np.nan)
+            # Imported here so that `import aoisched` does not load scipy.stats.
+            from scipy.stats import t as student_t
+
             # Student t on the replication means; dof varies if classes miss reps.
-            tq = np.where(
-                multi, _sps.t.ppf(0.5 + confidence / 2.0, np.maximum(n - 1, 1)), np.nan
-            )
+            tq = student_t.ppf(0.5 + confidence / 2.0, np.maximum(n - 1, 1))
+            tq = np.where(multi, tq, np.nan)
             ci = tq * se
     return mean, se, ci
 
 
 def _aggregate(
-    reps: list[_RunStats], class_ids, horizon, backend, confidence=0.95, event_log=None
+    reps: list[_RunStats], class_ids, horizon, confidence=0.95, event_log=None
 ) -> SimResult:
     """Across-run means, standard errors and intervals as a SimResult."""
     column = lambda attr: np.array([getattr(s, attr) for s in reps])[:, None]
@@ -578,7 +574,7 @@ def _aggregate(
         interdeparture_cv=float(_mean_se_ci(column("dep_cv"), confidence)[0][0]),
         replications=len(reps),
         horizon=horizon,
-        backend=backend,
+        backend=_kernels.backend_name(),
         event_log=event_log,
     )
 
@@ -622,7 +618,6 @@ def run_simulation(
         reps,
         np.arange(1, config.num_classes + 1),
         sim.horizon,
-        _kernels.backend_name(),
         sim.confidence,
         event_log,
     )
@@ -638,8 +633,7 @@ def scripted_arrivals(
     time this coincides with any priority rule). Class ids need not be
     contiguous here; each distinct id reports its own row. Every job counts
     (no warmup) and, with no config to weigh them by, weighted_objective is
-    nan. Always uses the interpreted kernels, so tiny scripted runs never pay
-    JIT compile time.
+    nan.
     """
     if len(jobs) != len(vm_assignment):
         raise ConfigError("need one VM id per scripted job")
@@ -658,18 +652,15 @@ def scripted_arrivals(
     cls = np.searchsorted(distinct, ids)
     n_classes = len(distinct)
 
-    start1 = _kernels._fcfs_start_impl(t, vm_idx, s1, num_vms)
+    start1 = _kernels.fcfs_start(t, vm_idx, s1, num_vms)
     dep1 = start1 + s1
-    start2 = network_start_times(
-        dep1, cls, np.zeros(len(t)), s2, n_classes, "fcfs", use_python_kernels=True
-    )
+    start2 = network_start_times(dep1, cls, np.zeros(len(t)), s2, n_classes, "fcfs")
     flow = _Flow(t, cls, vm_idx, s1, s2, start1, dep1, start2)
     stats = _reduce_run(flow, n_classes, num_vms, np.ones(len(t), dtype=bool), 0.0)
     return _aggregate(
         [stats],
         distinct,
         float((start2 + s2).max()),
-        "python",
         event_log=flow.event_log(ids),
     )
 

@@ -1,0 +1,168 @@
+"""The list/heap kernels against the original scans, and their input guards."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aoisched import _kernels
+from aoisched.simulator import group_by_class, network_start_times
+
+from scan_oracles import fcfs_scan, priority_scan
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_python(script: str) -> str:
+    """Stdout of `script` run by a fresh interpreter that imports from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    ).stdout
+
+
+# Small integer-valued times make ties in arrival, key and start time common.
+_times = st.integers(0, 12).map(float)
+_keys = st.sampled_from([0.0, 1.0, 2.5, -1.0, np.inf, -np.inf])
+
+
+@st.composite
+def _priority_inputs(draw):
+    n_classes = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 40))
+    dep1 = np.array(draw(st.lists(_times, min_size=n, max_size=n)))
+    # Classes drawn from a prefix of range(n_classes) leave the rest empty.
+    used = draw(st.integers(1, n_classes))
+    cls = np.array(
+        draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    # Per-job keys change within a class, as they do across online windows.
+    key = np.array(draw(st.lists(_keys, min_size=n, max_size=n)))
+    s2 = np.array(draw(st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n)))
+    order = np.argsort(dep1, kind="stable")
+    grouped, offsets = group_by_class(cls, order, n_classes)
+    return dep1, grouped, offsets, key, s2
+
+
+@settings(deadline=None, max_examples=300)
+@given(_priority_inputs())
+def test_priority_start_matches_scan(inputs):
+    np.testing.assert_array_equal(
+        _kernels.priority_start(*inputs), priority_scan(*inputs)
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda v: st.lists(
+            st.tuples(_times, st.integers(0, v - 1), st.integers(0, 4).map(float)),
+            max_size=40,
+        ).map(lambda jobs: (v, jobs))
+    )
+)
+def test_fcfs_start_matches_scan(case):
+    n_servers, jobs = case
+    jobs.sort(key=lambda job: job[0])
+    t = np.array([j[0] for j in jobs], dtype=np.float64)
+    srv = np.array([j[1] for j in jobs], dtype=np.int64)
+    s = np.array([j[2] for j in jobs], dtype=np.float64)
+    np.testing.assert_array_equal(
+        _kernels.fcfs_start(t, srv, s, n_servers), fcfs_scan(t, srv, s, n_servers)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 3 * 8192 + 7])
+def test_fcfs_start_across_chunk_boundaries(n):
+    assert _kernels.FCFS_CHUNK == 8192
+    rng = np.random.default_rng(n)
+    # Load above one per server keeps queues, so state crosses every chunk.
+    t = np.cumsum(rng.exponential(1.0, n))
+    srv = rng.integers(0, 3, n)
+    s = rng.exponential(2.5, n)
+    s[::5] = 0.0
+    np.testing.assert_array_equal(
+        _kernels.fcfs_start(t, srv, s, 3), fcfs_scan(t, srv, s, 3)
+    )
+
+
+def test_network_start_times_matches_oracles():
+    rng = np.random.default_rng(3)
+    n = 400
+    dep1 = np.sort(rng.uniform(0.0, 100.0, n))
+    cls = rng.integers(0, 3, n)
+    key = np.array([0.3, 0.1, 0.9])[cls]
+    s2 = rng.exponential(0.5, n)
+    order = np.argsort(dep1, kind="stable")
+    np.testing.assert_array_equal(
+        network_start_times(dep1, cls, key, s2, 3, "priority"),
+        priority_scan(dep1, *group_by_class(cls, order, 3), key, s2),
+    )
+    fcfs = np.empty(n)
+    fcfs[order] = fcfs_scan(dep1[order], np.zeros(n, dtype=np.int64), s2[order], 1)
+    np.testing.assert_array_equal(
+        network_start_times(dep1, cls, key, s2, 3, "fcfs"), fcfs
+    )
+    with pytest.raises(ValueError, match="discipline"):
+        network_start_times(dep1, cls, key, s2, 3, "lifo")
+
+
+_NAN_SCRIPT = """
+import numpy as np
+from aoisched import _kernels
+
+t = np.array([0.0, 1.0, 2.0])
+s = np.array([1.0, 1.0, 1.0])
+grouped, offsets = np.array([0, 1, 2]), np.array([0, 2, 3])
+key = np.array([1.0, 1.0, 2.0])
+srv = np.zeros(3, dtype=np.int64)
+nan_at_1 = lambda a, bad=np.nan: np.where(np.arange(3) == 1, bad, a)
+calls = [
+    lambda: _kernels.priority_start(nan_at_1(t), grouped, offsets, key, s),
+    lambda: _kernels.priority_start(t, grouped, offsets, key, nan_at_1(s)),
+    lambda: _kernels.priority_start(t, grouped, offsets, key, nan_at_1(s, np.inf)),
+    lambda: _kernels.priority_start(t, grouped, offsets, nan_at_1(key), s),
+    lambda: _kernels.fcfs_start(nan_at_1(t), srv, s, 1),
+    lambda: _kernels.fcfs_start(t, srv, nan_at_1(s), 1),
+]
+for call in calls:
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+    else:
+        print("no error")
+"""
+
+
+def test_non_finite_times_raise_instead_of_hanging():
+    # A NaN departure once made the priority scan loop forever; a hang here
+    # fails on the timeout instead of stalling the suite.
+    assert _run_python(_NAN_SCRIPT).splitlines() == [
+        "arrivals must be finite",
+        "service must be finite",
+        "service must be finite",
+        "key must not be NaN",
+        "arrivals must be finite",
+        "service must be finite",
+    ]
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    script = (
+        "import sys, aoisched; "
+        "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))"
+    )
+    assert _run_python(script).strip() == "[]"

@@ -175,6 +175,15 @@ def test_feasible_init_meets_margin():
     assert 0.45 < p[0, 0] < 0.5
 
 
+def test_feasible_init_with_several_classes_meets_margin():
+    # The LP certificate runs whenever the anchor is infeasible; with more
+    # than one class its constraint rows once had one column too many.
+    hot = make_system([(0.05, 1.0, 0.1), (0.05, 1.0, 0.1)], [(0.05, 0.0), (0.2, 0.0)])
+    p = feasible_init(hot, margin=1e-3)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    assert 0.05 * 20.0 * p[:, 0].sum() <= 1.0 - 1e-3 + 1e-9
+
+
 def test_infeasible_compute_raises_with_certificate():
     cfg = make_system([(0.2, 1.0, 0.1)], [(0.05, 0.0), (0.04, 0.0)])
     # Best split gives max utilization well above 1: no schedule works.
