@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SystemConfig
+from .model import ConfigError, SystemConfig
 
 # Queues within this margin of full utilization count as unstable for
 # feasibility purposes; analytic formulas only hard-fail at 1.
@@ -37,6 +37,12 @@ class StabilityError(RuntimeError):
 
 class InfeasibleError(RuntimeError):
     """No schedule can satisfy the stability margin."""
+
+
+def check_margin(margin: float, name: str = "margin") -> None:
+    """Reject a stability margin that is not a finite number in [0, 1)."""
+    if not (np.isfinite(margin) and 0.0 <= margin < 1.0):
+        raise ConfigError(f"{name} must be a finite number in [0, 1), got {margin!r}")
 
 
 def check_schedule(p: np.ndarray, config: SystemConfig | None = None) -> list[str]:
@@ -168,18 +174,19 @@ def priority_waiting_times(config: SystemConfig) -> np.ndarray:
     mean_s2, m2_s2 = net_service_moments(config)
     residual = float(np.dot(lam, m2_s2)) / 2.0
     order = wsept_order(config) - 1
-    rho = lam * mean_s2
+    # Cumulative utilization through each priority level, summed in order.
+    cum = np.cumsum((lam * mean_s2)[order])
+    full = np.flatnonzero(cum >= 1.0)
+    if full.size:
+        level = int(full[0])
+        raise StabilityError(
+            f"networking queue unstable at priority level {level + 1} "
+            f"(class {order[level] + 1}): cumulative utilization "
+            f"{cum[level]:.6f} >= 1"
+        )
+    cum_prev = np.concatenate(([0.0], cum[:-1]))
     waits = np.empty(config.num_classes, dtype=np.float64)
-    cum_prev = 0.0
-    for level, j in enumerate(order):
-        cum = cum_prev + rho[j]
-        if cum >= 1.0:
-            raise StabilityError(
-                f"networking queue unstable at priority level {level + 1} "
-                f"(class {j + 1}): cumulative utilization {cum:.6f} >= 1"
-            )
-        waits[j] = residual / ((1.0 - cum_prev) * (1.0 - cum))
-        cum_prev = cum
+    waits[order] = residual / ((1.0 - cum_prev) * (1.0 - cum))
     return waits
 
 
@@ -201,9 +208,10 @@ class Evaluator:
 
     Holds the service moments, traffic shares, AoI network weights c_j and
     the per-class network waits under one discipline. `classes` gives the
-    per-class results at a schedule; `value` and `grad` are the optimizer's
-    objective and its gradient in p, with the p-independent network terms
-    folded into one constant.
+    per-class results at a schedule; `evaluate` and `grad_at` are the
+    optimizer's objective and its gradient in p, with the p-independent
+    network terms folded into one constant (`value` and `grad` wrap them for
+    callers that hold only p).
     """
 
     def __init__(self, config: SystemConfig, networking: str = "priority"):
@@ -229,6 +237,9 @@ class Evaluator:
         weight = self.share * (self.theta + (1.0 - self.theta) * self.c)
         self.net_const = float(np.dot(weight, self.w2 + self.mean_s2))
         self.lin = self.share[:, None] * self.m1
+        self._lam_col = self.lam[:, None]
+        self._grad_scale = (self.theta / self.total) * self._lam_col
+        self._weights = np.stack([np.ones_like(self.m1), self.m1, self.m2])
 
     def classes(self, p: np.ndarray):
         """Per-class (w1, s1, w2, s2, aoi, completion) at schedule p."""
@@ -243,36 +254,54 @@ class Evaluator:
         """(weighted completion, weighted age) of per-class vectors."""
         return float(np.dot(self.share, completion)), float(np.dot(self.share, aoi))
 
-    def _loads(self, p: np.ndarray):
-        flow = self.lam[:, None] * p
-        lam_v = flow.sum(axis=0)
-        a = (flow * self.m1).sum(axis=0)  # utilization per VM
-        b = (flow * self.m2).sum(axis=0)  # Lambda_v * E[Z^2] per VM
-        return lam_v, a, b
+    def _loads(self, p: np.ndarray) -> np.ndarray:
+        """Rows Lambda_v, utilization rho_v and Lambda_v * E[Z^2] per VM.
+
+        One reduction over the class axis of the (3, J, V) stack, which sums
+        each slab exactly as its own ``.sum(axis=0)`` would, also at V = 1,
+        where numpy sums the (J, 1) column pairwise; a (J, 3, V) stack
+        reduced over axis 0 differs there in the last bits.
+        """
+        return np.add.reduce((self._lam_col * p) * self._weights, axis=1)
 
     def utilization(self, p: np.ndarray) -> np.ndarray:
         return self._loads(p)[1]
 
-    def value(self, p: np.ndarray, margin: float = 0.0) -> float:
-        """Objective at p; +inf past the stability margin."""
-        lam_v, a, b = self._loads(p)
-        if np.any(a > 1.0 - margin + 1e-12):
-            return np.inf
-        wait_part = float(np.sum(lam_v * b / (2.0 * (1.0 - a))))
-        return float(
-            np.sum(self.lin * p)
+    def evaluate(
+        self, p: np.ndarray, margin: float = 0.0
+    ) -> tuple[float, np.ndarray]:
+        """Objective at p (+inf past the stability margin) and the loads
+        `grad_at` takes, so an accepted point's gradient needs no second
+        reduction. The loads are passed back explicitly rather than cached,
+        so a caller that changes p in place cannot get a stale gradient."""
+        loads = self._loads(p)
+        lam_v, a, b = loads
+        if (a > 1.0 - margin + 1e-12).any():
+            return np.inf, loads
+        wait_part = float(np.add.reduce(lam_v * b / (2.0 * (1.0 - a))))
+        f = float(
+            np.add.reduce(self.lin * p, axis=None)
             + self.theta * wait_part / self.total
             + self.net_const
         )
+        return f, loads
+
+    def grad_at(self, loads: np.ndarray) -> np.ndarray:
+        """Gradient in p at the point whose `evaluate` returned these loads."""
+        lam_v, a, b = loads
+        if (a >= 1.0).any():
+            raise InfeasibleError("gradient requested at an unstable point")
+        slack = 1.0 - a
+        denom = 2.0 * slack
+        t1 = (b + lam_v * self.m2) / denom
+        t2 = (lam_v * b) * self.m1 / (denom * slack)
+        return self.lin + self._grad_scale * (t1 + t2)
+
+    def value(self, p: np.ndarray, margin: float = 0.0) -> float:
+        return self.evaluate(p, margin)[0]
 
     def grad(self, p: np.ndarray) -> np.ndarray:
-        lam_v, a, b = self._loads(p)
-        if np.any(a >= 1.0):
-            raise InfeasibleError("gradient requested at an unstable point")
-        denom = 2.0 * (1.0 - a)
-        t1 = (b[None, :] + lam_v[None, :] * self.m2) / denom[None, :]
-        t2 = (lam_v * b)[None, :] * self.m1 / (denom * (1.0 - a))[None, :]
-        return self.lin + (self.theta / self.total) * self.lam[:, None] * (t1 + t2)
+        return self.grad_at(self._loads(p))
 
 
 def expected_aoi(
@@ -321,6 +350,7 @@ def stability_report(
     p: np.ndarray, config: SystemConfig, margin: float = STABILITY_MARGIN
 ) -> StabilityReport:
     """Utilizations of every queue plus a margin-aware stability verdict."""
+    check_margin(margin)
     lam_v = vm_arrival_rates(p, config)
     ez, _ = vm_aggregate_moments(p, config)
     rho_vm = lam_v * ez

@@ -184,6 +184,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "iterations": trace.iterations,
         "converged": trace.converged,
         "start": trace.start,
+        "stop_reason": trace.stop_reason,
     }
     _write_json(out / "report.json", payload)
     print(

@@ -24,6 +24,7 @@ from .analytics import (
     STABILITY_MARGIN,
     Evaluator,
     InfeasibleError,
+    check_margin,
     net_service_moments,
     service_moment_matrices,
 )
@@ -45,15 +46,45 @@ class OptimizerSettings:
     """Recorded in manifests only: PGD and its starting points are
     deterministic, so no optimizer code draws from it."""
 
+    def __post_init__(self):
+        check_margin(self.stability_margin, "OptimizerSettings.stability_margin")
+        is_int = isinstance(self.max_iters, (int, np.integer))
+        for name, ok, rule in (
+            ("max_iters", is_int and self.max_iters >= 0, "an integer >= 0"),
+            ("rel_tol", self.rel_tol >= 0.0, ">= 0"),
+            ("initial_step", self.initial_step > 0.0, "> 0"),
+            ("min_step", self.min_step > 0.0, "> 0"),
+            ("armijo_c1", 0.0 < self.armijo_c1 < 1.0, "in (0, 1)"),
+            ("armijo_shrink", 0.0 < self.armijo_shrink < 1.0, "in (0, 1)"),
+            ("step_growth", self.step_growth >= 1.0, ">= 1"),
+        ):
+            value = getattr(self, name)
+            # NaN fails every comparison above; inf is caught here.
+            if not (ok and np.isfinite(value)):
+                raise ConfigError(
+                    f"OptimizerSettings.{name} must be finite and {rule}, "
+                    f"got {value!r}"
+                )
+
 
 @dataclass(frozen=True)
 class OptimizeTrace:
-    """Result of one optimization: best schedule plus its descent trace."""
+    """Result of one optimization: best schedule plus its descent trace.
+
+    stop_reason says why the winning descent stopped: "rel_tol" (the
+    objective dropped by less than rel_tol), "stationary" (the projected step
+    vanished at the current step size), "step_floor" (backtracking went below
+    min_step without an acceptable candidate) or "max_iters".
+    """
 
     schedule: np.ndarray
     objectives: np.ndarray  # objective after each accepted iterate, [0] = start
-    converged: bool
     start: str  # label of the winning initial point
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iters"
 
     @property
     def iterations(self) -> int:
@@ -80,13 +111,21 @@ def project_simplex_rows(m: np.ndarray) -> np.ndarray:
     simplex.
     """
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    rows, cols = m.shape
+    return _project(m, np.arange(1, cols + 1), np.arange(rows), cols - 1)
+
+
+def _project(
+    m: np.ndarray, ks: np.ndarray, rows: np.ndarray, vm1: int
+) -> np.ndarray:
+    # The projection of a 2-D float64 m, given its shape constants
+    # ks = 1..V, rows = 0..J-1 and vm1 = V - 1, which PGD builds once.
     u = np.sort(m, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    ks = np.arange(1, m.shape[1] + 1)
+    css = u.cumsum(axis=1)
     cond = u - (css - 1.0) / ks > 0.0
     # rho: last index where cond holds; cond[:, 0] is always true.
-    rho = m.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = (css[np.arange(m.shape[0]), rho] - 1.0) / (rho + 1.0)
+    rho = vm1 - cond[:, ::-1].argmax(axis=1)
+    tau = (css[rows, rho] - 1.0) / (rho + 1.0)
     return np.maximum(m - tau[:, None], 0.0)
 
 
@@ -98,6 +137,7 @@ def objective_gradient(p: np.ndarray, config: SystemConfig) -> np.ndarray:
 def _require_network_stable(config: SystemConfig, margin: float) -> None:
     # Networking load ignores p entirely, so check it once up front, against
     # the same margin stability_report applies.
+    check_margin(margin)
     lam = config.arrival_rates()
     mean_s2, _ = net_service_moments(config)
     rho = float(np.dot(lam, mean_s2))
@@ -254,42 +294,53 @@ def baseline_pca(
 
 
 def _pgd(
-    core: Evaluator, p0: np.ndarray, settings: OptimizerSettings
-) -> tuple[np.ndarray, list[float], bool]:
+    core, p0: np.ndarray, settings: OptimizerSettings
+) -> tuple[np.ndarray, list[float], str]:
+    """Projected gradient descent with Armijo backtracking from p0.
+
+    `core` gives ``evaluate(x, margin) -> (objective, loads)`` and
+    ``grad_at(loads)``: each candidate's loads are reduced once, and the
+    accepted one's are reused for the next gradient. Returns the last
+    iterate, the objective after each accepted step ([0] = start) and the
+    stop reason (see OptimizeTrace).
+    """
     margin = settings.stability_margin
     p = p0.copy()
-    f = core.value(p, margin)
+    f, loads = core.evaluate(p, margin)
     if not np.isfinite(f):
         raise InfeasibleError("initial point violates the stability margin")
     objs = [f]
     step = settings.initial_step
-    converged = False
-    scale = max(1.0, float(np.abs(p0).max()))
+    stop = "max_iters"
+    tiny = (1e-16 * max(1.0, float(np.abs(p0).max()))) ** 2
+    rows, cols = p.shape
+    ks, row_idx = np.arange(1, cols + 1), np.arange(rows)
     for _ in range(settings.max_iters):
-        g = core.grad(p)
-        accepted = False
+        g = core.grad_at(loads)
+        reason = "step_floor"
         while step >= settings.min_step:
-            cand = project_simplex_rows(p - step * g)
+            cand = _project(p - step * g, ks, row_idx, cols - 1)
             move = p - cand
-            move_sq = float((move * move).sum())
-            if move_sq <= (1e-16 * scale) ** 2:
-                break  # stationary at this step size; shrinking cannot help
-            fc = core.value(cand, margin)
+            move_sq = float(np.add.reduce(move * move, axis=None))
+            if move_sq <= tiny:
+                reason = "stationary"  # shrinking the step cannot help
+                break
+            fc, cand_loads = core.evaluate(cand, margin)
             if fc <= f and fc <= f - settings.armijo_c1 / step * move_sq:
-                accepted = True
+                reason = None
                 break
             step *= settings.armijo_shrink
-        if not accepted:
-            converged = True
+        if reason is not None:
+            stop = reason
             break
         drop = f - fc
-        p, f = cand, fc
+        p, f, loads = cand, fc, cand_loads
         objs.append(f)
         if drop <= settings.rel_tol * max(1.0, abs(f)):
-            converged = True
+            stop = "rel_tol"
             break
         step = min(step * settings.step_growth, settings.initial_step * 1e9)
-    return p, objs, converged
+    return p, objs, stop
 
 
 def optimize_pps(
@@ -317,17 +368,17 @@ def optimize_pps(
             starts.append(("pca_literal", baseline_pca(config, "paper_literal", margin)))
             starts.append(("pca_inverse", baseline_pca(config, "inverse_time", margin)))
 
-    best: tuple[np.ndarray, list[float], bool, str] | None = None
+    best: tuple[np.ndarray, list[float], str, str] | None = None
     for label, p0 in starts:
-        p, objs, conv = _pgd(core, p0, settings)
+        p, objs, stop = _pgd(core, p0, settings)
         if best is None or objs[-1] < best[1][-1]:
-            best = (p, objs, conv, label)
-    p, objs, conv, label = best
+            best = (p, objs, stop, label)
+    p, objs, stop, label = best
     return OptimizeTrace(
         schedule=p,
         objectives=np.array(objs),
-        converged=conv,
         start=label,
+        stop_reason=stop,
     )
 
 
@@ -375,6 +426,34 @@ def expand_two_stage(
     return q, replace(config, vms=tiled)
 
 
+class _Factor:
+    """One factor of a two-stage schedule as a PGD problem, the other fixed.
+
+    which="pi" descends on pi (J x M) with fixed = tor, which="tor" on tor
+    (M x V) with fixed = pi. q[j, (u, v)] = pi[j, u] * tor[u, v] is linear
+    in either factor, so its gradient is the flat gradient contracted with
+    the fixed factor.
+    """
+
+    def __init__(self, core: Evaluator, fixed: np.ndarray, which: str):
+        self.core, self.fixed, self.which = core, fixed, which
+
+    def evaluate(self, x: np.ndarray, margin: float):
+        if self.which == "pi":
+            q = x[:, :, None] * self.fixed[None, :, :]
+        else:
+            q = self.fixed[:, :, None] * x[None, :, :]
+        return self.core.evaluate(q.reshape(q.shape[0], -1), margin)
+
+    def grad_at(self, loads: np.ndarray) -> np.ndarray:
+        g = self.core.grad_at(loads)
+        if self.which == "pi":
+            m, v = self.fixed.shape
+            return np.einsum("juv,uv->ju", g.reshape(-1, m, v), self.fixed)
+        j, m = self.fixed.shape
+        return np.einsum("juv,ju->uv", g.reshape(j, m, -1), self.fixed)
+
+
 def optimize_two_stage(
     config: SystemConfig,
     num_tors: int,
@@ -408,43 +487,14 @@ def optimize_two_stage(
         if not np.isfinite(core.value(q, margin)):
             raise InfeasibleError("no feasible two-stage starting point found")
 
-    def value(ts: TwoStageSchedule) -> float:
-        q, _ = expand_two_stage(ts, config)
-        return core.value(q, margin)
-
-    objs = [value(ts)]
+    objs = [core.value(q, margin)]
     half = replace(settings, max_iters=max(settings.max_iters // (2 * rounds), 50))
     for _ in range(rounds):
-        # Descend on pi with tor fixed: q is linear in pi.
-        pi, tor = ts.pi, ts.tor
-
-        class _PiCore:
-            def value(self, x, margin=margin):
-                return core.value(
-                    (x[:, :, None] * tor[None, :, :]).reshape(J, -1), margin
-                )
-
-            def grad(self, x):
-                g = core.grad((x[:, :, None] * tor[None, :, :]).reshape(J, -1))
-                return np.einsum("juv,uv->ju", g.reshape(J, num_tors, V), tor)
-
-        pi_new, pi_objs, _ = _pgd(_PiCore(), pi, half)
-        ts = TwoStageSchedule(pi=pi_new, tor=tor)
+        # Descend on pi with tor fixed, then on tor with the new pi fixed.
+        pi, pi_objs, _ = _pgd(_Factor(core, ts.tor, "pi"), ts.pi, half)
+        ts = TwoStageSchedule(pi=pi, tor=ts.tor)
+        tor, tor_objs, _ = _pgd(_Factor(core, ts.pi, "tor"), ts.tor, half)
+        ts = TwoStageSchedule(pi=ts.pi, tor=tor)
         objs.extend(pi_objs[1:])
-
-        pi = ts.pi
-
-        class _TorCore:
-            def value(self, x, margin=margin):
-                return core.value(
-                    (pi[:, :, None] * x[None, :, :]).reshape(J, -1), margin
-                )
-
-            def grad(self, x):
-                g = core.grad((pi[:, :, None] * x[None, :, :]).reshape(J, -1))
-                return np.einsum("juv,ju->uv", g.reshape(J, num_tors, V), pi)
-
-        tor_new, tor_objs, _ = _pgd(_TorCore(), ts.tor, half)
-        ts = TwoStageSchedule(pi=pi, tor=tor_new)
         objs.extend(tor_objs[1:])
     return ts, np.array(objs)

@@ -179,27 +179,6 @@ def _nanfloat(x: float) -> float | None:
     return None if np.isnan(x) else x
 
 
-def sample_shifted_exp(
-    rng: np.random.Generator,
-    rate: float,
-    shift: float,
-    size: int | None = None,
-    mode: str = "shifted_exponential",
-) -> np.ndarray | float:
-    """Draw shift + Exp(rate); deterministic mode returns the shift exactly."""
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if shift < 0.0:
-        raise ValueError(f"shift must be non-negative, got {shift}")
-    if mode == "deterministic":
-        if size is None:
-            return shift
-        return np.full(size, shift, dtype=np.float64)
-    if mode != "shifted_exponential":
-        raise ValueError(f"unknown service mode {mode!r}")
-    return shift + rng.exponential(1.0 / rate, size=size)
-
-
 def interdeparture_stats(departures: np.ndarray) -> tuple[float, float]:
     """Mean and coefficient of variation of sorted inter-departure gaps."""
     d = np.sort(np.asarray(departures, dtype=np.float64))

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from aoisched.model import JobClass, NetworkProfile, SystemConfig, VmProfile
+
+# Property tests that run PGD take a variable time per example on a loaded
+# host, so no example has a deadline.
+settings.register_profile("aoisched", deadline=None)
+settings.load_profile("aoisched")
 
 
 def make_system(

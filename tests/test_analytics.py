@@ -24,6 +24,7 @@ from aoisched.analytics import (
     weighted_metrics,
     wsept_order,
 )
+from aoisched.model import ConfigError
 
 from conftest import make_system, random_instance
 
@@ -307,3 +308,11 @@ def test_analytic_report_rejects_bad_schedule():
     cfg = make_system([(0.01, 1.0, 1.0)], [(0.05, 0.0)])
     with pytest.raises(ValueError, match="sum to 1"):
         analytic_report(np.array([[0.7]]), cfg)
+
+
+def test_nan_stability_report_margin_rejected(tiny_config):
+    p = np.full((2, 2), 0.5)
+    with pytest.raises(ConfigError, match="margin"):
+        stability_report(p, tiny_config, margin=float("nan"))
+    with pytest.raises(ConfigError, match="margin"):
+        stability_report(p, tiny_config, margin=1.0)

@@ -336,6 +336,19 @@ def test_error_exit_codes(tmp_path, config_path, capsys):
         main(["frobnicate"])
 
 
+def test_optimize_reports_stop_reason_and_rejects_bad_settings(
+    tmp_path, config_path, capsys
+):
+    out = tmp_path / "opt"
+    assert main(["optimize", config_path, "--out-dir", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["optimize"]["stop_reason"] == "rel_tol"
+    capsys.readouterr()
+    for flag, value in (("--margin", "nan"), ("--step", "-1")):
+        rc = main(["optimize", config_path, flag, value, "--out-dir", str(out)])
+        assert rc == 2
+        assert "OptimizerSettings." in capsys.readouterr().err
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

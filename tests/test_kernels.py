@@ -56,7 +56,7 @@ def _priority_inputs(draw):
     return dep1, grouped, offsets, key, s2
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(_priority_inputs())
 def test_priority_start_matches_scan(inputs):
     np.testing.assert_array_equal(
@@ -64,7 +64,6 @@ def test_priority_start_matches_scan(inputs):
     )
 
 
-@settings(deadline=None)
 @given(
     st.integers(1, 4).flatmap(
         lambda v: st.lists(

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from aoisched.analytics import objective, stability_report
-from aoisched.model import ConfigError
+from aoisched.model import ConfigError, default_config
 from aoisched.optimizer import (
     InfeasibleError,
     OptimizerSettings,
@@ -298,3 +298,81 @@ def test_two_stage_descends_and_stays_feasible():
     assert np.isfinite(objective(q, flat))
     with pytest.raises(ConfigError):
         optimize_two_stage(cfg, num_tors=0)
+
+
+def test_nan_stability_margin_rejected(tiny_config):
+    with pytest.raises(ConfigError, match="stability_margin"):
+        optimize_pps(tiny_config, OptimizerSettings(stability_margin=float("nan")))
+    # The entry points that take the margin directly check it the same way.
+    with pytest.raises(ConfigError, match="margin"):
+        feasible_init(tiny_config, margin=float("nan"))
+    with pytest.raises(ConfigError, match="margin"):
+        baseline_pca(tiny_config, margin=-0.5)
+
+
+def test_negative_stability_margin_rejected(tiny_config):
+    with pytest.raises(ConfigError, match="stability_margin"):
+        optimize_pps(tiny_config, OptimizerSettings(stability_margin=-0.5))
+
+
+def test_nan_initial_step_rejected(tiny_config):
+    with pytest.raises(ConfigError, match="initial_step"):
+        optimize_pps(tiny_config, OptimizerSettings(initial_step=float("nan")))
+
+
+def test_negative_max_iters_rejected(tiny_config):
+    with pytest.raises(ConfigError, match="max_iters"):
+        optimize_pps(tiny_config, OptimizerSettings(max_iters=-1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("stability_margin", 1.0),
+        ("stability_margin", float("inf")),
+        ("max_iters", 2.5),
+        ("rel_tol", -1e-12),
+        ("rel_tol", float("inf")),
+        ("initial_step", 0.0),
+        ("initial_step", float("inf")),
+        ("min_step", 0.0),
+        ("min_step", float("nan")),
+        ("armijo_c1", 0.0),
+        ("armijo_c1", 1.0),
+        ("armijo_shrink", 1.0),
+        ("armijo_shrink", float("nan")),
+        ("step_growth", 0.5),
+        ("step_growth", float("inf")),
+    ],
+)
+def test_out_of_range_settings_name_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"OptimizerSettings.{field} "):
+        OptimizerSettings(**{field: value})
+
+
+def test_settings_range_edges_accepted():
+    OptimizerSettings(
+        stability_margin=0.0, max_iters=0, rel_tol=0.0, step_growth=1.0
+    )
+
+
+def test_stop_reason_on_known_instances(tiny_config):
+    # The 100-class reference stops on the relative objective drop; the
+    # 20-class one reaches a point where the projected step vanishes first.
+    assert optimize_pps(default_config(num_classes=100)).stop_reason == "rel_tol"
+    assert optimize_pps(default_config()).stop_reason == "stationary"
+    capped = optimize_pps(tiny_config, OptimizerSettings(max_iters=1))
+    assert (capped.stop_reason, capped.iterations, capped.converged) == (
+        "max_iters",
+        1,
+        False,
+    )
+    # min_step above the first step: backtracking has nothing left to try.
+    floor = optimize_pps(
+        tiny_config, OptimizerSettings(initial_step=1e-3, min_step=1e-2)
+    )
+    assert (floor.stop_reason, floor.iterations) == ("step_floor", 0)
+    # With one VM the only schedule is a column of ones.
+    one_vm = make_system([(0.004, 1.0, 1.0), (0.003, 1.0, 0.8)], [(0.05, 0.0)])
+    stuck = optimize_pps(one_vm)
+    assert (stuck.stop_reason, stuck.iterations) == ("stationary", 0)

@@ -15,27 +15,10 @@ from aoisched.simulator import (
     network_start_times,
     policy_tradeoff_example,
     run_simulation,
-    sample_shifted_exp,
     scripted_arrivals,
 )
 
 from conftest import make_system
-
-
-def test_sample_shifted_exp_modes():
-    rng = np.random.default_rng(0)
-    x = sample_shifted_exp(rng, rate=0.5, shift=3.0, size=20000)
-    assert x.min() >= 3.0
-    assert np.mean(x) == pytest.approx(5.0, rel=0.05)
-    assert sample_shifted_exp(rng, 1.0, 2.5, mode="deterministic") == 2.5
-    det = sample_shifted_exp(rng, 1.0, 2.5, size=4, mode="deterministic")
-    np.testing.assert_array_equal(det, 2.5)
-    with pytest.raises(ValueError, match="rate"):
-        sample_shifted_exp(rng, 0.0, 1.0)
-    with pytest.raises(ValueError, match="shift"):
-        sample_shifted_exp(rng, 1.0, -0.1)
-    with pytest.raises(ValueError, match="mode"):
-        sample_shifted_exp(rng, 1.0, 1.0, mode="gamma")
 
 
 def test_interdeparture_needs_three_points():
