@@ -46,6 +46,7 @@ from .model import (
     default_config,
     generate_classes,
     load_config,
+    reference_vms,
     sample_class_sizes,
     save_config,
     validate_config,
@@ -55,7 +56,6 @@ from .online import (
     TraceRecord,
     TraceWindow,
     default_window,
-    estimate_rates,
     ingest_trace,
     offline_reference,
     online_driver,
@@ -86,73 +86,3 @@ from .simulator import (
     run_simulation,
     scripted_arrivals,
 )
-
-__all__ = [
-    "__version__",
-    "STABILITY_MARGIN",
-    "AnalyticReport",
-    "StabilityError",
-    "StabilityReport",
-    "analytic_report",
-    "check_schedule",
-    "expected_aoi",
-    "expected_completion",
-    "fcfs_waiting_time",
-    "net_service_moments",
-    "objective",
-    "priority_waiting_times",
-    "service_moment_matrices",
-    "stability_report",
-    "vm_aggregate_moments",
-    "vm_arrival_rates",
-    "vm_waiting_time",
-    "vm_waiting_times",
-    "weighted_metrics",
-    "wsept_order",
-    "REFERENCE_NETWORK_PARAMS",
-    "REFERENCE_VM_PARAMS",
-    "ConfigError",
-    "JobClass",
-    "NetworkProfile",
-    "ParetoSpec",
-    "SystemConfig",
-    "VmProfile",
-    "config_from_dict",
-    "config_to_dict",
-    "default_config",
-    "generate_classes",
-    "load_config",
-    "sample_class_sizes",
-    "save_config",
-    "validate_config",
-    "OnlineResult",
-    "TraceRecord",
-    "TraceWindow",
-    "default_window",
-    "estimate_rates",
-    "ingest_trace",
-    "offline_reference",
-    "online_driver",
-    "resolve_classes",
-    "synthesize_poisson_trace",
-    "template_class_map",
-    "InfeasibleError",
-    "OptimizeTrace",
-    "OptimizerSettings",
-    "TwoStageSchedule",
-    "baseline_pca",
-    "baseline_rca",
-    "expand_two_stage",
-    "feasible_init",
-    "objective_gradient",
-    "optimize_pps",
-    "optimize_two_stage",
-    "project_simplex_rows",
-    "ScriptedJob",
-    "SimConfig",
-    "SimResult",
-    "interdeparture_stats",
-    "policy_tradeoff_example",
-    "run_simulation",
-    "scripted_arrivals",
-]

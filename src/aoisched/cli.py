@@ -30,12 +30,11 @@ from .analytics import (
     weighted_metrics,
 )
 from .model import (
-    REFERENCE_VM_PARAMS,
     ConfigError,
     SystemConfig,
-    VmProfile,
     config_to_dict,
     load_config,
+    reference_vms,
     validate_config,
 )
 from .online import (
@@ -199,16 +198,21 @@ def _policy_schedule(
     config: SystemConfig,
     settings: OptimizerSettings,
     pca_mode: str = "paper_literal",
+    optimized: np.ndarray | None = None,
 ) -> tuple[np.ndarray, str]:
-    """Schedule plus networking discipline implied by the policy name."""
-    if policy == "pps":
-        return optimize_pps(config, settings).schedule, "priority"
+    """Schedule plus networking discipline implied by the policy name.
+
+    `optimized` is an already-solved pps schedule, which "pps" and "ocafcfs"
+    then reuse instead of solving again.
+    """
+    if policy in ("pps", "ocafcfs"):
+        if optimized is None:
+            optimized = optimize_pps(config, settings).schedule
+        return optimized, "priority" if policy == "pps" else "fcfs"
     if policy == "rca":
         return baseline_rca(config, settings.stability_margin), "priority"
     if policy == "pca":
         return baseline_pca(config, pca_mode, settings.stability_margin), "priority"
-    if policy == "ocafcfs":
-        return optimize_pps(config, settings).schedule, "fcfs"
     raise ConfigError(f"unknown policy {policy!r}")
 
 
@@ -267,18 +271,9 @@ def _sweep_point_config(config: SystemConfig, axis: str, value: float) -> System
             raise ConfigError(f"theta sweep value {value} outside [0, 1]")
         return dataclasses.replace(config, theta=float(value))
     if axis == "vms":
-        count = int(value)
-        if count < 1:
-            raise ConfigError(f"vms sweep value must be >= 1, got {value}")
-        vms = tuple(
-            VmProfile(
-                id=i + 1,
-                rate=REFERENCE_VM_PARAMS[i % len(REFERENCE_VM_PARAMS)][0],
-                shift=REFERENCE_VM_PARAMS[i % len(REFERENCE_VM_PARAMS)][1],
-            )
-            for i in range(count)
-        )
-        return dataclasses.replace(config, vms=vms)
+        if value < 1 or value != int(value):
+            raise ConfigError(f"vms sweep value must be an integer >= 1, got {value}")
+        return dataclasses.replace(config, vms=reference_vms(int(value)))
     if axis == "lambda-scale":
         if value <= 0.0:
             raise ConfigError(f"lambda-scale must be positive, got {value}")
@@ -312,6 +307,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad sweep values {raw!r}") from None
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"sweep values must be finite, got {raw!r}")
 
     rows: list[tuple] = []
     prev_schedule: np.ndarray | None = None
@@ -328,13 +325,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     best = warm
             prev_schedule = best.schedule
             per_policy = {
-                "pps": (best.schedule, "priority"),
-                "rca": (baseline_rca(point_cfg, settings.stability_margin), "priority"),
-                "pca": (
-                    baseline_pca(point_cfg, args.pca_mode, settings.stability_margin),
-                    "priority",
-                ),
-                "ocafcfs": (best.schedule, "fcfs"),
+                policy: _policy_schedule(
+                    policy, point_cfg, settings, args.pca_mode, best.schedule
+                )
+                for policy in POLICIES
             }
         except (InfeasibleError, StabilityError) as exc:
             rows.append((value, "all", "infeasible", 1.0))
@@ -393,12 +387,12 @@ def cmd_online(args: argparse.Namespace) -> int:
     config = _load(args)
     seed = _resolved_seed(args, config)
     settings = _settings(args, seed)
-    window = args.window or default_window(config)
+    window = default_window(config) if args.window is None else args.window
     if args.trace:
         trace = ingest_trace(args.trace)
         if args.class_map:
             with open(args.class_map) as fh:
-                class_map = {str(k): int(v) for k, v in json.load(fh).items()}
+                class_map = {str(k): v for k, v in json.load(fh).items()}
             mapping_mode = "explicit"
         else:
             class_map = None

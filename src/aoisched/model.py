@@ -60,14 +60,16 @@ class ParetoSpec:
     cap_multiplier: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.shape <= 1.0:
-            raise ConfigError(f"pareto shape must exceed 1, got {self.shape}")
-        if self.scale <= 0.0:
-            raise ConfigError(f"pareto scale must be positive, got {self.scale}")
-        if self.cap_multiplier <= 0.0:
+        if not (np.isfinite(self.shape) and self.shape > 1.0):
             raise ConfigError(
-                f"pareto cap_multiplier must be positive, got {self.cap_multiplier}"
+                f"pareto shape must be finite and exceed 1, got {self.shape}"
             )
+        for name in ("scale", "cap_multiplier"):
+            if not _positive(getattr(self, name)):
+                raise ConfigError(
+                    f"pareto {name} must be positive and finite, "
+                    f"got {getattr(self, name)}"
+                )
 
     @property
     def raw_mean(self) -> float:
@@ -154,14 +156,6 @@ class SystemConfig:
     @property
     def total_rate(self) -> float:
         return float(self.arrival_rates().sum())
-
-    def class_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class completion and age weights (w_j, g_j).
-
-        w_j = theta * rate_j / total, g_j = (1 - theta) * rate_j / total.
-        """
-        share = self.arrival_rates() / self.total_rate
-        return self.theta * share, (1.0 - self.theta) * share
 
     def with_rates(self, rates: np.ndarray) -> "SystemConfig":
         """Copy of the config with per-class arrival rates replaced."""
@@ -437,6 +431,12 @@ def save_config(config: SystemConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
 
 
+def reference_vms(count: int) -> tuple[VmProfile, ...]:
+    """VMs with ids 1..count, cycling through REFERENCE_VM_PARAMS."""
+    n = len(REFERENCE_VM_PARAMS)
+    return tuple(VmProfile(v + 1, *REFERENCE_VM_PARAMS[v % n]) for v in range(count))
+
+
 def default_config(
     num_classes: int = 20,
     num_vms: int = 5,
@@ -454,18 +454,10 @@ def default_config(
     """
     pareto = pareto or ParetoSpec(shape=2.0, scale=0.5, cap_multiplier=5.0)
     classes = generate_classes(num_classes, total_arrival_rate, pareto, seed)
-    vms = tuple(
-        VmProfile(
-            id=v + 1,
-            rate=REFERENCE_VM_PARAMS[v % len(REFERENCE_VM_PARAMS)][0],
-            shift=REFERENCE_VM_PARAMS[v % len(REFERENCE_VM_PARAMS)][1],
-        )
-        for v in range(num_vms)
-    )
     network = NetworkProfile(*REFERENCE_NETWORK_PARAMS)
     return SystemConfig(
         classes=classes,
-        vms=vms,
+        vms=reference_vms(num_vms),
         network=network,
         theta=theta,
         moment_mode=moment_mode,

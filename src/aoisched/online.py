@@ -117,53 +117,39 @@ def resolve_classes(
     keys = [r.class_key for r in records]
     if class_map is not None:
         for key, cid in class_map.items():
-            if not 1 <= int(cid) <= num_classes:
+            try:
+                ok = float(cid).is_integer() and 1 <= float(cid) <= num_classes
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
                 raise ConfigError(
-                    f"class_map sends {key!r} to class {cid}, outside 1..{num_classes}"
+                    f"class_map sends {key!r} to class {cid!r}, "
+                    f"not an integer or outside 1..{num_classes}"
                 )
         missing = sorted({k for k in keys if k not in class_map})
         if missing:
             raise ConfigError(f"trace keys not in class_map: {missing[:5]}")
-        mapping = {k: int(v) for k, v in class_map.items()}
+        mapping = {k: int(float(v)) for k, v in class_map.items()}
     else:
         ranked = sorted(Counter(keys).items(), key=lambda kv: (-kv[1], kv[0]))
         mapping = {
             key: (rank % num_classes) + 1 for rank, (key, _) in enumerate(ranked)
         }
     times = np.array([r.timestamp for r in records], dtype=np.float64)
+    if not np.all(np.isfinite(times)):
+        bad = int(np.argmin(np.isfinite(times)))
+        raise ConfigError(f"trace record {bad}: timestamp must be finite")
     cls = np.array([mapping[k] - 1 for k in keys], dtype=np.int64)
     order = np.argsort(times, kind="stable")
     return times[order], cls[order], mapping
-
-
-def estimate_rates(
-    records: list[TraceRecord],
-    window_length: float,
-    index: int,
-    num_classes: int,
-    class_map: dict[str, int] | None = None,
-) -> TraceWindow:
-    """Count arrivals per class in window [index*W, (index+1)*W) and divide."""
-    if window_length <= 0.0:
-        raise ConfigError(f"window_length must be positive, got {window_length}")
-    times, cls, _ = resolve_classes(records, num_classes, class_map)
-    lo, hi = index * window_length, (index + 1) * window_length
-    mask = (times >= lo) & (times < hi)
-    counts = np.bincount(cls[mask], minlength=num_classes)
-    return TraceWindow(
-        index=index,
-        window_length=window_length,
-        counts=counts,
-        rates=counts / window_length,
-    )
 
 
 def synthesize_poisson_trace(
     config: SystemConfig, horizon: float, seed: int = 0
 ) -> list[TraceRecord]:
     """Stationary Poisson trace at the config's rates; keys are class ids."""
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
     rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
     times, cls = merged_arrivals(rng, config.arrival_rates(), horizon)
     return [
@@ -237,20 +223,6 @@ class OnlineResult:
                 )
 
 
-def _window_partition(
-    times: np.ndarray, window_length: float
-) -> tuple[np.ndarray, int]:
-    """Zero-based window index per job plus the count of full windows."""
-    n_windows = int(np.floor(float(times[-1]) / window_length))
-    if n_windows < 2:
-        raise ConfigError(
-            "need at least two full windows of trace data; got "
-            f"{n_windows} at window_length={window_length}"
-        )
-    win = np.floor(times / window_length).astype(np.int64)
-    return win, n_windows
-
-
 @dataclass(frozen=True)
 class _Trace:
     """A trace cut to its full windows: jobs in arrival order."""
@@ -267,14 +239,24 @@ def _prepare_trace(trace, config, window_length, class_map) -> _Trace:
     problems = validate_config(config)
     if problems:
         raise ConfigError("; ".join(problems))
+    if window_length is None:
+        window_length = default_window(config)
+    if not (np.isfinite(window_length) and window_length > 0.0):
+        raise ConfigError(
+            f"window_length must be positive and finite, got {window_length}"
+        )
     times, cls, mapping = resolve_classes(trace, config.num_classes, class_map)
-    window_length = window_length or default_window(config)
-    win, n_windows = _window_partition(times, window_length)
+    n_windows = int(np.floor(float(times[-1]) / window_length))
+    if n_windows < 2:
+        raise ConfigError(
+            "need at least two full windows of trace data; got "
+            f"{n_windows} at window_length={window_length}"
+        )
+    win = np.floor(times / window_length).astype(np.int64)
     keep = win < n_windows  # trailing partial window is dropped
     times, cls, win = times[keep], cls[keep], win[keep]
-    counts = np.zeros((n_windows, config.num_classes), dtype=np.int64)
-    for k in range(n_windows):
-        counts[k] = np.bincount(cls[win == k], minlength=config.num_classes)
+    J = config.num_classes
+    counts = np.bincount(win * J + cls, minlength=n_windows * J).reshape(n_windows, J)
     windows = [
         TraceWindow(
             index=k,

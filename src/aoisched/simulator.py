@@ -36,7 +36,6 @@ from . import _kernels
 from .model import ConfigError, SystemConfig, validate_config
 from .analytics import check_schedule, wsept_keys
 
-SERVICE_MODES = ("shifted_exponential", "deterministic")
 NETWORKING_DISCIPLINES = ("priority", "fcfs")
 # Per-class means a run reports, each with a standard error across runs.
 CLASS_QUANTITIES = (
@@ -79,10 +78,8 @@ class SimConfig:
     warmup_fraction: float = 0.2
     seed: int = 0
     networking: str = "priority"
-    service_mode: str = "shifted_exponential"
     simulate_updates: bool = False
     collect_event_log: bool = False
-    confidence: float = 0.95
 
 
 @dataclass(frozen=True)
@@ -100,9 +97,9 @@ class SimResult:
     """Aggregated per-class statistics across replications.
 
     Mean columns are averages of per-replication means; ci_* are 95 percent
-    (by default) half-widths from the replication means, nan when fewer than
-    two replications contributed. weighted_objective applies the configured
-    theta and AoI weighting using empirical class frequencies as weights.
+    half-widths from the replication means, nan when fewer than two
+    replications contributed. weighted_objective applies the configured theta
+    and AoI weighting using empirical class frequencies as weights.
     """
 
     class_ids: np.ndarray
@@ -327,18 +324,11 @@ def service_times(
     vm_idx: np.ndarray,
     e1: np.ndarray,
     e2: np.ndarray,
-    mode: str = "shifted_exponential",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Compute and network service time per job from unit exponential draws.
-
-    Deterministic mode keeps only the shifts (callers still draw e1 and e2,
-    so the random stream does not depend on the mode).
-    """
+    """Compute and network service time per job from unit exponential draws."""
     d = config.compute_sizes()[cls]
     e = config.output_sizes()[cls]
     vshift = np.array([v.shift for v in config.vms])
-    if mode == "deterministic":
-        return d * vshift[vm_idx], e * config.network.shift
     vrate = np.array([v.rate for v in config.vms])
     s1 = d * (vshift[vm_idx] + e1 / vrate[vm_idx])
     return s1, e * (config.network.shift + e2 / config.network.rate)
@@ -477,7 +467,7 @@ def _replication(
     # exponentials (one (2, n) draw takes the same stream as two of n).
     vm_idx = assign_vms(rng.random(n), p, cls)
     draws = rng.exponential(1.0, (2, n))
-    s1, s2 = service_times(config, cls, vm_idx, *draws, sim.service_mode)
+    s1, s2 = service_times(config, cls, vm_idx, *draws)
     del draws  # every job-length array alive here counts toward peak memory
     start1 = _kernels.fcfs_start(t, vm_idx, s1, config.num_vms)
     dep1 = start1 + s1
@@ -494,7 +484,7 @@ def _replication(
     return stats, flow.event_log(cls + 1) if want_log else None
 
 
-def _mean_se_ci(rep_values: np.ndarray, confidence: float):
+def _mean_se_ci(rep_values: np.ndarray):
     """Aggregate per-replication values: (mean, se, ci half-width), nan-aware.
 
     A column with no value has a nan mean, and one with fewer than two
@@ -515,27 +505,26 @@ def _mean_se_ci(rep_values: np.ndarray, confidence: float):
             # Imported here so that `import aoisched` does not load scipy.stats.
             from scipy.stats import t as student_t
 
-            # Student t on the replication means; dof varies if classes miss reps.
-            tq = student_t.ppf(0.5 + confidence / 2.0, np.maximum(n - 1, 1))
+            # Two-sided 95 percent Student t on the replication means; dof
+            # varies if classes miss reps.
+            tq = student_t.ppf(0.975, np.maximum(n - 1, 1))
             tq = np.where(multi, tq, np.nan)
             ci = tq * se
     return mean, se, ci
 
 
 def _aggregate(
-    reps: list[_RunStats], class_ids, horizon, confidence=0.95, event_log=None
+    reps: list[_RunStats], class_ids, horizon, event_log=None
 ) -> SimResult:
     """Across-run means, standard errors and intervals as a SimResult."""
     column = lambda attr: np.array([getattr(s, attr) for s in reps])[:, None]
     per_class = {}
     for name in CLASS_QUANTITIES:
-        mean, se, ci = _mean_se_ci(
-            np.vstack([getattr(s, name) for s in reps]), confidence
-        )
+        mean, se, ci = _mean_se_ci(np.vstack([getattr(s, name) for s in reps]))
         per_class.update({f"mean_{name}": mean, f"se_{name}": se})
         if f"ci_{name}" in CLASS_COLUMNS:
             per_class[f"ci_{name}"] = ci
-    obj_m, _, obj_ci = _mean_se_ci(column("objective"), confidence)
+    obj_m, _, obj_ci = _mean_se_ci(column("objective"))
     counts = np.sum([s.counts for s in reps], axis=0)
     freq = counts / max(counts.sum(), 1)
     return SimResult(
@@ -549,8 +538,8 @@ def _aggregate(
         vm_utilization=np.mean([s.vm_util for s in reps], axis=0),
         unstable_vms=np.any([s.unstable_vms for s in reps], axis=0),
         unstable_network=any(s.unstable_net for s in reps),
-        interdeparture_mean=float(_mean_se_ci(column("dep_mean"), confidence)[0][0]),
-        interdeparture_cv=float(_mean_se_ci(column("dep_cv"), confidence)[0][0]),
+        interdeparture_mean=float(_mean_se_ci(column("dep_mean"))[0][0]),
+        interdeparture_cv=float(_mean_se_ci(column("dep_cv"))[0][0]),
         replications=len(reps),
         horizon=horizon,
         backend=_kernels.backend_name(),
@@ -579,8 +568,6 @@ def run_simulation(
         raise ConfigError(f"replications must be >= 1, got {sim.replications}")
     if sim.networking not in NETWORKING_DISCIPLINES:
         raise ConfigError(f"unknown networking discipline {sim.networking!r}")
-    if sim.service_mode not in SERVICE_MODES:
-        raise ConfigError(f"unknown service mode {sim.service_mode!r}")
 
     p = np.asarray(p, dtype=np.float64)
     children = np.random.SeedSequence(sim.seed).spawn(sim.replications)
@@ -594,11 +581,7 @@ def run_simulation(
             event_log = log
         reps.append(stats)
     return _aggregate(
-        reps,
-        np.arange(1, config.num_classes + 1),
-        sim.horizon,
-        sim.confidence,
-        event_log,
+        reps, np.arange(1, config.num_classes + 1), sim.horizon, event_log
     )
 
 

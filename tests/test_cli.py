@@ -1,16 +1,19 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aoisched.cli import main, read_schedule
+from aoisched.cli import _sweep_point_config, main, read_schedule
 from aoisched.model import (
     JobClass,
     NetworkProfile,
     SystemConfig,
     VmProfile,
+    load_config,
+    reference_vms,
     save_config,
 )
 
@@ -68,7 +71,7 @@ def test_optimize_writes_all_outputs(tmp_path, config_path):
     man = payload["manifest"]
     assert man["command"] == "optimize"
     assert man["config_sha256"] == hashlib.sha256(
-        open(config_path, "rb").read()
+        Path(config_path).read_bytes()
     ).hexdigest()
 
 
@@ -239,6 +242,30 @@ def test_sweep_with_simulation_rows(tmp_path, config_path):
     assert all(np.isfinite(float(r["value"])) for r in sim_rows)
 
 
+def test_sweep_vms_point_uses_reference_vms(config_path):
+    point = _sweep_point_config(load_config(config_path), "vms", 12.0)
+    assert point.vms == reference_vms(12)
+
+
+@pytest.mark.parametrize(
+    "axis, values",
+    [
+        ("vms", "nan"),
+        ("vms", "2.5"),
+        ("vms", "inf"),
+        ("lambda-scale", "nan"),
+        ("theta", "0.5,nan"),
+    ],
+)
+def test_sweep_rejects_bad_values(tmp_path, config_path, capsys, axis, values):
+    rc = main(
+        ["sweep", config_path, "--axis", axis, "--values", values,
+         "--out-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "sweep value" in capsys.readouterr().err
+
+
 def test_online_synthetic(tmp_path, config_path):
     out = tmp_path / "online"
     rc = main(
@@ -293,6 +320,29 @@ def test_online_trace_file_with_class_map(tmp_path, config_path):
     assert rc == 0
     report2 = json.loads((out2 / "online_report.json").read_text())
     assert report2["manifest"]["class_mapping"] == "frequency-rank"
+
+
+def test_online_rejects_bad_window_and_class_map(tmp_path, config_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(
+        "timestamp_ms,key\n"
+        + "".join(f"{25.0 + 50.0 * i!r},k{i % 2}\n" for i in range(660))
+    )
+    for window in ("0", "-5", "nan"):
+        rc = main(
+            ["online", config_path, "--trace", str(trace), "--window", window,
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "window_length must be positive" in capsys.readouterr().err
+    cmap = tmp_path / "map.json"
+    cmap.write_text(json.dumps({"k0": 1, "k1": 1.5}))
+    rc = main(
+        ["online", config_path, "--trace", str(trace), "--class-map", str(cmap),
+         "--window", "10000", "--out-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "not an integer" in capsys.readouterr().err
 
 
 def test_example_fig3_prints_and_writes(tmp_path, config_path, capsys):

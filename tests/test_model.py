@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aoisched.model import (
+    REFERENCE_VM_PARAMS,
     ConfigError,
     JobClass,
     NetworkProfile,
@@ -16,6 +17,7 @@ from aoisched.model import (
     default_config,
     generate_classes,
     load_config,
+    reference_vms,
     sample_class_sizes,
     save_config,
     validate_config,
@@ -146,6 +148,22 @@ def test_pareto_bad_parameters_rejected():
         sample_class_sizes(ParetoSpec(), -1, seed=0)
 
 
+@pytest.mark.parametrize("field", ["shape", "scale", "cap_multiplier"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_pareto_non_finite_parameters_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"pareto {field}"):
+        ParetoSpec(**{field: value})
+
+
+def test_reference_vms_cycle_the_measured_profiles():
+    vms = reference_vms(12)
+    assert [v.id for v in vms] == list(range(1, 13))
+    assert [(v.rate, v.shift) for v in vms] == (
+        REFERENCE_VM_PARAMS + REFERENCE_VM_PARAMS[:2]
+    )
+    assert default_config(num_vms=12).vms == vms
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = default_config(num_classes=4, num_vms=2)
     path = tmp_path / "config.json"
@@ -265,13 +283,6 @@ def test_with_rates_replaces_and_validates():
     assert swapped.classes[1].compute_size == 2.0  # sizes untouched
     with pytest.raises(ConfigError):
         cfg.with_rates(np.array([0.005]))
-
-
-def test_class_weights_split():
-    cfg = make_system([(0.03, 1.0, 1.0), (0.01, 1.0, 1.0)], [(0.05, 0.0)], theta=0.3)
-    w, g = cfg.class_weights()
-    np.testing.assert_allclose(w + g, [0.75, 0.25])  # w_j + g_j = share_j
-    np.testing.assert_allclose(w, [0.3 * 0.75, 0.3 * 0.25])
 
 
 def test_default_config_is_valid_and_seeded():

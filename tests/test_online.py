@@ -2,18 +2,20 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aoisched.model import ConfigError
 from aoisched.online import (
     TraceRecord,
     default_window,
-    estimate_rates,
     ingest_trace,
     offline_reference,
     online_driver,
     resolve_classes,
     synthesize_poisson_trace,
     template_class_map,
+    _prepare_trace,
 )
 
 from conftest import make_system
@@ -70,6 +72,17 @@ def test_resolve_classes_explicit_map():
         resolve_classes(records, 2, {"svc-a": 1})
     with pytest.raises(ConfigError, match="outside 1..2"):
         resolve_classes(records, 2, {"svc-a": 1, "svc-b": 3})
+    for bad in (1.5, float("nan"), "one"):
+        with pytest.raises(ConfigError, match="not an integer"):
+            resolve_classes(records, 2, {"svc-a": 1, "svc-b": bad})
+    # An integral float is an integer class id.
+    assert resolve_classes(records, 2, {"svc-a": 1, "svc-b": 2.0})[2]["svc-b"] == 2
+
+
+def test_resolve_classes_rejects_non_finite_timestamp():
+    records = [TraceRecord(1.0, "a"), TraceRecord(float("nan"), "a")]
+    with pytest.raises(ConfigError, match="trace record 1: timestamp"):
+        resolve_classes(records, 2)
 
 
 def test_resolve_classes_frequency_rank():
@@ -86,22 +99,6 @@ def test_resolve_classes_frequency_rank():
         [TraceRecord(0.0, "b"), TraceRecord(1.0, "a")], 2
     )
     assert tie == {"a": 1, "b": 2}
-
-
-def test_estimate_rates_hand_window():
-    records = [
-        TraceRecord(10.0, "1"),
-        TraceRecord(20.0, "2"),
-        TraceRecord(30.0, "1"),
-        TraceRecord(110.0, "1"),
-    ]
-    w = estimate_rates(records, 100.0, 0, 2, {"1": 1, "2": 2})
-    np.testing.assert_array_equal(w.counts, [2, 1])
-    np.testing.assert_allclose(w.rates, [0.02, 0.01])
-    w1 = estimate_rates(records, 100.0, 1, 2, {"1": 1, "2": 2})
-    np.testing.assert_array_equal(w1.counts, [1, 0])
-    with pytest.raises(ConfigError, match="window_length"):
-        estimate_rates(records, 0.0, 0, 2)
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +119,9 @@ def test_synthesize_trace_matches_rates(online_config):
         counts[r.class_key] += 1
     for c, lam in zip(online_config.classes, (0.012, 0.010, 0.008)):
         assert counts[str(c.id)] == pytest.approx(lam * 1.0e5, rel=0.12)
-    with pytest.raises(ConfigError, match="horizon"):
-        synthesize_poisson_trace(online_config, 0.0)
+    for horizon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="horizon"):
+            synthesize_poisson_trace(online_config, horizon)
 
 
 def test_template_map_and_default_window(online_config):
@@ -137,6 +135,58 @@ def test_driver_needs_two_windows(online_config):
     trace = synthesize_poisson_trace(online_config, 5.0e4, seed=1)
     with pytest.raises(ConfigError, match="two full windows"):
         online_driver(trace, online_config, window_length=1.0e5)
+
+
+def test_window_counts_hand_example(online_config):
+    # Window length 100: [0, 100) and [100, 200) are full; the record at
+    # exactly 100 opens window 1, and [200, 250] is a dropped partial window.
+    records = [
+        TraceRecord(10.0, "1"),
+        TraceRecord(20.0, "2"),
+        TraceRecord(30.0, "1"),
+        TraceRecord(100.0, "1"),
+        TraceRecord(110.0, "1"),
+        TraceRecord(200.0, "2"),
+        TraceRecord(250.0, "3"),
+    ]
+    res = online_driver(
+        records, online_config, 100.0, class_map=template_class_map(online_config)
+    )
+    assert res.num_windows == 2
+    np.testing.assert_array_equal(res.windows[0].counts, [2, 1, 0])
+    np.testing.assert_array_equal(res.windows[1].counts, [2, 0, 0])
+    np.testing.assert_allclose(res.windows[0].rates, [0.02, 0.01, 0.0])
+
+
+@pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf")])
+def test_driver_rejects_bad_window_length(online_config, window):
+    trace = synthesize_poisson_trace(online_config, 4.2e5, seed=4)
+    with pytest.raises(ConfigError, match="window_length must be positive"):
+        online_driver(trace, online_config, window)
+
+
+@given(
+    num_classes=st.integers(1, 4),
+    window=st.integers(1, 10),
+    jobs=st.lists(
+        st.tuples(st.integers(0, 60), st.integers(0, 3)), min_size=1, max_size=80
+    ),
+)
+def test_window_counts_match_per_window_masks(num_classes, window, jobs):
+    config = make_system([(0.001, 1.0, 1.0)] * num_classes, [(0.05, 0.0)])
+    # Integer timestamps put many jobs exactly on window edges; the last job
+    # guarantees two full windows.
+    jobs = jobs + [(2 * window, 0)]
+    records = [TraceRecord(float(t), str(j % num_classes + 1)) for t, j in jobs]
+    tr = _prepare_trace(records, config, float(window), template_class_map(config))
+    times = np.array(sorted(float(t) for t, _ in jobs))
+    cls = np.array([j % num_classes for _, j in sorted(jobs, key=lambda x: x[0])])
+    for k, w in enumerate(tr.windows):
+        mask = (times >= k * window) & (times < (k + 1) * window)
+        np.testing.assert_array_equal(
+            w.counts, np.bincount(cls[mask], minlength=num_classes)
+        )
+    assert len(tr.windows) == int(times[-1] // window)
 
 
 @pytest.fixture(scope="module")

@@ -207,19 +207,6 @@ def test_event_log_invariants(small_system):
     np.testing.assert_array_equal(solo.release, log.release)
 
 
-def test_deterministic_service_mode(small_system):
-    sim = SimConfig(
-        horizon=2.0e4, replications=2, seed=1, service_mode="deterministic"
-    )
-    res = run_simulation(
-        small_system, np.array([[1.0, 0.0], [1.0, 0.0]]), sim
-    )
-    # VM 1 has zero shift: compute service is exactly zero for everyone.
-    np.testing.assert_array_equal(res.mean_service_compute, [0.0, 0.0])
-    # Network times are exactly shift * output size.
-    np.testing.assert_allclose(res.mean_service_network, [18.0, 18.0 * 0.7])
-
-
 def test_unstable_vm_is_flagged():
     # All load on a VM with capacity 0.03 jobs/ms against arrivals at 0.05.
     cfg = make_system([(0.05, 1.0, 0.01)], [(0.03, 0.0), (0.2, 0.0)])
@@ -267,7 +254,6 @@ def test_sim_config_validation(small_system):
         (SimConfig(warmup_fraction=1.0), "warmup_fraction"),
         (SimConfig(replications=0), "replications"),
         (SimConfig(networking="lifo"), "networking"),
-        (SimConfig(service_mode="gamma"), "service mode"),
     ]
     for sim, frag in cases:
         with pytest.raises(ConfigError, match=frag):
