@@ -8,15 +8,18 @@ is the same IEEE double arithmetic numpy's scalars do. Results are
 bit-identical to an indexed numpy loop, without a numpy scalar built for
 every element read.
 
-The priority loop keeps the class heads in two heaps, so serving n jobs over
-J classes costs O(n log J) rather than a scan of every head per job. Both
-scans reject non-finite times up front: a NaN time defeats every comparison
-the loops rely on, and the priority loop would never finish.
+The priority loop walks the jobs in arrival order and keeps in a heap only
+the heads of classes that have a job waiting. Serving a job costs one push
+and one pop on a heap as large as the number of waiting classes, not a scan
+of every head, and a job that finds the link idle with no rival arriving by
+then skips the heap. Both scans reject non-finite times up front: a NaN
+time defeats every comparison the loops rely on, and the priority loop
+would never finish.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -70,25 +73,50 @@ def priority_start(arrivals, grouped, offsets, key, service):
         raise ValueError("key must not be NaN")
     arr = arrivals.tolist()
     grp = grouped.tolist()
-    bounds = offsets.tolist()
     keys = key.tolist()
     svc = service.tolist()
     n = len(arr)
+    # Each job's class, in arrival order. The stable sort keeps every class's
+    # grouped order, so the k-th walked job of class c is grp[offsets[c] + k].
+    walk = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))[
+        np.argsort(arrivals[grouped], kind="stable")
+    ].tolist()
+    ptr = offsets[:-1].tolist()  # next job to serve, per class
+    seen = list(ptr)  # next job to walk, per class
     start = [0.0] * n
-    ptr, end = bounds[:-1], bounds[1:]
-    # Heads that have arrived, ordered by the tie rule above, and heads that
-    # have not, ordered by arrival. A job enters and leaves each heap at most
-    # once, and neither heap holds more than one head per class.
+    # Heads that have arrived, ordered by the tie rule above; at most one per
+    # class. Whenever it is empty, every walked job has been served.
     ready: list[tuple[float, float, int]] = []
-    pending = [(arr[grp[p]], c) for c, p in enumerate(ptr) if p < end[c]]
-    heapify(pending)
     now = 0.0
+    w = 0
     for _ in range(n):
-        if not ready and pending[0][0] > now:
-            now = pending[0][0]
-        while pending and pending[0][0] <= now:
-            a, c = heappop(pending)
-            heappush(ready, (-keys[grp[ptr[c]]], a, c))
+        if not ready:
+            c = walk[w]
+            w += 1
+            p = seen[c]
+            seen[c] = p + 1
+            i = grp[p]
+            a = arr[i]
+            if a > now:
+                now = a
+            if w == n or arr[grp[seen[walk[w]]]] > now:
+                # No rival has arrived by the time the link takes this job.
+                ptr[c] = p + 1
+                start[i] = now
+                now += svc[i]
+                continue
+            heappush(ready, (-keys[i], a, c))
+        while w < n:
+            c = walk[w]
+            p = seen[c]
+            i = grp[p]
+            a = arr[i]
+            if a > now:
+                break
+            w += 1
+            seen[c] = p + 1
+            if p == ptr[c]:
+                heappush(ready, (-keys[i], a, c))
         c = heappop(ready)[2]
         p = ptr[c]
         i = grp[p]
@@ -96,12 +124,9 @@ def priority_start(arrivals, grouped, offsets, key, service):
         now += svc[i]
         p += 1
         ptr[c] = p
-        if p < end[c]:
+        if p < seen[c]:
             i = grp[p]
-            if arr[i] <= now:
-                heappush(ready, (-keys[i], arr[i], c))
-            else:
-                heappush(pending, (arr[i], c))
+            heappush(ready, (-keys[i], arr[i], c))
     return np.array(start, dtype=np.float64)
 
 

@@ -388,6 +388,14 @@ def cmd_online(args: argparse.Namespace) -> int:
     seed = _resolved_seed(args, config)
     settings = _settings(args, seed)
     window = default_window(config) if args.window is None else args.window
+    # Checked before the synthetic horizon (windows + 1) * window is built,
+    # so a bad flag is reported as itself rather than as a bad horizon.
+    if not (np.isfinite(window) and window > 0.0):
+        raise ConfigError(
+            f"--window: window_length must be positive and finite, got {window}"
+        )
+    if not args.trace and args.windows < 2:
+        raise ConfigError(f"--windows must be at least 2, got {args.windows}")
     if args.trace:
         trace = ingest_trace(args.trace)
         if args.class_map:

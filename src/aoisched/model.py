@@ -209,14 +209,31 @@ def validate_config(config: SystemConfig) -> list[str]:
         problems.append(f"vm ids must be 1..V contiguous, got {vm_ids}")
 
     known = set(class_ids)
-    for c in config.classes:
-        if not _positive(c.arrival_rate):
+    # The per-class numeric checks run over one array; an unset update_rate
+    # reads as 1.0, which passes.
+    fields = np.array(
+        [
+            (
+                c.arrival_rate,
+                c.compute_size,
+                c.output_size,
+                1.0 if c.update_rate is None else c.update_rate,
+            )
+            for c in config.classes
+        ],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    bad_fields = (~(np.isfinite(fields) & (fields > 0.0))).tolist()
+    for c, (bad_rate, bad_compute, bad_output, bad_update) in zip(
+        config.classes, bad_fields
+    ):
+        if bad_rate:
             problems.append(f"class {c.id}: arrival_rate must be positive and finite")
-        if not _positive(c.compute_size):
+        if bad_compute:
             problems.append(f"class {c.id}: compute_size must be positive and finite")
-        if not _positive(c.output_size):
+        if bad_output:
             problems.append(f"class {c.id}: output_size must be positive and finite")
-        if c.update_rate is not None and not _positive(c.update_rate):
+        if bad_update:
             problems.append(f"class {c.id}: update_rate must be positive and finite when set")
         if c.info_set is not None:
             missing = [i for i in c.info_set if i not in known]

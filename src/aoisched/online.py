@@ -288,12 +288,10 @@ def _replay(
     rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
     n = len(tr.times)
     J, n_windows = config.num_classes, len(tr.windows)
-    u = rng.random(n)
-    vm_idx = np.empty(n, dtype=np.int64)
-    for k in range(n_windows):
-        mask = tr.win == k
-        if np.any(mask):
-            vm_idx[mask] = assign_vms(u[mask], schedules[k], tr.cls[mask])
+    # Row win * J + cls of the stacked schedules is the job's schedule row.
+    vm_idx = assign_vms(
+        rng.random(n), schedules.reshape(-1, config.num_vms), tr.win * J + tr.cls
+    )
     s1, s2 = service_times(config, tr.cls, vm_idx, *rng.exponential(1.0, (2, n)))
     start1 = _kernels.fcfs_start(tr.times, vm_idx, s1, config.num_vms)
     dep1 = start1 + s1

@@ -1,13 +1,15 @@
-"""Reference scans the kernels in ``aoisched._kernels`` are checked against.
+"""Reference loops the simulator's fast paths are checked against.
 
-These are the original O(n*J) head scan and the numpy-indexed Lindley loop,
-kept verbatim as slow oracles: every start time the fast kernels return must
-equal theirs exactly.
+These are the original O(n*J) head scan, the numpy-indexed Lindley loop,
+and the per-class arrival draws and VM choice, kept verbatim as slow
+oracles: every value the fast paths return must equal theirs exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from aoisched.simulator import _poisson_arrivals
 
 
 def fcfs_scan(arrivals, server_idx, service, n_servers):
@@ -62,3 +64,25 @@ def priority_scan(arrivals, grouped, offsets, key, service):
         now += service[i]
         served += 1
     return start
+
+
+def merged_arrivals_per_class(rng, rates, horizon):
+    # One _poisson_arrivals call per class, in class order, then merged.
+    per_class = [_poisson_arrivals(rng, rate, horizon) for rate in rates]
+    t = np.concatenate(per_class) if per_class else np.empty(0)
+    cls = np.concatenate(
+        [np.full(len(a), j, dtype=np.int64) for j, a in enumerate(per_class)]
+    )
+    order = np.argsort(t, kind="stable")
+    return t[order], cls[order]
+
+
+def assign_vms_per_class(u, p, cls):
+    # One searchsorted per class over that class's jobs.
+    pcum = np.cumsum(np.asarray(p, dtype=np.float64), axis=1)
+    vm_idx = np.empty(len(u), dtype=np.int64)
+    for j in range(p.shape[0]):
+        mask = cls == j
+        if np.any(mask):
+            vm_idx[mask] = np.searchsorted(pcum[j], u[mask], side="right")
+    return np.minimum(vm_idx, p.shape[1] - 1)

@@ -345,6 +345,31 @@ def test_online_rejects_bad_window_and_class_map(tmp_path, config_path, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["0", "-5", "nan", "inf"])
+def test_online_synthetic_rejects_bad_window_flag(tmp_path, config_path, capsys, window):
+    # Without --trace the synthetic horizon is built from --window; the error
+    # must name the flag, not a horizon the user never set.
+    rc = main(
+        ["online", config_path, "--windows", "3", "--window", window,
+         "--out-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --window: window_length must be positive")
+    assert "horizon" not in err
+
+
+@pytest.mark.parametrize("windows", ["1", "0", "-3"])
+def test_online_synthetic_rejects_too_few_windows(tmp_path, config_path, capsys, windows):
+    rc = main(
+        ["online", config_path, "--windows", windows, "--out-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --windows must be at least 2, got {windows}\n"
+    )
+
+
 def test_example_fig3_prints_and_writes(tmp_path, config_path, capsys):
     out = tmp_path / "fig"
     assert main(["example-fig3", "--out-dir", str(out)]) == 0

@@ -39,9 +39,12 @@ _keys = st.sampled_from([0.0, 1.0, 2.5, -1.0, np.inf, -np.inf])
 
 @st.composite
 def _priority_inputs(draw):
-    n_classes = draw(st.integers(1, 6))
-    n = draw(st.integers(0, 40))
-    dep1 = np.array(draw(st.lists(_times, min_size=n, max_size=n)))
+    # Services of 0..4 over a short span make long busy periods and ties; a
+    # long span leaves lone arrivals that find the link idle.
+    n_classes = draw(st.integers(1, 30))
+    n = draw(st.integers(0, 200))
+    times = st.integers(0, draw(st.sampled_from([12, 100, 800]))).map(float)
+    dep1 = np.array(draw(st.lists(times, min_size=n, max_size=n)))
     # Classes drawn from a prefix of range(n_classes) leave the rest empty.
     used = draw(st.integers(1, n_classes))
     cls = np.array(

@@ -84,6 +84,34 @@ def test_validate_info_set_references():
     assert any("unknown class ids [9]" in p for p in validate_config(cfg))
 
 
+def test_validate_messages_exact_text_and_order():
+    # Several bad fields at once: messages follow class order, then field
+    # order within a class, then VMs, with the text written out in full.
+    cfg = default_config(num_classes=8, num_vms=3)
+    classes = list(cfg.classes)
+    for j in (2, 6):
+        classes[j] = dataclasses.replace(classes[j], arrival_rate=float("nan"))
+    classes[6] = dataclasses.replace(classes[6], compute_size=float("inf"))
+    classes[4] = dataclasses.replace(classes[4], output_size=0.0)
+    classes[3] = dataclasses.replace(
+        classes[3], info_set=(1, 42, 9), update_rate=-1.0
+    )
+    classes[1] = dataclasses.replace(classes[1], update_rate=0.5)  # a valid one
+    vms = list(cfg.vms)
+    vms[1] = dataclasses.replace(vms[1], rate=float("nan"), shift=-1.0)
+    cfg = dataclasses.replace(cfg, classes=tuple(classes), vms=tuple(vms))
+    assert validate_config(cfg) == [
+        "class 3: arrival_rate must be positive and finite",
+        "class 4: update_rate must be positive and finite when set",
+        "class 4: info_set references unknown class ids [42, 9]",
+        "class 5: output_size must be positive and finite",
+        "class 7: arrival_rate must be positive and finite",
+        "class 7: compute_size must be positive and finite",
+        "vm 2: rate must be positive and finite",
+        "vm 2: shift must be non-negative and finite",
+    ]
+
+
 def test_validate_moment_mode_and_weighting_enums():
     cfg = dataclasses.replace(
         make_system([(0.01, 1.0, 1.0)], [(0.05, 0.0)]),

@@ -18,7 +18,9 @@ from aoisched.online import (
     _prepare_trace,
 )
 
+from aoisched import online
 from conftest import make_system
+from scan_oracles import assign_vms_per_class
 
 
 def _write(tmp_path, text, name="trace.csv"):
@@ -223,6 +225,32 @@ def test_offline_reference_is_paired(driver_pair):
     # Same trace, same seed, near-true estimates: the online run lands close
     # to the clairvoyant one (it merely must not be wildly worse).
     assert on.result.weighted_objective <= off.result.weighted_objective * 1.10
+
+
+def test_replay_vm_choice_matches_per_window_loop(online_config, monkeypatch):
+    # The replay picks every job's VM in one call over the stacked schedules;
+    # it must match choosing per window with that window's own schedule.
+    seen = []
+    real = online.assign_vms
+
+    def spy(u, p, rows):
+        vm = real(u, p, rows)
+        seen.append((u, vm))
+        return vm
+
+    monkeypatch.setattr(online, "assign_vms", spy)
+    trace = synthesize_poisson_trace(online_config, 4.5e5, seed=6)
+    res = online_driver(trace, online_config, window_length=1.0e5, seed=5)
+    assert len(seen) == 1
+    u, vm = seen[0]
+    tr = _prepare_trace(trace, online_config, 1.0e5, None)
+    expected = np.empty(len(u), dtype=np.int64)
+    for k in range(res.num_windows):
+        mask = tr.win == k
+        expected[mask] = assign_vms_per_class(u[mask], res.schedules[k], tr.cls[mask])
+    np.testing.assert_array_equal(vm, expected)
+    # The online schedules differ across windows, so the rows matter.
+    assert not np.array_equal(res.schedules[1], res.schedules[0])
 
 
 def test_driver_falls_back_on_infeasible_window(online_config):

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from aoisched import _kernels
+from aoisched import _kernels, simulator
 from aoisched.model import ConfigError, default_config
 from aoisched.simulator import (
     ScriptedJob,
@@ -12,6 +14,7 @@ from aoisched.simulator import (
     assign_vms,
     group_by_class,
     interdeparture_stats,
+    merged_arrivals,
     network_start_times,
     policy_tradeoff_example,
     run_simulation,
@@ -19,6 +22,7 @@ from aoisched.simulator import (
 )
 
 from conftest import make_system
+from scan_oracles import assign_vms_per_class, merged_arrivals_per_class
 
 
 def test_interdeparture_needs_three_points():
@@ -36,6 +40,92 @@ def test_assign_vms_degenerate_and_boundary():
     p2 = np.array([[0.5, 0.5]])
     u2 = np.array([0.0, 0.499, 0.5, 0.999])
     np.testing.assert_array_equal(assign_vms(u2, p2, np.zeros(4, int)), [0, 0, 1, 1])
+
+
+@given(
+    n_classes=st.integers(1, 400),
+    n_vms=st.integers(1, 6),
+    n=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assign_vms_matches_per_class_loop(n_classes, n_vms, n, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.random((n_classes, n_vms))
+    p[rng.random(p.shape) < 0.4] = 0.0  # rows with zero entries
+    p[p.sum(axis=1) == 0.0, 0] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    short = rng.random(n_classes) < 0.3
+    p[short] *= 1.0 - 1e-12  # cumulative sums ending just below 1
+    cls = rng.integers(0, n_classes, n)
+    u = rng.random(n)
+    # Uniforms landing exactly on a cumulative entry, on 0 and just below 1.
+    pcum = np.cumsum(p, axis=1)
+    on_edge = rng.random(n) < 0.3
+    u[on_edge] = pcum[cls[on_edge], rng.integers(0, n_vms, n)[on_edge]]
+    u[rng.random(n) < 0.05] = 0.0
+    u[rng.random(n) < 0.05] = np.nextafter(1.0, 0.0)
+    np.testing.assert_array_equal(
+        assign_vms(u, p, cls), assign_vms_per_class(u, p, cls)
+    )
+
+
+def _same_draws(rates, horizon, seed):
+    """merged_arrivals against the per-class oracle, streams included."""
+    rng = np.random.Generator(np.random.PCG64DXSM(seed))
+    ref = np.random.Generator(np.random.PCG64DXSM(seed))
+    t, cls = merged_arrivals(rng, rates, horizon)
+    t_ref, cls_ref = merged_arrivals_per_class(ref, rates, horizon)
+    # Plain asserts: a failing example then costs no array formatting while
+    # hypothesis shrinks it.
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(cls, cls_ref) and cls.dtype == cls_ref.dtype
+    # The next draw after the call comes from the same place in the stream.
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# (class count, horizon, seed); rates come from the seed, so a failing case
+# shrinks over three numbers only.
+_arrival_cases = st.tuples(
+    st.integers(1, 400), st.floats(0.5, 60.0), st.integers(0, 2**32 - 1)
+)
+
+
+def _rates(n_classes, seed):
+    return 10.0 ** np.random.default_rng(seed).uniform(-3.0, 0.3, n_classes)
+
+
+@given(_arrival_cases)
+def test_merged_arrivals_matches_per_class_draws(case):
+    n_classes, horizon, seed = case
+    _same_draws(_rates(n_classes, seed), horizon, seed)
+
+
+@given(_arrival_cases, st.data())
+def test_merged_arrivals_fallback_matches_per_class_draws(case, data):
+    n_classes, horizon, seed = case
+    rates = _rates(n_classes, seed)
+    short = data.draw(st.integers(0, n_classes - 1))
+    # At rate 100 / horizon one gap exceeds the horizon with probability
+    # e**-100, so this class's one-draw block always ends short of it.
+    rates[short] = 100.0 / horizon
+    real_sizes = simulator._block_sizes
+    real_arrivals = simulator._poisson_arrivals
+    calls = []
+
+    def too_small(rates, horizon):
+        sizes = real_sizes(rates, horizon)
+        sizes[short] = 1
+        return sizes
+
+    def counted(*args):
+        calls.append(args)
+        return real_arrivals(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulator, "_block_sizes", too_small)
+        m.setattr(simulator, "_poisson_arrivals", counted)
+        _same_draws(rates, horizon, seed)
+    assert len(calls) == len(rates)  # the per-class path ran
 
 
 def test_group_by_class_layout():
