@@ -53,7 +53,7 @@ from .model import (
 )
 from .online import (
     OnlineResult,
-    TraceRecord,
+    Trace,
     TraceWindow,
     default_window,
     ingest_trace,

@@ -11,16 +11,18 @@ randomness under one schedule solved with the configured (true) rates, which
 makes online-vs-offline gaps a paired comparison rather than two noisy runs.
 
 Trace files are CSV with header columns timestamp_ms,key (extra columns are
-ignored). Keys are opaque; they map to job classes either through an explicit
-class_map or by frequency-rank bucketing: distinct keys ranked by descending
-count (ties by key string), rank r goes to class (r mod J) + 1.
+ignored); they load into a `Trace`, whose columns are the sorted timestamps
+and one code per job into the distinct keys. Keys are opaque; they map to job
+classes either through an explicit class_map or by frequency-rank bucketing:
+distinct keys ranked by descending count (ties by key string), rank r goes to
+class (r mod J) + 1.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +32,14 @@ from .analytics import wsept_keys
 from .model import ConfigError, SystemConfig, validate_config
 from .optimizer import InfeasibleError, OptimizerSettings, optimize_pps
 from .simulator import (
+    CLASS_QUANTITIES,
     SimResult,
     _aggregate,
     _class_stats,
     _empirical_objective,
     _Flow,
     _reduce_run,
+    _RunStats,
     assign_vms,
     merged_arrivals,
     network_start_times,
@@ -43,10 +47,43 @@ from .simulator import (
 )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    timestamp: float  # ms since trace start
-    class_key: str
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """An arrival trace as columns: one timestamp and one key code per job.
+
+    `times` is sorted (ties keep their input order), `keys` holds distinct
+    key strings and job i carries key `keys[codes[i]]`. Constructing one
+    checks the columns and sorts them, so every Trace obeys this.
+    """
+
+    times: np.ndarray  # float64, ms since trace start, non-decreasing
+    keys: tuple[str, ...]
+    codes: np.ndarray  # int64 index into keys, per job
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=np.float64)
+        codes = np.asarray(self.codes, dtype=np.int64)
+        keys = tuple(self.keys)
+        if times.ndim != 1 or codes.shape != times.shape:
+            raise ConfigError(
+                f"trace needs one timestamp and one key code per job, got "
+                f"{times.shape} timestamps and {codes.shape} codes"
+            )
+        finite = np.isfinite(times)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ConfigError(f"trace record {bad}: timestamp must be finite")
+        if len(set(keys)) != len(keys):
+            raise ConfigError("trace keys must be distinct")
+        if codes.size and not (0 <= codes.min() and codes.max() < len(keys)):
+            raise ConfigError(f"trace key codes must lie in 0..{len(keys) - 1}")
+        order = np.argsort(times, kind="stable")
+        object.__setattr__(self, "times", times[order])
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "codes", codes[order])
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -59,14 +96,16 @@ class TraceWindow:
     rates: np.ndarray  # counts / window_length, per ms
 
 
-def ingest_trace(path: str | Path) -> list[TraceRecord]:
-    """Read a trace CSV, sorted by timestamp.
+def ingest_trace(path: str | Path) -> Trace:
+    """Read a trace CSV into a Trace sorted by timestamp.
 
-    Requires header columns timestamp_ms and key; extra columns are ignored.
-    Malformed rows and empty traces raise ConfigError with the line number.
+    Requires header columns timestamp_ms and key; extra columns are ignored,
+    and so is whitespace around a key. Malformed rows and empty traces raise
+    ConfigError naming the first bad line.
     """
     path = Path(path)
-    records: list[TraceRecord] = []
+    stamps: list[float] = []
+    names: list[str] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -81,10 +120,11 @@ def ingest_trace(path: str | Path) -> list[TraceRecord]:
             raise ConfigError(
                 f"{path}: header must contain timestamp_ms and key, got {header}"
             ) from None
+        width = max(t_col, k_col)
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) <= max(t_col, k_col):
+            if len(row) <= width:
                 raise ConfigError(f"{path}: line {lineno}: too few columns")
             try:
                 ts = float(row[t_col])
@@ -92,29 +132,34 @@ def ingest_trace(path: str | Path) -> list[TraceRecord]:
                 raise ConfigError(
                     f"{path}: line {lineno}: bad timestamp {row[t_col]!r}"
                 ) from None
-            if not np.isfinite(ts):
+            if not isfinite(ts):
                 raise ConfigError(f"{path}: line {lineno}: non-finite timestamp")
-            records.append(TraceRecord(timestamp=ts, class_key=row[k_col].strip()))
-    if not records:
+            stamps.append(ts)
+            names.append(row[k_col])
+    if not stamps:
         raise ConfigError(f"{path}: trace has no records")
-    records.sort(key=lambda r: r.timestamp)
-    return records
+    # Code each distinct raw key once; stripped keys keep first-seen order.
+    index: dict[str, int] = {}
+    code_of = {r: index.setdefault(r.strip(), len(index)) for r in dict.fromkeys(names)}
+    codes = np.fromiter(map(code_of.__getitem__, names), np.int64, len(names))
+    return Trace(np.array(stamps), tuple(index), codes)
 
 
 def resolve_classes(
-    records: list[TraceRecord],
+    trace: Trace,
     num_classes: int,
     class_map: dict[str, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Map trace keys to class indices.
 
     Returns (timestamps, zero-based class indices, mapping used). An explicit
-    class_map must cover every key; without one, keys are bucketed by
-    frequency rank.
+    class_map must cover every key that occurs; without one, the keys that
+    occur are bucketed by frequency rank.
     """
-    if not records:
+    if not len(trace):
         raise ConfigError("empty trace")
-    keys = [r.class_key for r in records]
+    counts = np.bincount(trace.codes, minlength=len(trace.keys)).tolist()
+    present = [(key, n) for key, n in zip(trace.keys, counts) if n]
     if class_map is not None:
         for key, cid in class_map.items():
             try:
@@ -126,36 +171,29 @@ def resolve_classes(
                     f"class_map sends {key!r} to class {cid!r}, "
                     f"not an integer or outside 1..{num_classes}"
                 )
-        missing = sorted({k for k in keys if k not in class_map})
+        missing = sorted(k for k, _ in present if k not in class_map)
         if missing:
             raise ConfigError(f"trace keys not in class_map: {missing[:5]}")
         mapping = {k: int(float(v)) for k, v in class_map.items()}
     else:
-        ranked = sorted(Counter(keys).items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = sorted(present, key=lambda kv: (-kv[1], kv[0]))
         mapping = {
             key: (rank % num_classes) + 1 for rank, (key, _) in enumerate(ranked)
         }
-    times = np.array([r.timestamp for r in records], dtype=np.float64)
-    if not np.all(np.isfinite(times)):
-        bad = int(np.argmin(np.isfinite(times)))
-        raise ConfigError(f"trace record {bad}: timestamp must be finite")
-    cls = np.array([mapping[k] - 1 for k in keys], dtype=np.int64)
-    order = np.argsort(times, kind="stable")
-    return times[order], cls[order], mapping
+    # A key that never occurs is never gathered; it gets class index 0.
+    lut = np.array([mapping.get(k, 1) - 1 for k in trace.keys], dtype=np.int64)
+    return trace.times, lut[trace.codes], mapping
 
 
 def synthesize_poisson_trace(
     config: SystemConfig, horizon: float, seed: int = 0
-) -> list[TraceRecord]:
+) -> Trace:
     """Stationary Poisson trace at the config's rates; keys are class ids."""
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ConfigError(f"horizon must be positive and finite, got {horizon}")
     rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
     times, cls = merged_arrivals(rng, config.arrival_rates(), horizon)
-    return [
-        TraceRecord(timestamp=t, class_key=str(j + 1))
-        for t, j in zip(times.tolist(), cls.tolist())
-    ]
+    return Trace(times, tuple(str(j + 1) for j in range(config.num_classes)), cls)
 
 
 def template_class_map(config: SystemConfig) -> dict[str, int]:
@@ -298,9 +336,21 @@ def _replay(
     start2 = network_start_times(dep1, tr.cls, keys, s2, J, "priority")
     flow = _Flow(tr.times, tr.cls, vm_idx, s1, s2, start1, dep1, start2)
 
+    # One reduction over (window, class) cells: _class_stats groups by
+    # flow.cls, so handing it win * J + cls sums each cell's jobs in job
+    # order, exactly as a per-window mask would.
+    cells = _class_stats(
+        replace(flow, cls=tr.win * J + tr.cls), n_windows * J, np.ones(n, bool)
+    )
+    grid = {
+        f: getattr(cells, f).reshape(n_windows, J)
+        for f in ("counts", *CLASS_QUANTITIES, "staleness")
+    }
     window_objectives = np.array(
         [
-            _empirical_objective(config, _class_stats(flow, J, tr.win == k))
+            _empirical_objective(
+                config, _RunStats(**{f: v[k] for f, v in grid.items()})
+            )
             for k in range(n_windows)
         ]
     )
@@ -319,7 +369,7 @@ def _replay(
 
 
 def online_driver(
-    trace: list[TraceRecord],
+    trace: Trace,
     config: SystemConfig,
     window_length: float | None = None,
     settings: OptimizerSettings | None = None,
@@ -373,7 +423,7 @@ def online_driver(
 
 
 def offline_reference(
-    trace: list[TraceRecord],
+    trace: Trace,
     config: SystemConfig,
     window_length: float | None = None,
     settings: OptimizerSettings | None = None,

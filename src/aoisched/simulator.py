@@ -521,25 +521,29 @@ def _mean_se_ci(rep_values: np.ndarray):
     values a nan se and ci; numpy's warnings about those slices are dropped.
     """
     vals = np.asarray(rep_values, dtype=np.float64)
-    n = np.sum(~np.isnan(vals), axis=0)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
-        warnings.filterwarnings("ignore", "Degrees of freedom", RuntimeWarning)
-        mean = np.where(n > 0, np.nanmean(vals, axis=0), np.nan)
-        se = np.full(mean.shape, np.nan)
-        ci = np.full(mean.shape, np.nan)
-        multi = n > 1
-        if np.any(multi):
+    missing = np.isnan(vals)
+    n = len(vals) - np.add.reduce(missing, axis=0, dtype=np.intp)
+    # np.nanmean's own arithmetic (zero the nans, sum, divide by the count),
+    # without its warning for an all-nan column.
+    total = np.add.reduce(np.where(missing, 0.0, vals), axis=0)
+    mean = np.divide(total, n, out=np.full(total.shape, np.nan), where=n > 0)
+    se = np.full(mean.shape, np.nan)
+    ci = np.full(mean.shape, np.nan)
+    multi = n > 1
+    if multi.any():
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
+            warnings.filterwarnings("ignore", "Degrees of freedom", RuntimeWarning)
             sd = np.nanstd(vals, axis=0, ddof=1)
-            se = np.where(multi, sd / np.sqrt(np.maximum(n, 1)), np.nan)
-            # Imported here so that `import aoisched` does not load scipy.stats.
-            from scipy.stats import t as student_t
+        se = np.where(multi, sd / np.sqrt(np.maximum(n, 1)), np.nan)
+        # Imported here so that `import aoisched` does not load scipy.stats.
+        from scipy.stats import t as student_t
 
-            # Two-sided 95 percent Student t on the replication means; dof
-            # varies if classes miss reps.
-            tq = student_t.ppf(0.975, np.maximum(n - 1, 1))
-            tq = np.where(multi, tq, np.nan)
-            ci = tq * se
+        # Two-sided 95 percent Student t on the replication means; dof
+        # varies if classes miss reps.
+        tq = student_t.ppf(0.975, np.maximum(n - 1, 1))
+        tq = np.where(multi, tq, np.nan)
+        ci = tq * se
     return mean, se, ci
 
 

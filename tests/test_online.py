@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from aoisched.model import ConfigError
 from aoisched.online import (
-    TraceRecord,
+    Trace,
     default_window,
     ingest_trace,
     offline_reference,
@@ -18,9 +19,19 @@ from aoisched.online import (
     _prepare_trace,
 )
 
-from aoisched import online
+from aoisched import online, simulator
 from conftest import make_system
-from scan_oracles import assign_vms_per_class
+from scan_oracles import (
+    assign_vms_per_class,
+    ingest_trace_records,
+    resolve_classes_records,
+)
+
+
+def _trace(jobs):
+    """A Trace of (timestamp, key) pairs, keys coded in first-seen order."""
+    keys = list(dict.fromkeys(k for _, k in jobs))
+    return Trace([t for t, _ in jobs], keys, [keys.index(k) for _, k in jobs])
 
 
 def _write(tmp_path, text, name="trace.csv"):
@@ -38,9 +49,10 @@ def test_ingest_sorts_and_ignores_extras(tmp_path):
         "\n"
         "a,ap,150\n",
     )
-    records = ingest_trace(path)
-    assert [r.timestamp for r in records] == [10.0, 150.0, 200.5]
-    assert [r.class_key for r in records] == ["a", "a", "b"]
+    trace = ingest_trace(path)
+    assert trace.times.tolist() == [10.0, 150.0, 200.5]
+    assert [trace.keys[c] for c in trace.codes] == ["a", "a", "b"]
+    assert len(trace) == 3
 
 
 def test_ingest_error_messages(tmp_path):
@@ -56,14 +68,18 @@ def test_ingest_error_messages(tmp_path):
         ingest_trace(_write(tmp_path, "timestamp_ms,key\ninf,a\n", "e5.csv"))
     with pytest.raises(ConfigError, match="no records"):
         ingest_trace(_write(tmp_path, "timestamp_ms,key\n", "e6.csv"))
+    # Several bad lines: the first in file order is named, and blank rows
+    # count toward the line number.
+    text = "timestamp_ms,key\n\n1,a\n \ninf,b\nsoon,c\n7\n"
+    with pytest.raises(ConfigError, match="line 5: non-finite"):
+        ingest_trace(_write(tmp_path, text, "e7.csv"))
+    text = "timestamp_ms,key\n1,a\nsoon,b\n-inf,c\n"
+    with pytest.raises(ConfigError, match="line 3: bad timestamp 'soon'"):
+        ingest_trace(_write(tmp_path, text, "e8.csv"))
 
 
 def test_resolve_classes_explicit_map():
-    records = [
-        TraceRecord(5.0, "svc-b"),
-        TraceRecord(1.0, "svc-a"),
-        TraceRecord(3.0, "svc-a"),
-    ]
+    records = _trace([(5.0, "svc-b"), (1.0, "svc-a"), (3.0, "svc-a")])
     times, cls, mapping = resolve_classes(
         records, 2, {"svc-a": 1, "svc-b": 2}
     )
@@ -82,25 +98,134 @@ def test_resolve_classes_explicit_map():
 
 
 def test_resolve_classes_rejects_non_finite_timestamp():
-    records = [TraceRecord(1.0, "a"), TraceRecord(float("nan"), "a")]
+    # A Trace cannot hold one, so the check happens at construction.
     with pytest.raises(ConfigError, match="trace record 1: timestamp"):
-        resolve_classes(records, 2)
+        resolve_classes(_trace([(1.0, "a"), (float("nan"), "a")]), 2)
+
+
+def test_trace_checks_and_sorts_its_columns():
+    trace = Trace([3.0, 1.0, 3.0, 2.0], ("a", "b"), [0, 1, 1, 0])
+    assert trace.times.tolist() == [1.0, 2.0, 3.0, 3.0]
+    assert trace.codes.tolist() == [1, 0, 0, 1]  # the tie keeps input order
+    assert len(trace) == 4
+    with pytest.raises(ConfigError, match="one key code per job"):
+        Trace([1.0, 2.0], ("a",), [0])
+    with pytest.raises(ConfigError, match="distinct"):
+        Trace([1.0], ("a", "a"), [0])
+    for codes in ([1], [-1]):
+        with pytest.raises(ConfigError, match=r"codes must lie in 0\.\.0"):
+            Trace([1.0], ("a",), codes)
+    with pytest.raises(ConfigError, match="empty trace"):
+        resolve_classes(Trace([], (), []), 2)
+    # A key no job carries (a synthetic class with no arrival) is neither
+    # ranked nor required in a class_map.
+    absent = Trace([1.0], ("a", "b"), [0])
+    assert resolve_classes(absent, 2)[2] == {"a": 1}
+    assert resolve_classes(absent, 2, {"a": 2})[1].tolist() == [1]
 
 
 def test_resolve_classes_frequency_rank():
-    records = (
-        [TraceRecord(float(i), "hot") for i in range(5)]
-        + [TraceRecord(10.0 + i, "warm") for i in range(3)]
-        + [TraceRecord(20.0 + i, "cold") for i in range(2)]
+    records = _trace(
+        [(float(i), "hot") for i in range(5)]
+        + [(10.0 + i, "warm") for i in range(3)]
+        + [(20.0 + i, "cold") for i in range(2)]
     )
     _, cls, mapping = resolve_classes(records, 2)
     # Ranked by frequency: hot -> 1, warm -> 2, cold wraps around to 1.
     assert mapping == {"hot": 1, "warm": 2, "cold": 1}
     # Equal counts break ties by key string.
-    _, _, tie = resolve_classes(
-        [TraceRecord(0.0, "b"), TraceRecord(1.0, "a")], 2
-    )
+    _, _, tie = resolve_classes(_trace([(0.0, "b"), (1.0, "a")]), 2)
     assert tie == {"a": 1, "b": 2}
+
+
+# Cells of a random trace CSV. Timestamps come from a small pool so that
+# rows tie; keys carry whitespace and commas (written quoted); the malformed
+# cells and the short and blank rows make some files fail.
+_STAMPS = ["0", "1", "2.5", " 3 ", "1e1", "-0.0", "7_0", "12.25"]
+_BAD_STAMPS = ["inf", "-inf", "nan", "soon", ""]
+_KEYS = ["a", " a", "a ", "b", "b,c", " b,c ", "\u00e9", "0"]
+
+
+@st.composite
+def _trace_csv(draw):
+    extra = draw(st.integers(0, 2))
+    header = ["timestamp_ms", "key"] + [f"x{i}" for i in range(extra)]
+    header = draw(st.permutations(header))
+    header = [draw(st.sampled_from(["", " "])) + h for h in header]
+    t_col = [h.strip() for h in header].index("timestamp_ms")
+    k_col = [h.strip() for h in header].index("key")
+    bad = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["job"] * 8 + ["blank", "space", "bad", "short"]))
+        if kind == "blank":
+            rows.append(None)
+        elif kind == "space":
+            rows.append(["  "])
+        elif kind == "short" and bad:
+            rows.append(["1"])
+        else:
+            row = [draw(st.sampled_from(["r", "s"])) for _ in header]
+            pool = _BAD_STAMPS if kind == "bad" and bad else _STAMPS
+            row[t_col] = draw(st.sampled_from(pool))
+            row[k_col] = draw(st.sampled_from(_KEYS))
+            rows.append(row)
+    lines = []
+    for row in rows:
+        if row is None:
+            lines.append("\n")
+        else:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(row)
+            lines.append(buf.getvalue())
+    return ",".join(header) + "\n" + "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("traces") / "trace.csv"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConfigError as err:
+        return f"ConfigError: {err}"
+
+
+@given(
+    text=_trace_csv(),
+    num_classes=st.integers(1, 4),
+    map_seed=st.integers(0, 2**32 - 1),
+    drop_one=st.booleans(),
+)
+def test_trace_path_matches_record_oracle(
+    csv_path, text, num_classes, map_seed, drop_one
+):
+    csv_path.write_text(text)
+    trace = _outcome(ingest_trace, csv_path)
+    records = _outcome(ingest_trace_records, csv_path)
+    if isinstance(records, str):
+        assert trace == records  # the same ConfigError text
+        return
+    assert len(trace) == len(records)
+    # The explicit map covers the keys that occur, or all but one of them.
+    rng = np.random.default_rng(map_seed)
+    present = sorted({r.class_key for r in records})
+    class_map = {k: int(rng.integers(1, num_classes + 1)) for k in present}
+    if drop_one:
+        del class_map[present[int(rng.integers(len(present)))]]
+    for mapping in (None, class_map):
+        got = _outcome(resolve_classes, trace, num_classes, mapping)
+        want = _outcome(resolve_classes_records, records, num_classes, mapping)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[0].dtype == want[0].dtype
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[1].dtype == want[1].dtype
+        assert got[2] == want[2]
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +239,12 @@ def online_config():
 def test_synthesize_trace_matches_rates(online_config):
     trace = synthesize_poisson_trace(online_config, 1.0e5, seed=4)
     again = synthesize_poisson_trace(online_config, 1.0e5, seed=4)
-    assert trace == again
-    assert all(t.class_key in {"1", "2", "3"} for t in trace)
-    counts = {k: 0 for k in ("1", "2", "3")}
-    for r in trace:
-        counts[r.class_key] += 1
+    np.testing.assert_array_equal(trace.times, again.times)
+    np.testing.assert_array_equal(trace.codes, again.codes)
+    assert trace.keys == again.keys == ("1", "2", "3")
+    counts = np.bincount(trace.codes, minlength=3)
     for c, lam in zip(online_config.classes, (0.012, 0.010, 0.008)):
-        assert counts[str(c.id)] == pytest.approx(lam * 1.0e5, rel=0.12)
+        assert counts[c.id - 1] == pytest.approx(lam * 1.0e5, rel=0.12)
     for horizon in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="horizon"):
             synthesize_poisson_trace(online_config, horizon)
@@ -142,15 +266,17 @@ def test_driver_needs_two_windows(online_config):
 def test_window_counts_hand_example(online_config):
     # Window length 100: [0, 100) and [100, 200) are full; the record at
     # exactly 100 opens window 1, and [200, 250] is a dropped partial window.
-    records = [
-        TraceRecord(10.0, "1"),
-        TraceRecord(20.0, "2"),
-        TraceRecord(30.0, "1"),
-        TraceRecord(100.0, "1"),
-        TraceRecord(110.0, "1"),
-        TraceRecord(200.0, "2"),
-        TraceRecord(250.0, "3"),
-    ]
+    records = _trace(
+        [
+            (10.0, "1"),
+            (20.0, "2"),
+            (30.0, "1"),
+            (100.0, "1"),
+            (110.0, "1"),
+            (200.0, "2"),
+            (250.0, "3"),
+        ]
+    )
     res = online_driver(
         records, online_config, 100.0, class_map=template_class_map(online_config)
     )
@@ -179,7 +305,7 @@ def test_window_counts_match_per_window_masks(num_classes, window, jobs):
     # Integer timestamps put many jobs exactly on window edges; the last job
     # guarantees two full windows.
     jobs = jobs + [(2 * window, 0)]
-    records = [TraceRecord(float(t), str(j % num_classes + 1)) for t, j in jobs]
+    records = _trace([(float(t), str(j % num_classes + 1)) for t, j in jobs])
     tr = _prepare_trace(records, config, float(window), template_class_map(config))
     times = np.array(sorted(float(t) for t, _ in jobs))
     cls = np.array([j % num_classes for _, j in sorted(jobs, key=lambda x: x[0])])
@@ -189,6 +315,51 @@ def test_window_counts_match_per_window_masks(num_classes, window, jobs):
             w.counts, np.bincount(cls[mask], minlength=num_classes)
         )
     assert len(tr.windows) == int(times[-1] // window)
+
+
+@given(
+    num_classes=st.integers(1, 4),
+    window=st.integers(1, 10),
+    jobs=st.lists(
+        st.tuples(st.integers(0, 60), st.integers(0, 3)), min_size=1, max_size=80
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_objectives_match_per_window_masks(num_classes, window, jobs, seed):
+    # Sparse integer timestamps leave windows empty, and the config has one
+    # class more than the jobs use; both give nan cells in the grid.
+    config = make_system(
+        [(0.001, 1.0, 0.5 + j) for j in range(num_classes + 1)],
+        [(0.05, 0.0), (0.02, 1.0)],
+        theta=0.4,
+    )
+    # A job at 0 keeps the full windows from being all empty; the last one
+    # guarantees two full windows.
+    jobs = jobs + [(0, 0), (2 * window, 0)]
+    trace = _trace([(float(t), str(j % num_classes + 1)) for t, j in jobs])
+    tr = _prepare_trace(trace, config, float(window), template_class_map(config))
+    K, J = len(tr.windows), num_classes + 1
+    rng = np.random.default_rng(seed)
+    schedules = rng.dirichlet(np.ones(2), (K, J))
+    keys = rng.integers(0, 3, len(tr.times)).astype(float)
+    flows = []
+    real = online._reduce_run
+
+    def spy(flow, *args):
+        flows.append(flow)
+        return real(flow, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(online, "_reduce_run", spy)
+        res = online._replay(config, tr, schedules, ["x"] * K, keys, seed % 100)
+    expected = [
+        simulator._empirical_objective(
+            config, simulator._class_stats(flows[0], J, tr.win == k)
+        )
+        for k in range(K)
+    ]
+    # Exact equality; nan (an empty window) must meet nan.
+    np.testing.assert_array_equal(res.window_objectives, expected)
 
 
 @pytest.fixture(scope="module")
@@ -259,13 +430,11 @@ def test_driver_falls_back_on_infeasible_window(online_config):
     # for window 1 is solved from window 0 and must fall back to uniform.
     burst = sorted(rng.uniform(0.0, 1.0e4, 3000))
     calm = sorted(rng.uniform(1.0e4, 2.0e4, 60))
-    records = [TraceRecord(float(t), "1") for t in burst]
-    records += [
-        TraceRecord(float(t), str(1 + i % 3)) for i, t in enumerate(calm)
-    ]
-    records.append(TraceRecord(2.05e4, "2"))
+    jobs = [(float(t), "1") for t in burst]
+    jobs += [(float(t), str(1 + i % 3)) for i, t in enumerate(calm)]
+    jobs.append((2.05e4, "2"))
     res = online_driver(
-        records,
+        _trace(jobs),
         online_config,
         window_length=1.0e4,
         class_map=template_class_map(online_config),
@@ -276,10 +445,10 @@ def test_driver_falls_back_on_infeasible_window(online_config):
 
 def test_driver_tracks_rate_shift(online_config):
     # Class 1 only for 30k ms, then class 2 only; regular 50 ms spacing.
-    seg1 = [TraceRecord(25.0 + 50.0 * i, "1") for i in range(600)]
-    seg2 = [TraceRecord(3.0e4 + 25.0 + 50.0 * i, "2") for i in range(670)]
+    seg1 = [(25.0 + 50.0 * i, "1") for i in range(600)]
+    seg2 = [(3.0e4 + 25.0 + 50.0 * i, "2") for i in range(670)]
     res = online_driver(
-        seg1 + seg2,
+        _trace(seg1 + seg2),
         online_config,
         window_length=1.0e4,
         class_map=template_class_map(online_config),

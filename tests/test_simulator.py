@@ -394,6 +394,25 @@ def test_classes_without_kept_jobs_report_nan_without_warnings():
     assert np.isfinite(res.weighted_objective)
 
 
+@pytest.mark.parametrize("reps", [1, 3])
+def test_mean_se_ci_mean_is_nanmean(reps):
+    rng = np.random.default_rng(reps)
+    vals = rng.normal(size=(reps, 60))
+    vals[rng.random(vals.shape) < 0.4] = np.nan
+    vals[:, :3] = np.nan  # columns with no value at all
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = np.nanmean(vals, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se, ci = simulator._mean_se_ci(vals)
+    # Exact equality; nan must meet nan.
+    np.testing.assert_array_equal(mean, expected)
+    few = np.sum(~np.isnan(vals), axis=0) < 2
+    assert np.isnan(se[few]).all() and np.isnan(ci[few]).all()
+    assert np.isfinite(ci[~few]).all()
+
+
 def test_result_csv_round_trip(tmp_path, small_system):
     import csv
 
