@@ -17,8 +17,6 @@ from .analytics import (
     StabilityReport,
     analytic_report,
     check_schedule,
-    expected_aoi,
-    expected_completion,
     fcfs_waiting_time,
     net_service_moments,
     objective,
@@ -67,14 +65,11 @@ from .optimizer import (
     InfeasibleError,
     OptimizeTrace,
     OptimizerSettings,
-    TwoStageSchedule,
     baseline_pca,
     baseline_rca,
-    expand_two_stage,
     feasible_init,
     objective_gradient,
     optimize_pps,
-    optimize_two_stage,
     project_simplex_rows,
 )
 from .simulator import (

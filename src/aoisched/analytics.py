@@ -210,7 +210,7 @@ class Evaluator:
     the per-class network waits under one discipline. `classes` gives the
     per-class results at a schedule; `evaluate` and `grad_at` are the
     optimizer's objective and its gradient in p, with the p-independent
-    network terms folded into one constant (`value` and `grad` wrap them for
+    network terms folded into one constant (`grad` wraps `grad_at` for
     callers that hold only p).
     """
 
@@ -297,26 +297,8 @@ class Evaluator:
         t2 = (lam_v * b) * self.m1 / (denom * slack)
         return self.lin + self._grad_scale * (t1 + t2)
 
-    def value(self, p: np.ndarray, margin: float = 0.0) -> float:
-        return self.evaluate(p, margin)[0]
-
     def grad(self, p: np.ndarray) -> np.ndarray:
         return self.grad_at(self._loads(p))
-
-
-def expected_aoi(
-    p: np.ndarray, config: SystemConfig, networking: str = "priority"
-) -> np.ndarray:
-    """Per-class mean age: schedule-averaged compute service plus the
-    (optionally traffic-share weighted) network wait and service."""
-    return Evaluator(config, networking).classes(p)[4]
-
-
-def expected_completion(
-    p: np.ndarray, config: SystemConfig, networking: str = "priority"
-) -> np.ndarray:
-    """Per-class mean completion: both waits plus both services."""
-    return Evaluator(config, networking).classes(p)[5]
 
 
 def weighted_metrics(

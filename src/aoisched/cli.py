@@ -126,7 +126,6 @@ def _settings(args: argparse.Namespace, seed: int) -> OptimizerSettings:
         rel_tol=getattr(args, "rel_tol", 1.0e-12),
         initial_step=getattr(args, "step", 1.0),
         stability_margin=args.margin,
-        multistart=not getattr(args, "no_multistart", False),
         seed=seed,
     )
 
@@ -475,11 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt_flags.add_argument("--max-iters", type=int, default=5000)
     opt_flags.add_argument("--rel-tol", type=float, default=1.0e-12)
     opt_flags.add_argument("--step", type=float, default=1.0, help="initial step size")
-    opt_flags.add_argument(
-        "--no-multistart",
-        action="store_true",
-        help="descend only from the uniform feasible point",
-    )
     opt_flags.add_argument(
         "--pca-mode",
         choices=("paper_literal", "inverse_time"),

@@ -16,7 +16,7 @@ clipped at a multiple of the unclipped mean) instead of being listed explicitly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np

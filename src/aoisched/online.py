@@ -292,6 +292,11 @@ def _prepare_trace(trace, config, window_length, class_map) -> _Trace:
         )
     win = np.floor(times / window_length).astype(np.int64)
     keep = win < n_windows  # trailing partial window is dropped
+    if not keep.any():
+        raise ConfigError(
+            f"the {n_windows} full windows at window_length={window_length} "
+            "hold no job; every record is in the dropped partial window"
+        )
     times, cls, win = times[keep], cls[keep], win[keep]
     J = config.num_classes
     counts = np.bincount(win * J + cls, minlength=n_windows * J).reshape(n_windows, J)

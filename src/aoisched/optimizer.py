@@ -8,15 +8,15 @@ tradeoff objective. Gradient steps are projected row-wise onto the simplex
 rejecting candidates beyond the margin inside the Armijo backtracking loop,
 so every accepted iterate is feasible. The objective is convex when classes
 share one compute size but can be nonconvex when per-class sizes mix on a VM
-(segregating large jobs can beat any mixture), so optimize_pps multi-starts
-from the uniform point and both proportional baselines and keeps the best
-descent; the returned trace is the winning run's and is monotone by
-construction.
+(segregating large jobs can beat any mixture), so optimize_pps descends
+from three starts, the uniform point and both proportional baselines, and
+keeps the best descent; the returned trace is the winning run's and is
+monotone by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .analytics import (
     net_service_moments,
     service_moment_matrices,
 )
-from .model import ConfigError, SystemConfig, VmProfile
+from .model import ConfigError, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class OptimizerSettings:
     step_growth: float = 2.0
     min_step: float = 1.0e-18
     stability_margin: float = STABILITY_MARGIN
-    multistart: bool = True
     seed: int = 0
     """Recorded in manifests only: PGD and its starting points are
     deterministic, so no optimizer code draws from it."""
@@ -294,19 +293,18 @@ def baseline_pca(
 
 
 def _pgd(
-    core, p0: np.ndarray, settings: OptimizerSettings
+    ev: Evaluator, p0: np.ndarray, settings: OptimizerSettings
 ) -> tuple[np.ndarray, list[float], str]:
     """Projected gradient descent with Armijo backtracking from p0.
 
-    `core` gives ``evaluate(x, margin) -> (objective, loads)`` and
-    ``grad_at(loads)``: each candidate's loads are reduced once, and the
-    accepted one's are reused for the next gradient. Returns the last
-    iterate, the objective after each accepted step ([0] = start) and the
-    stop reason (see OptimizeTrace).
+    Each candidate's loads are reduced once by ``ev.evaluate``, and the
+    accepted one's are reused by ``ev.grad_at`` for the next gradient.
+    Returns the last iterate, the objective after each accepted step
+    ([0] = start) and the stop reason (see OptimizeTrace).
     """
     margin = settings.stability_margin
     p = p0.copy()
-    f, loads = core.evaluate(p, margin)
+    f, loads = ev.evaluate(p, margin)
     if not np.isfinite(f):
         raise InfeasibleError("initial point violates the stability margin")
     objs = [f]
@@ -316,7 +314,7 @@ def _pgd(
     rows, cols = p.shape
     ks, row_idx = np.arange(1, cols + 1), np.arange(rows)
     for _ in range(settings.max_iters):
-        g = core.grad_at(loads)
+        g = ev.grad_at(loads)
         reason = "step_floor"
         while step >= settings.min_step:
             cand = _project(p - step * g, ks, row_idx, cols - 1)
@@ -325,7 +323,7 @@ def _pgd(
             if move_sq <= tiny:
                 reason = "stationary"  # shrinking the step cannot help
                 break
-            fc, cand_loads = core.evaluate(cand, margin)
+            fc, cand_loads = ev.evaluate(cand, margin)
             if fc <= f and fc <= f - settings.armijo_c1 / step * move_sq:
                 reason = None
                 break
@@ -350,27 +348,29 @@ def optimize_pps(
 ) -> OptimizeTrace:
     """Minimize the tradeoff objective over row-stochastic stable schedules.
 
-    With multistart on (and no explicit initial point) descent also runs from
-    both proportional baselines and the best run wins, which guarantees the
-    result is never worse than those baselines even off the convex regime.
+    Without an explicit initial point, descent runs from the uniform feasible
+    point and from both proportional baselines and the best run wins, which
+    guarantees the result is never worse than those baselines even off the
+    convex regime.
     """
     settings = settings or OptimizerSettings()
     margin = settings.stability_margin
     _require_network_stable(config, margin)
-    core = Evaluator(config)
+    ev = Evaluator(config)
 
-    starts: list[tuple[str, np.ndarray]] = []
     if initial is not None:
-        starts.append(("given", _nearest_feasible(np.asarray(initial, float), config, margin)))
+        p0 = _nearest_feasible(np.asarray(initial, float), config, margin)
+        starts = [("given", p0)]
     else:
-        starts.append(("uniform", feasible_init(config, margin)))
-        if settings.multistart:
-            starts.append(("pca_literal", baseline_pca(config, "paper_literal", margin)))
-            starts.append(("pca_inverse", baseline_pca(config, "inverse_time", margin)))
+        starts = [
+            ("uniform", feasible_init(config, margin)),
+            ("pca_literal", baseline_pca(config, "paper_literal", margin)),
+            ("pca_inverse", baseline_pca(config, "inverse_time", margin)),
+        ]
 
     best: tuple[np.ndarray, list[float], str, str] | None = None
     for label, p0 in starts:
-        p, objs, stop = _pgd(core, p0, settings)
+        p, objs, stop = _pgd(ev, p0, settings)
         if best is None or objs[-1] < best[1][-1]:
             best = (p, objs, stop, label)
     p, objs, stop, label = best
@@ -380,121 +380,3 @@ def optimize_pps(
         start=label,
         stop_reason=stop,
     )
-
-
-@dataclass(frozen=True)
-class TwoStageSchedule:
-    """First pick a switch (pi: J x M), then a VM behind it (tor: M x V)."""
-
-    pi: np.ndarray
-    tor: np.ndarray
-
-
-def expand_two_stage(
-    ts: TwoStageSchedule, config: SystemConfig
-) -> tuple[np.ndarray, SystemConfig]:
-    """Flatten the two-stage schedule to q[j, (u,v)] = pi[j,u] * tor[u,v].
-
-    Returns the J x (M*V) matrix plus a config whose VM list is tiled M
-    times, so every single-stage analytic applies to (q, flat_config)
-    unchanged. Effective per-(switch, VM) arrival rates are then
-    vm_arrival_rates(q, flat_config).
-    """
-    pi = np.asarray(ts.pi, dtype=np.float64)
-    tor = np.asarray(ts.tor, dtype=np.float64)
-    if pi.ndim != 2 or tor.ndim != 2:
-        raise ConfigError("two-stage matrices must be 2-D")
-    if pi.shape[0] != config.num_classes:
-        raise ConfigError(
-            f"pi has {pi.shape[0]} rows, config has {config.num_classes} classes"
-        )
-    if pi.shape[1] != tor.shape[0]:
-        raise ConfigError(
-            f"pi is J x {pi.shape[1]} but tor is {tor.shape[0]} x V"
-        )
-    if tor.shape[1] != config.num_vms:
-        raise ConfigError(
-            f"tor has {tor.shape[1]} columns, config has {config.num_vms} VMs"
-        )
-    q = (pi[:, :, None] * tor[None, :, :]).reshape(pi.shape[0], -1)
-    m = pi.shape[1]
-    tiled = tuple(
-        VmProfile(id=u * config.num_vms + v.id, rate=v.rate, shift=v.shift)
-        for u in range(m)
-        for v in config.vms
-    )
-    return q, replace(config, vms=tiled)
-
-
-class _Factor:
-    """One factor of a two-stage schedule as a PGD problem, the other fixed.
-
-    which="pi" descends on pi (J x M) with fixed = tor, which="tor" on tor
-    (M x V) with fixed = pi. q[j, (u, v)] = pi[j, u] * tor[u, v] is linear
-    in either factor, so its gradient is the flat gradient contracted with
-    the fixed factor.
-    """
-
-    def __init__(self, core: Evaluator, fixed: np.ndarray, which: str):
-        self.core, self.fixed, self.which = core, fixed, which
-
-    def evaluate(self, x: np.ndarray, margin: float):
-        if self.which == "pi":
-            q = x[:, :, None] * self.fixed[None, :, :]
-        else:
-            q = self.fixed[:, :, None] * x[None, :, :]
-        return self.core.evaluate(q.reshape(q.shape[0], -1), margin)
-
-    def grad_at(self, loads: np.ndarray) -> np.ndarray:
-        g = self.core.grad_at(loads)
-        if self.which == "pi":
-            m, v = self.fixed.shape
-            return np.einsum("juv,uv->ju", g.reshape(-1, m, v), self.fixed)
-        j, m = self.fixed.shape
-        return np.einsum("juv,ju->uv", g.reshape(j, m, -1), self.fixed)
-
-
-def optimize_two_stage(
-    config: SystemConfig,
-    num_tors: int,
-    settings: OptimizerSettings | None = None,
-    rounds: int = 4,
-) -> tuple[TwoStageSchedule, np.ndarray]:
-    """Alternating single-stage descents over pi (switch choice) and tor rows.
-
-    Each half-step is projected gradient descent on one factor with the other
-    fixed; the flattened load must stay within the stability margin. Returns
-    the schedule plus the objective after every accepted half-step.
-    """
-    settings = settings or OptimizerSettings()
-    margin = settings.stability_margin
-    _require_network_stable(config, margin)
-    if num_tors < 1:
-        raise ConfigError(f"num_tors must be >= 1, got {num_tors}")
-    J, V = config.num_classes, config.num_vms
-    ts = TwoStageSchedule(
-        pi=np.full((J, num_tors), 1.0 / num_tors),
-        tor=np.full((num_tors, V), 1.0 / V),
-    )
-    q, flat = expand_two_stage(ts, config)
-    core = Evaluator(flat)
-    if not np.isfinite(core.value(q, margin)):
-        # Uniform/uniform overloads some VM; lean on the single-stage
-        # feasible point replicated across switches.
-        p = feasible_init(config, margin)
-        ts = TwoStageSchedule(pi=ts.pi, tor=np.tile(p.mean(axis=0), (num_tors, 1)))
-        q, _ = expand_two_stage(ts, config)
-        if not np.isfinite(core.value(q, margin)):
-            raise InfeasibleError("no feasible two-stage starting point found")
-
-    objs = [core.value(q, margin)]
-    half = replace(settings, max_iters=max(settings.max_iters // (2 * rounds), 50))
-    for _ in range(rounds):
-        # Descend on pi with tor fixed, then on tor with the new pi fixed.
-        pi, pi_objs, _ = _pgd(_Factor(core, ts.tor, "pi"), ts.pi, half)
-        ts = TwoStageSchedule(pi=pi, tor=ts.tor)
-        tor, tor_objs, _ = _pgd(_Factor(core, ts.pi, "tor"), ts.tor, half)
-        ts = TwoStageSchedule(pi=ts.pi, tor=tor)
-        objs.extend(pi_objs[1:])
-        objs.extend(tor_objs[1:])
-    return ts, np.array(objs)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from aoisched.analytics import net_service_moments, service_moment_matrices
 from aoisched.model import JobClass, NetworkProfile, SystemConfig, VmProfile
 
 # Property tests that run PGD take a variable time per example on a loaded
@@ -67,6 +70,54 @@ def random_instance(rng, equal_d=False, j_max=6, v_max=4, theta=None):
         theta = float(rng.uniform(0.0, 1.0))
     classes = [(float(lam[j]), float(dsz[j]), float(esz[j])) for j in range(J)]
     return make_system(classes, vms, theta=theta)
+
+
+@st.composite
+def instances(draw, j_max=8, v_max=4):
+    """Hypothesis counterpart of random_instance, with drawn load levels.
+
+    Rates are scaled so the worst-case VM load (all classes on their slowest
+    VM) is a drawn fraction of 1, so any row-stochastic schedule is stable;
+    output sizes are scaled so the link load is another drawn fraction.
+    """
+
+    def floats(lo, hi, n):
+        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    J = draw(st.integers(1, j_max))
+    V = draw(st.integers(1, v_max))
+    vms = list(zip(floats(0.03, 0.12, V), floats(0.0, 5.0, V)))
+    dsz = floats(0.5, 2.0, J)
+    esz = np.array(floats(0.5, 1.5, J))
+    lam = np.array(floats(0.5, 1.5, J))
+    vm_load, link_load = floats(0.05, 0.95, 2)
+    theta = draw(st.floats(0.0, 1.0))
+    weighting = draw(st.sampled_from(["paper_theorem1", "unweighted"]))
+    moment_mode = draw(st.sampled_from(["exact", "paper_literal"]))
+
+    def build(lam, esz):
+        return make_system(
+            list(zip(lam, dsz, esz)),
+            vms,
+            theta=theta,
+            weighting=weighting,
+            moment_mode=moment_mode,
+        )
+
+    cfg = build(lam, esz)
+    worst_m1 = service_moment_matrices(cfg)[0].max(axis=1)
+    lam = lam * (vm_load / float(lam @ worst_m1))
+    # The mean network service is linear in the output size.
+    esz = esz * (link_load / float(lam @ net_service_moments(build(lam, esz))[0]))
+    return build(lam, esz)
+
+
+@st.composite
+def schedules(draw, config):
+    """A row-stochastic schedule for config with every entry positive."""
+    shape = (config.num_classes, config.num_vms)
+    raw = draw(arrays(np.float64, shape, elements=st.floats(0.01, 1.0)))
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 @pytest.fixture

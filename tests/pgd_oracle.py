@@ -1,30 +1,22 @@
 """Reference arithmetic the optimizer's hot loop is checked against.
 
 These are the original projected-gradient loop, simplex projection,
-objective/gradient evaluation, two-stage descent and looped priority waits,
-kept verbatim as slow oracles: every iterate, objective and wait the package
-returns must equal theirs exactly.
+objective/gradient evaluation and looped priority waits, kept verbatim as
+slow oracles: every iterate, objective and wait the package returns must
+equal theirs exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from aoisched.analytics import (
-    Evaluator,
     InfeasibleError,
     StabilityError,
     net_service_moments,
     wsept_order,
 )
-from aoisched.optimizer import (
-    OptimizerSettings,
-    TwoStageSchedule,
-    expand_two_stage,
-    feasible_init,
-)
+from aoisched.optimizer import OptimizerSettings
 
 
 def project_simplex_rows(m: np.ndarray) -> np.ndarray:
@@ -40,7 +32,8 @@ def project_simplex_rows(m: np.ndarray) -> np.ndarray:
 
 
 class EvaluatorOracle:
-    """value/grad of an ``analytics.Evaluator``, recomputing loads each call."""
+    """Objective and gradient of an ``analytics.Evaluator``, recomputing loads
+    each call."""
 
     def __init__(self, ev):
         self.lam = ev.lam
@@ -119,65 +112,6 @@ def pgd(
             break
         step = min(step * settings.step_growth, settings.initial_step * 1e9)
     return p, objs, converged
-
-
-def two_stage(config, num_tors, settings=None, rounds=4):
-    """optimize_two_stage's descent with its two nested factor adapters."""
-    settings = settings or OptimizerSettings()
-    margin = settings.stability_margin
-    J, V = config.num_classes, config.num_vms
-    ts = TwoStageSchedule(
-        pi=np.full((J, num_tors), 1.0 / num_tors),
-        tor=np.full((num_tors, V), 1.0 / V),
-    )
-    q, flat = expand_two_stage(ts, config)
-    core = EvaluatorOracle(Evaluator(flat))
-    if not np.isfinite(core.value(q, margin)):
-        p = feasible_init(config, margin)
-        ts = TwoStageSchedule(pi=ts.pi, tor=np.tile(p.mean(axis=0), (num_tors, 1)))
-        q, _ = expand_two_stage(ts, config)
-        if not np.isfinite(core.value(q, margin)):
-            raise InfeasibleError("no feasible two-stage starting point found")
-
-    def value(ts: TwoStageSchedule) -> float:
-        q, _ = expand_two_stage(ts, config)
-        return core.value(q, margin)
-
-    objs = [value(ts)]
-    half = replace(settings, max_iters=max(settings.max_iters // (2 * rounds), 50))
-    for _ in range(rounds):
-        pi, tor = ts.pi, ts.tor
-
-        class _PiCore:
-            def value(self, x, margin=margin):
-                return core.value(
-                    (x[:, :, None] * tor[None, :, :]).reshape(J, -1), margin
-                )
-
-            def grad(self, x):
-                g = core.grad((x[:, :, None] * tor[None, :, :]).reshape(J, -1))
-                return np.einsum("juv,uv->ju", g.reshape(J, num_tors, V), tor)
-
-        pi_new, pi_objs, _ = pgd(_PiCore(), pi, half)
-        ts = TwoStageSchedule(pi=pi_new, tor=tor)
-        objs.extend(pi_objs[1:])
-
-        pi = ts.pi
-
-        class _TorCore:
-            def value(self, x, margin=margin):
-                return core.value(
-                    (pi[:, :, None] * x[None, :, :]).reshape(J, -1), margin
-                )
-
-            def grad(self, x):
-                g = core.grad((pi[:, :, None] * x[None, :, :]).reshape(J, -1))
-                return np.einsum("juv,ju->uv", g.reshape(J, num_tors, V), pi)
-
-        tor_new, tor_objs, _ = pgd(_TorCore(), ts.tor, half)
-        ts = TwoStageSchedule(pi=pi, tor=tor_new)
-        objs.extend(tor_objs[1:])
-    return ts, np.array(objs)
 
 
 def priority_waiting_times(config) -> np.ndarray:

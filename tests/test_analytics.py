@@ -3,14 +3,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aoisched.analytics import (
     AnalyticReport,
+    Evaluator,
     StabilityError,
     analytic_report,
     check_schedule,
-    expected_aoi,
-    expected_completion,
     fcfs_waiting_time,
     net_service_moments,
     objective,
@@ -26,7 +27,7 @@ from aoisched.analytics import (
 )
 from aoisched.model import ConfigError
 
-from conftest import make_system, random_instance
+from conftest import instances, make_system, random_instance, schedules
 
 
 def test_compute_moments_exact_reference_vm():
@@ -137,6 +138,30 @@ def test_priority_conservation_law():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+@given(instances(j_max=30))
+def test_link_conservation_property(cfg):
+    # Kleinrock: a work-conserving non-preemptive discipline leaves the
+    # load-weighted wait sum_j rho_j W_j at its FCFS value rho * W_FCFS.
+    rho = cfg.arrival_rates() * net_service_moments(cfg)[0]
+    lhs = float(rho @ priority_waiting_times(cfg))
+    assert lhs == pytest.approx(float(rho.sum()) * fcfs_waiting_time(cfg), rel=1e-12)
+
+
+@given(st.data())
+def test_age_bounds_property(data):
+    # The compute wait ages no information, so age <= completion per class
+    # under "unweighted"; "paper_theorem1" scales the network terms by shares
+    # <= 1, so its age never exceeds the unweighted one.
+    cfg = data.draw(instances())
+    p = data.draw(schedules(cfg))
+    unw = dataclasses.replace(cfg, aoi_network_weighting="unweighted")
+    thm = dataclasses.replace(cfg, aoi_network_weighting="paper_theorem1")
+    for net in ("priority", "fcfs"):
+        *_, aoi, completion = Evaluator(unw, net).classes(p)
+        assert np.all(aoi <= completion)
+        assert np.all(Evaluator(thm, net).classes(p)[4] <= aoi)
+
+
 def test_wsept_order_key_and_ties():
     # Keys (share/E): class 2 has the largest, classes 1 and 3 tie and break
     # toward the lower id.
@@ -166,7 +191,7 @@ def test_fcfs_wait_is_residual_over_slack():
     assert fcfs_waiting_time(cfg) == pytest.approx(expect, rel=1e-14)
 
 
-def test_expected_aoi_weighting_modes():
+def test_aoi_weighting_modes():
     cfg = make_system(
         [(0.012, 1.0, 1.0), (0.006, 1.0, 0.7)], [(0.05, 0.0), (0.04, 0.0)]
     )
@@ -176,14 +201,16 @@ def test_expected_aoi_weighting_modes():
     s2, _ = net_service_moments(cfg)
     w2 = priority_waiting_times(cfg)
     share = cfg.arrival_rates() / cfg.total_rate
-    np.testing.assert_allclose(expected_aoi(p, cfg), s1 + share * (w2 + s2))
+    aoi = Evaluator(cfg).classes(p)[4]
+    np.testing.assert_allclose(aoi, s1 + share * (w2 + s2))
     unw = dataclasses.replace(cfg, aoi_network_weighting="unweighted")
-    np.testing.assert_allclose(expected_aoi(p, unw), s1 + w2 + s2)
+    aoi_unw = Evaluator(unw).classes(p)[4]
+    np.testing.assert_allclose(aoi_unw, s1 + w2 + s2)
     # Shares are below one, so the weighted mode never exceeds the unweighted.
-    assert np.all(expected_aoi(p, cfg) <= expected_aoi(p, unw))
+    assert np.all(aoi <= aoi_unw)
 
 
-def test_expected_completion_assembly():
+def test_completion_assembly():
     cfg = make_system(
         [(0.012, 1.0, 1.0), (0.006, 2.0, 0.7)], [(0.05, 0.0), (0.04, 2.0)]
     )
@@ -192,7 +219,7 @@ def test_expected_completion_assembly():
     w1 = p @ vm_waiting_times(p, cfg)
     s2, _ = net_service_moments(cfg)
     expect = w1 + (p * m1).sum(axis=1) + priority_waiting_times(cfg) + s2
-    np.testing.assert_allclose(expected_completion(p, cfg), expect)
+    np.testing.assert_allclose(Evaluator(cfg).classes(p)[5], expect)
 
 
 def test_objective_blends_weighted_metrics():
@@ -259,7 +286,7 @@ def test_reports_and_metrics_agree_bitwise():
                 assert rep.weighted_completion == wc
                 assert rep.weighted_aoi == wa
                 assert rep.objective == objective(p, cfg, net)
-                assert np.array_equal(rep.aoi, expected_aoi(p, cfg, net))
+                assert np.array_equal(rep.aoi, Evaluator(cfg, net).classes(p)[4])
 
 
 def test_stability_report_margin_verdict():
@@ -287,8 +314,9 @@ def test_analytic_report_values_and_csv(tmp_path):
     )
     p = np.full((2, 2), 0.5)
     rep = analytic_report(p, cfg, manifest={"note": "t"})
-    np.testing.assert_allclose(rep.completion, expected_completion(p, cfg))
-    np.testing.assert_allclose(rep.aoi, expected_aoi(p, cfg))
+    *_, aoi, completion = Evaluator(cfg).classes(p)
+    np.testing.assert_allclose(rep.completion, completion)
+    np.testing.assert_allclose(rep.aoi, aoi)
     assert rep.objective == pytest.approx(objective(p, cfg), rel=1e-15)
     d = rep.to_dict()
     assert d["manifest"] == {"note": "t"}

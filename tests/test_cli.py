@@ -370,6 +370,31 @@ def test_online_synthetic_rejects_too_few_windows(tmp_path, config_path, capsys,
     )
 
 
+def test_online_trace_with_empty_full_windows_exits_2(tmp_path, config_path, capsys):
+    # The only record, at 4 ms, falls in the partial third window that the
+    # driver drops, so the two full windows hold no job.
+    trace = tmp_path / "one.csv"
+    trace.write_text("timestamp_ms,key\n4,a\n")
+    out = tmp_path / "one"
+    rc = main(
+        ["online", config_path, "--trace", str(trace), "--window", "2",
+         "--out-dir", str(out)]
+    )
+    assert rc == 2
+    assert "hold no job" in capsys.readouterr().err
+    assert not out.exists()
+    # A record in warmup window 0 keeps the run going; with no scored job its
+    # objective is nan.
+    trace.write_text("timestamp_ms,key\n1,a\n4,a\n")
+    rc = main(
+        ["online", config_path, "--trace", str(trace), "--window", "2",
+         "--out-dir", str(out)]
+    )
+    assert rc == 0
+    report = json.loads((out / "online_report.json").read_text())
+    assert np.isnan(report["online"]["overall"]["weighted_objective"])
+
+
 def test_example_fig3_prints_and_writes(tmp_path, config_path, capsys):
     out = tmp_path / "fig"
     assert main(["example-fig3", "--out-dir", str(out)]) == 0

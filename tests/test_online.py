@@ -263,6 +263,21 @@ def test_driver_needs_two_windows(online_config):
         online_driver(trace, online_config, window_length=1.0e5)
 
 
+def test_driver_rejects_trace_with_empty_full_windows(online_config):
+    # Windows [0, 2) and [2, 4) are full but empty; the only record, at 4 ms,
+    # opens the partial window that the driver drops.
+    class_map = template_class_map(online_config)
+    for solve in (online_driver, offline_reference):
+        with pytest.raises(ConfigError, match="hold no job"):
+            solve(_trace([(4.0, "1")]), online_config, 2.0, class_map=class_map)
+    # A record in warmup window 0 is enough: the run goes on, and with no
+    # scored job its objective is nan.
+    res = online_driver(
+        _trace([(1.0, "1"), (4.0, "1")]), online_config, 2.0, class_map=class_map
+    )
+    assert np.isnan(res.result.weighted_objective)
+
+
 def test_window_counts_hand_example(online_config):
     # Window length 100: [0, 100) and [100, 200) are full; the record at
     # exactly 100 opens window 1, and [200, 250] is a dropped partial window.
@@ -306,8 +321,13 @@ def test_window_counts_match_per_window_masks(num_classes, window, jobs):
     # guarantees two full windows.
     jobs = jobs + [(2 * window, 0)]
     records = _trace([(float(t), str(j % num_classes + 1)) for t, j in jobs])
-    tr = _prepare_trace(records, config, float(window), template_class_map(config))
     times = np.array(sorted(float(t) for t, _ in jobs))
+    if np.all(times >= times[-1] // window * window):
+        # Every job is in the dropped partial window.
+        with pytest.raises(ConfigError, match="hold no job"):
+            _prepare_trace(records, config, float(window), template_class_map(config))
+        return
+    tr = _prepare_trace(records, config, float(window), template_class_map(config))
     cls = np.array([j % num_classes for _, j in sorted(jobs, key=lambda x: x[0])])
     for k, w in enumerate(tr.windows):
         mask = (times >= k * window) & (times < (k + 1) * window)
@@ -333,10 +353,15 @@ def test_window_objectives_match_per_window_masks(num_classes, window, jobs, see
         [(0.05, 0.0), (0.02, 1.0)],
         theta=0.4,
     )
-    # A job at 0 keeps the full windows from being all empty; the last one
-    # guarantees two full windows.
-    jobs = jobs + [(0, 0), (2 * window, 0)]
+    # The last job guarantees two full windows.
+    jobs = jobs + [(2 * window, 0)]
     trace = _trace([(float(t), str(j % num_classes + 1)) for t, j in jobs])
+    full_end = max(t for t, _ in jobs) // window * window
+    if all(t >= full_end for t, _ in jobs):
+        # Every job is in the dropped partial window.
+        with pytest.raises(ConfigError, match="hold no job"):
+            _prepare_trace(trace, config, float(window), template_class_map(config))
+        return
     tr = _prepare_trace(trace, config, float(window), template_class_map(config))
     K, J = len(tr.windows), num_classes + 1
     rng = np.random.default_rng(seed)
