@@ -1,31 +1,44 @@
-"""Queueing inner loops over Python lists.
+"""The simulator's two sequential scans: FCFS start times and priority service.
 
-Only the two sequential scans live here: the multi-server FCFS start-time
-recursion (Lindley) and the non-preemptive priority service loop. Everything
-random is drawn outside with numpy Generators and passed in as arrays; the
-scans convert them with ``.tolist()`` and run plain float arithmetic, which
-is the same IEEE double arithmetic numpy's scalars do. Results are
-bit-identical to an indexed numpy loop, without a numpy scalar built for
-every element read.
+The FCFS scan is the Lindley recursion: a job starts at the later of its
+arrival and its server's free time, and leaves that server free at start
+plus service. It runs in blocks of jobs, carrying each server's free time
+from one block into the next. In a block, numpy finds every busy period at
+once from the max-plus closed form of the recursion. Within a period the
+start times are one sequential ``np.add.accumulate``, which makes the same
+float additions, in the same order, as the loop. The guessed periods are
+then checked exactly against the loop's own comparison; where a near-tie
+rounded the guess the other way, the block runs through the job-by-job
+list loop instead. Servers with few jobs in a block take that loop too, as
+it is cheaper there. Either way the result is bit-identical to the loop.
 
-The priority loop walks the jobs in arrival order and keeps in a heap only
-the heads of classes that have a job waiting. Serving a job costs one push
-and one pop on a heap as large as the number of waiting classes, not a scan
-of every head, and a job that finds the link idle with no rival arriving by
-then skips the heap. Both scans reject non-finite times up front: a NaN
-time defeats every comparison the loops rely on, and the priority loop
-would never finish.
+The priority scan loops over Python lists (``.tolist()``) in plain float
+arithmetic, the same IEEE double arithmetic numpy's scalars do. It walks
+the jobs in arrival order and keeps in a heap only the heads of classes
+that have a job waiting. Serving a job costs one push and one pop on a
+heap as large as the number of waiting classes, not a scan of every head,
+and a job that finds the link idle with no rival arriving by then skips
+the heap. Both scans reject non-finite times up front: a NaN time defeats
+every comparison they rely on, and the priority loop would never finish.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import repeat
 
 import numpy as np
 
-# Jobs converted to lists at a time by fcfs_start. Whole-array conversion of
-# a 1M-job replication costs ~124 MB of boxed floats; 8192 costs ~1 MB.
-FCFS_CHUNK = 8192
+# Jobs per block of the FCFS scan. The block's temporaries stay a few
+# hundred kB however long the run.
+FCFS_BLOCK = 16384
+# A server with fewer jobs than this in a block takes the list loop; below
+# it the numpy calls cost more than the loop.
+FCFS_MIN_SEGMENT = 1024
+# Busy periods of up to 64 jobs are summed together, as the columns of one
+# array per power-of-two width; each longer period gets its own 1-D call.
+_WIDTHS = (2, 4, 8, 16, 32, 64)
+_WIDTH_EDGES = np.array((1,) + _WIDTHS)
 
 
 def _require_finite(**arrays: np.ndarray) -> None:
@@ -38,26 +51,143 @@ def fcfs_start(arrivals, server_idx, service, n_servers):
     """Start times of jobs served FCFS by `n_servers` parallel queues.
 
     Jobs must already be ordered by arrival time (ties by position); job k
-    waits for server_idx[k] to finish the jobs sent to it before.
+    waits for server_idx[k] to finish the jobs sent to it before. With one
+    server, server_idx is never read and may be None.
     """
     _require_finite(arrivals=arrivals, service=service)
     n = arrivals.shape[0]
     start = np.empty(n, dtype=np.float64)
     free = [0.0] * n_servers
-    for lo in range(0, n, FCFS_CHUNK):
-        hi = lo + FCFS_CHUNK
-        out = []
-        for t, s, d in zip(
-            arrivals[lo:hi].tolist(),
-            server_idx[lo:hi].tolist(),
-            service[lo:hi].tolist(),
-        ):
-            if free[s] > t:
-                t = free[s]
-            out.append(t)
-            free[s] = t + d
-        start[lo:hi] = out
+    for lo in range(0, n, FCFS_BLOCK):
+        hi = lo + FCFS_BLOCK
+        srv = None if n_servers == 1 else server_idx[lo:hi]
+        start[lo:hi] = _fcfs_block(arrivals[lo:hi], srv, service[lo:hi], free)
     return start
+
+
+def _fcfs_block(a, srv, d, free):
+    """Start times of one block of jobs (srv None: one server); updates free."""
+    if srv is None:
+        if len(a) >= FCFS_MIN_SEGMENT:
+            done = _busy_periods(a, d, [0], free)
+            if done is not None:
+                start, (free[0],) = done
+                return start
+        return _lindley_loop(a, repeat(0), d, free)
+    n_servers = len(free)
+    counts = np.bincount(srv, minlength=n_servers)
+    wide = counts >= FCFS_MIN_SEGMENT
+    if not wide.any():
+        return _lindley_loop(a, srv.tolist(), d, free)
+    # Wide servers' jobs first, server by server, then the other servers'
+    # jobs. The sort is stable, so each server's jobs keep arrival order,
+    # and a small integer type lets numpy use its radix sort.
+    narrow = (counts > 0) & ~wide
+    key = np.where(wide[srv], srv, n_servers) if narrow.any() else srv
+    order = np.argsort(key.astype(np.min_scalar_type(n_servers)), kind="stable")
+    servers = np.flatnonzero(wide).tolist()
+    sizes = counts[servers]
+    first = (np.cumsum(sizes) - sizes).tolist()
+    grouped = order[: sizes.sum()]
+    done = _busy_periods(a[grouped], d[grouped], first, [free[s] for s in servers])
+    if done is None:
+        return _lindley_loop(a, srv.tolist(), d, free)
+    start = np.empty(len(a))
+    start[grouped], last_free = done
+    for s, f in zip(servers, last_free):
+        free[s] = f
+    rest = order[len(grouped) :]
+    if len(rest):
+        start[rest] = _lindley_loop(a[rest], srv[rest].tolist(), d[rest], free)
+    return start
+
+
+def _lindley_loop(a, srv, d, free):
+    """Start times of jobs taken one at a time; updates free in place.
+
+    srv yields each job's server and free holds each server's free time.
+    This is the exact fallback of the busy-period scan, and its path for
+    servers with few jobs in a block.
+    """
+    out = []
+    for t, s, x in zip(a.tolist(), srv, d.tolist()):
+        if free[s] > t:
+            t = free[s]
+        out.append(t)
+        free[s] = t + x
+    return out
+
+
+def _guess_idle(a, d, first, free):
+    """Which jobs the max-plus form says find their server idle.
+
+    Jobs are grouped by server as in _busy_periods. With
+    X_k = a_k - (d_p + ... + d_{k-1}) over a server's jobs p, p+1, ...,
+    job k finds the server idle iff X_k >= max(f, X_p, ..., X_{k-1}). The
+    cumulative sum rounds, so this is a guess; each server's first job is
+    marked idle.
+    """
+    m = len(a)
+    idle = np.empty(m, dtype=bool)
+    for p, q, f in zip(first, first[1:] + [m], free):
+        x = np.empty(q - p)
+        x[0] = max(a[p], f)  # folds f into the running maximum
+        np.subtract(a[p + 1 : q], np.cumsum(d[p : q - 1]), out=x[1:])
+        np.greater_equal(x[1:], np.maximum.accumulate(x[:-1]), out=idle[p + 1 : q])
+        idle[p] = True
+    return idle
+
+
+def _busy_periods(a, d, first, free):
+    """Start times of jobs grouped by server, and each server's free time after.
+
+    a[first[i]:first[i + 1]] are one server's jobs in arrival order, and
+    that server is free from free[i]. Returns None if the guessed busy
+    periods fail the exact check.
+    """
+    m = len(a)
+    idle = _guess_idle(a, d, first, free)
+    heads = np.flatnonzero(idle)
+    sizes = np.diff(heads, append=m)
+
+    # st[k] is what the loop adds to reach job k's start: d[k - 1] inside a
+    # busy period, the period's first start at its head.
+    st = np.zeros(m + _WIDTHS[-1])
+    st[1:m] = d[:-1]
+    np.copyto(st[:m], a, where=idle)
+    f0 = np.array(free)
+    st[first] = np.where(f0 > a[first], f0, a[first])
+    # Periods sorted by width: single jobs, then up to 2, 4, ..., 64 jobs,
+    # then the longer ones.
+    width_class = np.searchsorted(_WIDTH_EDGES, sizes)
+    order = np.argsort(width_class.astype(np.uint8), kind="stable")
+    ends = np.cumsum(np.bincount(width_class, minlength=len(_WIDTHS) + 2)).tolist()
+    heads, sizes = heads[order], sizes[order]
+    for width, lo, hi in zip(_WIDTHS, ends, ends[1:]):
+        if lo == hi:
+            continue
+        # Column i runs through period i and on into the jobs after it, or
+        # the zero padding; entries past the period go to the last slot.
+        rows = np.arange(width)[:, None]
+        idx = rows + heads[lo:hi]
+        sums = st[idx]
+        np.add.accumulate(sums, axis=0, out=sums)
+        idx[rows >= sizes[lo:hi]] = len(st) - 1
+        st[idx] = sums
+    longer = ends[len(_WIDTHS)]
+    for h, size in zip(heads[longer:].tolist(), sizes[longer:].tolist()):
+        period = st[h : h + size]
+        np.add.accumulate(period, out=period)
+
+    # The loop's test: job k starts at its arrival iff a_k >= free_{k-1}.
+    # A server's first job took the later of the two above, unchecked.
+    start = st[:m]
+    after = start + d
+    found = a[1:] >= after[:-1]
+    found[np.array(first[1:], dtype=np.intp) - 1] = True
+    if not np.array_equal(found, idle[1:]):
+        return None
+    return start, after[np.array(first[1:] + [m]) - 1].tolist()
 
 
 def priority_start(arrivals, grouped, offsets, key, service):

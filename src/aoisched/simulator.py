@@ -280,9 +280,7 @@ def network_start_times(
     """Service start time at the shared link for every job."""
     order = np.argsort(dep1, kind="stable")
     if networking == "fcfs":
-        start_sorted = _kernels.fcfs_start(
-            dep1[order], np.zeros(len(order), dtype=np.int64), s2[order], 1
-        )
+        start_sorted = _kernels.fcfs_start(dep1[order], None, s2[order], 1)
         start2 = np.empty_like(dep1)
         start2[order] = start_sorted
         return start2

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aoisched.analytics import (
-    AnalyticReport,
     Evaluator,
     StabilityError,
     analytic_report,

@@ -1,4 +1,4 @@
-"""The list/heap kernels against the original scans, and their input guards."""
+"""The FCFS and priority kernels against the original scans, and their guards."""
 
 import os
 import subprocess
@@ -86,11 +86,19 @@ def test_fcfs_start_matches_scan(case):
     )
 
 
-@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 3 * 8192 + 7])
+BLOCK = _kernels.FCFS_BLOCK
+MIN_SEGMENT = _kernels.FCFS_MIN_SEGMENT
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1, BLOCK + BLOCK // 2 + 7]
+    + [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7],
+)
 def test_fcfs_start_across_chunk_boundaries(n):
-    assert _kernels.FCFS_CHUNK == 8192
+    assert BLOCK == 16384
     rng = np.random.default_rng(n)
-    # Load above one per server keeps queues, so state crosses every chunk.
+    # Load above one per server keeps queues, so state crosses every block.
     t = np.cumsum(rng.exponential(1.0, n))
     srv = rng.integers(0, 3, n)
     s = rng.exponential(2.5, n)
@@ -98,6 +106,120 @@ def test_fcfs_start_across_chunk_boundaries(n):
     np.testing.assert_array_equal(
         _kernels.fcfs_start(t, srv, s, 3), fcfs_scan(t, srv, s, 3)
     )
+
+
+@st.composite
+def _fcfs_runs(draw):
+    # Sizes up to several blocks, one to five servers with uneven shares:
+    # a zero share leaves a server without jobs, and a small one leaves it
+    # under MIN_SEGMENT jobs per block while the others are over.
+    n_servers = draw(st.integers(1, 5))
+    n = draw(
+        st.one_of(
+            st.integers(0, 3 * MIN_SEGMENT),
+            st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + MIN_SEGMENT]),
+        )
+    )
+    shares = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.03, 0.3, 1.0]),
+            min_size=n_servers,
+            max_size=n_servers,
+        ).filter(any)
+    )
+    load = draw(st.sampled_from([0.3, 0.9, 1.0, 1.3]))  # on the busiest server
+    integer_times = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = np.array(shares) / sum(shares)
+    srv = rng.choice(n_servers, n, p=p)
+    t = np.cumsum(rng.exponential(1.0, n))
+    s = rng.exponential(load / p.max(), n)
+    if integer_times:
+        # Ties in arrival and start times, and zero services at low load.
+        t, s = np.floor(t), np.floor(s)
+    else:
+        s[rng.random(n) < 0.1] = 0.0
+    return t, srv, s, n_servers
+
+
+@settings(max_examples=40)
+@given(_fcfs_runs())
+def test_fcfs_start_matches_scan_over_blocks(run):
+    np.testing.assert_array_equal(_kernels.fcfs_start(*run), fcfs_scan(*run))
+
+
+def _count_loop_jobs(monkeypatch) -> list[int]:
+    """Record how many jobs each call of the list loop is handed."""
+    loop = _kernels._lindley_loop
+    handed: list[int] = []
+
+    def counting(a, *rest):
+        handed.append(len(a))
+        return loop(a, *rest)
+
+    monkeypatch.setattr(_kernels, "_lindley_loop", counting)
+    return handed
+
+
+@pytest.mark.parametrize(
+    "per_server",
+    [
+        [MIN_SEGMENT - 1],
+        [MIN_SEGMENT],
+        [MIN_SEGMENT - 1, MIN_SEGMENT, 0, MIN_SEGMENT + 1],
+    ],
+)
+def test_servers_under_the_crossover_take_the_loop(monkeypatch, per_server):
+    rng = np.random.default_rng(len(per_server))
+    srv = rng.permutation(np.repeat(np.arange(len(per_server)), per_server))
+    n = len(srv)
+    t = np.cumsum(rng.exponential(1.0, n))
+    s = rng.exponential(0.9 * n / max(per_server), n)
+    handed = _count_loop_jobs(monkeypatch)
+    got = _kernels.fcfs_start(t, srv, s, len(per_server))
+    assert handed == [c for c in per_server if 0 < c < MIN_SEGMENT]
+    np.testing.assert_array_equal(got, fcfs_scan(t, srv, s, len(per_server)))
+
+
+@pytest.mark.parametrize("n_servers", [1, 2])
+def test_fcfs_start_falls_back_when_the_guess_is_wrong(monkeypatch, n_servers):
+    guess = _kernels._guess_idle
+
+    def wrong(*args):
+        idle = guess(*args)
+        idle[-1] = ~idle[-1]
+        return idle
+
+    monkeypatch.setattr(_kernels, "_guess_idle", wrong)
+    handed = _count_loop_jobs(monkeypatch)
+    rng = np.random.default_rng(11)
+    n = 2 * BLOCK + 100
+    t = np.cumsum(rng.exponential(1.0, n))
+    srv = rng.integers(0, n_servers, n)
+    s = rng.exponential(0.9 * n_servers, n)
+    got = _kernels.fcfs_start(t, srv, s, n_servers)
+    # Both full blocks fail the check and run whole through the loop; the
+    # last 100 jobs are too few for the busy-period scan.
+    assert handed == [BLOCK, BLOCK, 100]
+    np.testing.assert_array_equal(got, fcfs_scan(t, srv, s, n_servers))
+
+
+@pytest.mark.parametrize("load", [0.3, 0.9, 1.1])
+def test_busy_period_guess_holds_on_continuous_times(monkeypatch, load):
+    # The fallback is for near-ties only: on continuous times the guess
+    # passes the check, and no job goes through the loop.
+    handed = _count_loop_jobs(monkeypatch)
+    rng = np.random.default_rng(3)
+    n = 3 * BLOCK
+    t = np.cumsum(rng.exponential(1.0, n))
+    for n_servers in (1, 3):
+        srv = rng.integers(0, n_servers, n)
+        s = rng.exponential(load * n_servers, n)  # each server at `load`
+        np.testing.assert_array_equal(
+            _kernels.fcfs_start(t, srv, s, n_servers),
+            fcfs_scan(t, srv, s, n_servers),
+        )
+    assert handed == []
 
 
 def test_network_start_times_matches_oracles():

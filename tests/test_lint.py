@@ -1,12 +1,14 @@
-"""Static checks on the package source, with the standard library only."""
+"""Static checks on the package and test sources, with the standard library only."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "aoisched"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "aoisched"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,6 +39,6 @@ def test_checker_flags_only_unused_names():
     assert _unused_imports(source) == ["line 2: os", "line 4: field"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoisched import _kernels, simulator
@@ -21,7 +21,7 @@ from aoisched.simulator import (
     scripted_arrivals,
 )
 
-from conftest import make_system
+from conftest import instances, make_system, schedules
 from scan_oracles import assign_vms_per_class, merged_arrivals_per_class
 
 
@@ -295,6 +295,57 @@ def test_event_log_invariants(small_system):
     ).event_log
     assert len(solo) == len(log)
     np.testing.assert_array_equal(solo.release, log.release)
+
+
+def _area_under_number_in_system(arrive, depart):
+    """Integral of the number of jobs in system over [0, last departure]."""
+    times = np.concatenate([arrive, depart])
+    steps = np.concatenate([np.ones(len(arrive)), -np.ones(len(depart))])
+    # Stable: at equal times arrivals come first, so the count never dips
+    # below zero for a job that leaves the instant it arrives.
+    order = np.argsort(times, kind="stable")
+    count = np.cumsum(steps[order])
+    assert count.min(initial=0.0) >= 0.0
+    return float(np.sum(count[:-1] * np.diff(times[order])))
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_littles_law_holds_per_server(data):
+    config = data.draw(instances())
+    p = data.draw(schedules(config))
+    n_jobs = data.draw(st.sampled_from([300, 6000]))
+    networking = data.draw(st.sampled_from(["fcfs", "priority"]))
+    sim = SimConfig(
+        horizon=n_jobs / config.total_rate,
+        replications=1,
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+        networking=networking,
+    )
+    scans = []
+    fcfs_start = _kernels.fcfs_start
+
+    def recording(arrivals, server_idx, service, n_servers):
+        start = fcfs_start(arrivals, server_idx, service, n_servers)
+        scans.append((arrivals, server_idx, service, n_servers, start))
+        return start
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "fcfs_start", recording)
+        run_simulation(config, p, sim)
+    # The compute stage, one queue per VM, then an FCFS link if there is one.
+    assert [scan[3] for scan in scans] == [config.num_vms] + [1] * (
+        networking == "fcfs"
+    )
+    for arrivals, server_idx, service, n_servers, start in scans:
+        for v in range(n_servers):
+            on_v = slice(None) if n_servers == 1 else server_idx == v
+            a, s, d = arrivals[on_v], start[on_v], start[on_v] + service[on_v]
+            # One job in service at a time, each after its arrival.
+            assert np.all(s >= a) and np.all(s[1:] >= d[:-1])
+            sojourn = float(np.sum(d - a))
+            area = _area_under_number_in_system(a, d)
+            assert area == pytest.approx(sojourn, rel=1e-9, abs=0.0)
 
 
 def test_unstable_vm_is_flagged():
