@@ -65,10 +65,12 @@ from .optimizer import (
     InfeasibleError,
     OptimizeTrace,
     OptimizerSettings,
+    StartRecord,
     baseline_pca,
     baseline_rca,
     feasible_init,
     objective_gradient,
+    optimize_many,
     optimize_pps,
     project_simplex_rows,
 )

@@ -18,6 +18,7 @@ The scalar objective is sum_j share_j * (theta * completion_j +
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -208,10 +209,10 @@ class Evaluator:
 
     Holds the service moments, traffic shares, AoI network weights c_j and
     the per-class network waits under one discipline. `classes` gives the
-    per-class results at a schedule; `evaluate` and `grad_at` are the
-    optimizer's objective and its gradient in p, with the p-independent
-    network terms folded into one constant (`grad` wraps `grad_at` for
-    callers that hold only p).
+    per-class results at a schedule and `weighted` their share-weighted
+    means. The optimizer's objective and gradient, with the p-independent
+    network terms folded into one constant, are `EvaluatorStack`'s: one
+    config is a stack of one.
     """
 
     def __init__(self, config: SystemConfig, networking: str = "priority"):
@@ -237,9 +238,6 @@ class Evaluator:
         weight = self.share * (self.theta + (1.0 - self.theta) * self.c)
         self.net_const = float(np.dot(weight, self.w2 + self.mean_s2))
         self.lin = self.share[:, None] * self.m1
-        self._lam_col = self.lam[:, None]
-        self._grad_scale = (self.theta / self.total) * self._lam_col
-        self._weights = np.stack([np.ones_like(self.m1), self.m1, self.m2])
 
     def classes(self, p: np.ndarray):
         """Per-class (w1, s1, w2, s2, aoi, completion) at schedule p."""
@@ -254,51 +252,96 @@ class Evaluator:
         """(weighted completion, weighted age) of per-class vectors."""
         return float(np.dot(self.share, completion)), float(np.dot(self.share, aoi))
 
-    def _loads(self, p: np.ndarray) -> np.ndarray:
-        """Rows Lambda_v, utilization rho_v and Lambda_v * E[Z^2] per VM.
 
-        One reduction over the class axis of the (3, J, V) stack, which sums
-        each slab exactly as its own ``.sum(axis=0)`` would, also at V = 1,
-        where numpy sums the (J, 1) column pairwise; a (J, 3, V) stack
-        reduced over axis 0 differs there in the last bits.
-        """
-        return np.add.reduce((self._lam_col * p) * self._weights, axis=1)
+class EvaluatorStack:
+    """The objective and its gradient for B evaluators of one schedule shape.
 
-    def utilization(self, p: np.ndarray) -> np.ndarray:
-        return self._loads(p)[1]
+    Each evaluator's constants sit on a leading batch axis, so one call
+    scores a (B, J, V) stack of schedules, member b against evaluator b.
+    Every member gets the float operations, in the order, that a stack of
+    one gives it: the products are elementwise, and each reduction runs
+    over one member's entries only (see `loads` and `objectives`).
+    """
 
-    def evaluate(
-        self, p: np.ndarray, margin: float = 0.0
-    ) -> tuple[float, np.ndarray]:
-        """Objective at p (+inf past the stability margin) and the loads
-        `grad_at` takes, so an accepted point's gradient needs no second
-        reduction. The loads are passed back explicitly rather than cached,
-        so a caller that changes p in place cannot get a stale gradient."""
-        loads = self._loads(p)
-        lam_v, a, b = loads
-        if (a > 1.0 - margin + 1e-12).any():
-            return np.inf, loads
-        wait_part = float(np.add.reduce(lam_v * b / (2.0 * (1.0 - a))))
-        f = float(
-            np.add.reduce(self.lin * p, axis=None)
-            + self.theta * wait_part / self.total
-            + self.net_const
+    def __init__(self, evaluators):
+        evs = list(evaluators)
+        m1 = np.array([ev.m1 for ev in evs])
+        self.weights = np.array([np.ones_like(m1), m1, [ev.m2 for ev in evs]])
+        self.m1, self.m2 = self.weights[1], self.weights[2]
+        self.lam_col = np.array([ev.lam[:, None] for ev in evs])
+        self.lin = np.array([ev.lin for ev in evs])
+        self.grad_scale = np.array(
+            [(ev.theta / ev.total) * ev.lam[:, None] for ev in evs]
         )
-        return f, loads
+        self.theta = [ev.theta for ev in evs]
+        self.total = [ev.total for ev in evs]
+        self.net_const = [ev.net_const for ev in evs]
 
-    def grad_at(self, loads: np.ndarray) -> np.ndarray:
-        """Gradient in p at the point whose `evaluate` returned these loads."""
+    def take(self, rows: list[int]) -> EvaluatorStack:
+        """The stack of the members at `rows`, in that order."""
+        out = copy.copy(self)
+        out.weights = self.weights[:, rows]
+        out.m1, out.m2 = out.weights[1], out.weights[2]
+        out.lam_col, out.lin = self.lam_col[rows], self.lin[rows]
+        out.grad_scale = self.grad_scale[rows]
+        out.theta = [self.theta[r] for r in rows]
+        out.total = [self.total[r] for r in rows]
+        out.net_const = [self.net_const[r] for r in rows]
+        return out
+
+    def loads(self, P: np.ndarray) -> np.ndarray:
+        """Rows Lambda_v, utilization rho_v and Lambda_v * E[Z^2] per VM,
+        shape (3, B, 1, V), for schedules P of shape (B, J, V).
+
+        One reduction over the class axis of the (3, B, J, V) stack. Each
+        (k, b) slab is summed exactly as its own ``.sum(axis=0)`` would be,
+        also at V = 1, where numpy sums the (J, 1) column pairwise; a stack
+        with the class axis outside the (3, B) axes differs there in the
+        last bits.
+        """
+        return np.add.reduce(
+            (self.lam_col * P) * self.weights, axis=2, keepdims=True
+        )
+
+    def utilization(self, P: np.ndarray) -> np.ndarray:
+        """Utilization of every VM, shape (B, V)."""
+        return self.loads(P)[1, :, 0]
+
+    def objectives(
+        self, P: np.ndarray, loads: np.ndarray, margin: float = 0.0
+    ) -> tuple[list[float], list[float]]:
+        """Objective of each member (+inf past the stability margin) and its
+        largest VM utilization, both as Python floats.
+
+        `loads` are `self.loads(P)`, which the gradient at an accepted
+        point reuses. A member's waits are summed only when it is inside
+        the margin, so a member past it raises no floating-point warning.
+        """
         lam_v, a, b = loads
-        if (a >= 1.0).any():
-            raise InfeasibleError("gradient requested at an unstable point")
+        amax = np.maximum.reduce(a, axis=(1, 2)).tolist()
+        limit = 1.0 - margin + 1e-12
+        inside = [i for i, x in enumerate(amax) if not x > limit]
+        if len(inside) < len(amax):
+            lam_v, a, b = loads[:, inside]
+        waits = np.add.reduce(lam_v * b / (2.0 * (1.0 - a)), axis=(1, 2)).tolist()
+        lin = np.add.reduce(self.lin * P, axis=(1, 2)).tolist()
+        theta, total, net_const = self.theta, self.total, self.net_const
+        out = [np.inf] * len(amax)
+        for i, wait in zip(inside, waits):
+            out[i] = lin[i] + theta[i] * wait / total[i] + net_const[i]
+        return out, amax
+
+    def gradient(self, loads: np.ndarray) -> np.ndarray:
+        """Gradient in P at the points whose `loads` these are.
+
+        Callers check first that no utilization reaches 1.
+        """
+        lam_v, a, b = loads
         slack = 1.0 - a
         denom = 2.0 * slack
         t1 = (b + lam_v * self.m2) / denom
         t2 = (lam_v * b) * self.m1 / (denom * slack)
-        return self.lin + self._grad_scale * (t1 + t2)
-
-    def grad(self, p: np.ndarray) -> np.ndarray:
-        return self.grad_at(self._loads(p))
+        return self.lin + self.grad_scale * (t1 + t2)
 
 
 def weighted_metrics(

@@ -50,6 +50,7 @@ from .optimizer import (
     OptimizerSettings,
     baseline_pca,
     baseline_rca,
+    optimize_many,
     optimize_pps,
 )
 from .simulator import SimConfig, policy_tradeoff_example, run_simulation
@@ -183,6 +184,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "converged": trace.converged,
         "start": trace.start,
         "stop_reason": trace.stop_reason,
+        "starts": [record.to_dict() for record in trace.starts],
     }
     _write_json(out / "report.json", payload)
     print(
@@ -197,16 +199,10 @@ def _policy_schedule(
     config: SystemConfig,
     settings: OptimizerSettings,
     pca_mode: str = "paper_literal",
-    optimized: np.ndarray | None = None,
 ) -> tuple[np.ndarray, str]:
-    """Schedule plus networking discipline implied by the policy name.
-
-    `optimized` is an already-solved pps schedule, which "pps" and "ocafcfs"
-    then reuse instead of solving again.
-    """
+    """Schedule plus networking discipline implied by the policy name."""
     if policy in ("pps", "ocafcfs"):
-        if optimized is None:
-            optimized = optimize_pps(config, settings).schedule
+        optimized = optimize_pps(config, settings).schedule
         return optimized, "priority" if policy == "pps" else "fcfs"
     if policy == "rca":
         return baseline_rca(config, settings.stability_margin), "priority"
@@ -309,12 +305,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not all(np.isfinite(values)):
         raise ConfigError(f"sweep values must be finite, got {raw!r}")
 
-    rows: list[tuple] = []
-    prev_schedule: np.ndarray | None = None
+    # Every point's cold starts descend together, in lockstep batches per
+    # schedule shape; the warm chain then runs in point order. A bad point
+    # value ends the sweep where a point-by-point loop would.
+    points: list[tuple[float, SystemConfig]] = []
+    bad_point = None
     for value in values:
         try:
-            point_cfg = _sweep_point_config(config, args.axis, value)
-            best = optimize_pps(point_cfg, settings)
+            points.append((value, _sweep_point_config(config, args.axis, value)))
+        except ConfigError as exc:
+            bad_point = exc
+            break
+    pca_start = {"paper_literal": "pca_literal", "inverse_time": "pca_inverse"}
+    rows: list[tuple] = []
+    prev_schedule: np.ndarray | None = None
+    for (value, point_cfg), cold in zip(
+        points, optimize_many([point_cfg for _, point_cfg in points], settings)
+    ):
+        try:
+            if isinstance(cold, Exception):
+                raise cold
+            best = cold
             if prev_schedule is not None and prev_schedule.shape == (
                 point_cfg.num_classes,
                 point_cfg.num_vms,
@@ -323,16 +334,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 if warm.objective < best.objective:
                     best = warm
             prev_schedule = best.schedule
-            per_policy = {
-                policy: _policy_schedule(
-                    policy, point_cfg, settings, args.pca_mode, best.schedule
-                )
-                for policy in POLICIES
-            }
         except (InfeasibleError, StabilityError) as exc:
             rows.append((value, "all", "infeasible", 1.0))
             print(f"sweep point {value}: infeasible ({exc})", file=sys.stderr)
             continue
+        # The rca and pca baselines are the uniform and pca starts.
+        starts = {rec.label: rec.initial for rec in cold.starts}
+        per_policy = {
+            "pps": (best.schedule, "priority"),
+            "rca": (starts["uniform"], "priority"),
+            "pca": (starts[pca_start[args.pca_mode]], "priority"),
+            "ocafcfs": (best.schedule, "fcfs"),
+        }
         for policy, (p, networking) in per_policy.items():
             try:
                 wc, wa = weighted_metrics(p, point_cfg, networking)
@@ -358,6 +371,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     (value, policy, "sim_weighted_completion", res.weighted_completion)
                 )
                 rows.append((value, policy, "sim_weighted_aoi", res.weighted_aoi))
+
+    if bad_point is not None:
+        raise bad_point
 
     out = _out_dir(args)
     with open(out / "sweep.csv", "w", newline="") as fh:

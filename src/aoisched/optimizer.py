@@ -12,6 +12,19 @@ share one compute size but can be nonconvex when per-class sizes mix on a VM
 from three starts, the uniform point and both proportional baselines, and
 keeps the best descent; the returned trace is the winning run's and is
 monotone by construction.
+
+Descents run in lockstep. The descents of one schedule shape, the three
+starts of one config or those of every config passed to optimize_many, go
+through one loop in batches of up to PGD_BATCH_ENTRIES schedule entries: in
+each round each running descent projects, scores and accepts or rejects one
+candidate, and a descent leaves the batch when it stops. The descents share
+only the interpreter overhead of the numpy calls, which on these small
+matrices costs more than their arithmetic. Results are bit-identical to
+descending one start at a time: elementwise operations do not depend on
+their neighbours, every sort, cumulative sum and search runs along one row,
+and every reduction covers one descent's own entries in the order a lone
+descent sums them. A single descent, such as a warm start, is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -23,12 +36,21 @@ import numpy as np
 from .analytics import (
     STABILITY_MARGIN,
     Evaluator,
+    EvaluatorStack,
     InfeasibleError,
+    StabilityError,
     check_margin,
     net_service_moments,
     service_moment_matrices,
 )
 from .model import ConfigError, SystemConfig
+
+
+# Schedule entries in one lockstep batch, summed over its descents. A round
+# costs a fixed interpreter overhead plus a part that grows with the entries;
+# past a few thousand entries the overhead is shared out, and the batch's
+# temporary arrays, not its speed, grow with more.
+PGD_BATCH_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -67,19 +89,42 @@ class OptimizerSettings:
 
 
 @dataclass(frozen=True)
+class StartRecord:
+    """How one descent of a solve went, from its start point to its stop."""
+
+    label: str  # "uniform", "pca_literal", "pca_inverse" or "given"
+    initial: np.ndarray  # the feasible start point
+    iterations: int  # accepted steps
+    rejected: int  # candidates the Armijo test turned down
+    stop_reason: str  # as OptimizeTrace.stop_reason
+    objective: float  # at the descent's last iterate
+
+    def to_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "iterations": self.iterations,
+            "rejected": self.rejected,
+            "stop_reason": self.stop_reason,
+            "objective": self.objective,
+        }
+
+
+@dataclass(frozen=True)
 class OptimizeTrace:
     """Result of one optimization: best schedule plus its descent trace.
 
     stop_reason says why the winning descent stopped: "rel_tol" (the
     objective dropped by less than rel_tol), "stationary" (the projected step
     vanished at the current step size), "step_floor" (backtracking went below
-    min_step without an acceptable candidate) or "max_iters".
+    min_step without an acceptable candidate) or "max_iters". `starts` has
+    one record per descent, the winner's included, in start order.
     """
 
     schedule: np.ndarray
     objectives: np.ndarray  # objective after each accepted iterate, [0] = start
     start: str  # label of the winning initial point
     stop_reason: str
+    starts: tuple[StartRecord, ...] = ()
 
     @property
     def converged(self) -> bool:
@@ -130,7 +175,11 @@ def _project(
 
 def objective_gradient(p: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Gradient of the analytic tradeoff objective with respect to p."""
-    return Evaluator(config).grad(np.asarray(p, dtype=np.float64))
+    stack = EvaluatorStack([Evaluator(config)])
+    loads = stack.loads(np.asarray(p, dtype=np.float64)[None])
+    if (loads[1] >= 1.0).any():
+        raise InfeasibleError("gradient requested at an unstable point")
+    return stack.gradient(loads)[0]
 
 
 def _require_network_stable(config: SystemConfig, margin: float) -> None:
@@ -201,7 +250,12 @@ def _nearest_feasible(
     minimizer to clear any residual overshoot.
     """
     core = Evaluator(config)
-    if np.all(core.utilization(anchor) <= 1.0 - margin):
+    stack = EvaluatorStack([core])
+
+    def utilization(x: np.ndarray) -> np.ndarray:
+        return stack.utilization(x[None])[0]
+
+    if np.all(utilization(anchor) <= 1.0 - margin):
         return anchor.copy()
     t_star, p_lp = _min_load_lp(config)
     if t_star > 1.0 - margin:
@@ -230,24 +284,24 @@ def _nearest_feasible(
             increments[s] = z - proj
             p = proj
         if (
-            np.all(core.utilization(p) <= bound + 1e-12)
+            np.all(utilization(p) <= bound + 1e-12)
             and np.all(p >= -1e-12)
             and np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         ):
             break
     p = project_simplex_rows(np.maximum(p, 0.0))
-    util = core.utilization(p)
+    util = utilization(p)
     if np.any(util > bound):
         # The Dykstra iterate can overshoot by float dust; blend toward the
         # strictly feasible LP point just enough to clear the margin.
-        util_lp = core.utilization(p_lp)
+        util_lp = utilization(p_lp)
         with np.errstate(divide="ignore", invalid="ignore"):
             need = (util - bound) / np.maximum(util - util_lp, 1e-300)
         s = float(np.clip(np.max(need[util > bound]), 0.0, 1.0))
         s = min(1.0, s * (1.0 + 1e-9) + 1e-12)
         p = (1.0 - s) * p + s * p_lp
         p = project_simplex_rows(p)
-        if np.any(core.utilization(p) > bound + 1e-9):
+        if np.any(utilization(p) > bound + 1e-9):
             raise InfeasibleError("could not project anchor to the feasible set")
     return p
 
@@ -293,52 +347,196 @@ def baseline_pca(
 
 
 def _pgd(
-    ev: Evaluator, p0: np.ndarray, settings: OptimizerSettings
-) -> tuple[np.ndarray, list[float], str]:
-    """Projected gradient descent with Armijo backtracking from p0.
+    stack: EvaluatorStack, starts: np.ndarray, settings: OptimizerSettings
+) -> list[tuple[np.ndarray, list[float], str, int] | InfeasibleError]:
+    """Projected gradient descent with Armijo backtracking, one descent per
+    stack member from starts[b], all B of them in lockstep.
 
-    Each candidate's loads are reduced once by ``ev.evaluate``, and the
-    accepted one's are reused by ``ev.grad_at`` for the next gradient.
-    Returns the last iterate, the objective after each accepted step
-    ([0] = start) and the stop reason (see OptimizeTrace).
+    In each round every running descent projects one candidate from its own
+    step, scores it, then accepts it or shrinks its own step, exactly as a
+    lone descent would; a descent leaves the batch when it stops. Each
+    candidate's loads are reduced once, and an accepted one's are reused
+    for the next gradient. Per member, returns the last iterate, the
+    objective after each accepted step ([0] = start), the stop reason (see
+    OptimizeTrace) and the count of rejected candidates, or the
+    InfeasibleError a lone descent would have raised.
     """
     margin = settings.stability_margin
-    p = p0.copy()
-    f, loads = ev.evaluate(p, margin)
-    if not np.isfinite(f):
-        raise InfeasibleError("initial point violates the stability margin")
-    objs = [f]
-    step = settings.initial_step
-    stop = "max_iters"
-    tiny = (1e-16 * max(1.0, float(np.abs(p0).max()))) ** 2
-    rows, cols = p.shape
-    ks, row_idx = np.arange(1, cols + 1), np.arange(rows)
-    for _ in range(settings.max_iters):
-        g = ev.grad_at(loads)
-        reason = "step_floor"
-        while step >= settings.min_step:
-            cand = _project(p - step * g, ks, row_idx, cols - 1)
-            move = p - cand
-            move_sq = float(np.add.reduce(move * move, axis=None))
-            if move_sq <= tiny:
-                reason = "stationary"  # shrinking the step cannot help
-                break
-            fc, cand_loads = ev.evaluate(cand, margin)
-            if fc <= f and fc <= f - settings.armijo_c1 / step * move_sq:
-                reason = None
-                break
-            step *= settings.armijo_shrink
-        if reason is not None:
-            stop = reason
+    max_iters, min_step = settings.max_iters, settings.min_step
+    c1, shrink = settings.armijo_c1, settings.armijo_shrink
+    growth, rel_tol = settings.step_growth, settings.rel_tol
+    step_cap = settings.initial_step * 1e9
+    n, rows, cols = starts.shape
+    ks, row_idx = np.arange(1, cols + 1), np.arange(n * rows)
+
+    # Per member, by id: Python scalars, which cost less than numpy
+    # bookkeeping for the small batches that dominate.
+    results: list = [None] * n
+    scale = np.abs(starts).max(axis=(1, 2)).tolist()
+    tiny = [(1e-16 * max(1.0, x)) ** 2 for x in scale]
+    steps = [settings.initial_step] * n
+    rejected = [0] * n
+    P = starts
+    L = stack.loads(P)
+    f, amax = stack.objectives(P, L, margin)
+    objs = [[x] for x in f]
+
+    def runs_on(k: int, X: np.ndarray, r: int) -> bool:
+        # Whether member k, just arrived at X[r], starts another iteration;
+        # a lone descent computes the gradient (and checks utilization)
+        # first.
+        if len(objs[k]) - 1 == max_iters:
+            results[k] = (X[r].copy(), objs[k], "max_iters", rejected[k])
+        elif amax[k] >= 1.0:
+            results[k] = InfeasibleError("gradient requested at an unstable point")
+        elif steps[k] < min_step:
+            results[k] = (X[r].copy(), objs[k], "step_floor", rejected[k])
+        else:
+            return True
+        return False
+
+    live = []
+    for k in range(n):
+        if not np.isfinite(f[k]):
+            results[k] = InfeasibleError("initial point violates the stability margin")
+        elif runs_on(k, P, k):
+            live.append(k)
+    if not live:
+        return results
+    if len(live) < n:
+        P, L, stack = P[live], L[:, live], stack.take(live)
+    G = stack.gradient(L)
+    while live:
+        b = len(live)
+        # A lone descent scales by its Python float step, which costs less
+        # than a one-element array and gives the same products.
+        if b == 1:
+            S = steps[live[0]]
+        else:
+            S = np.array([steps[k] for k in live])[:, None, None]
+        # Every row of the stack is projected on its own, so the (B * J, V)
+        # view projects exactly as the B matrices would one by one.
+        C = _project(
+            (P - S * G).reshape(b * rows, cols), ks, row_idx[: b * rows], cols - 1
+        ).reshape(b, rows, cols)
+        move_sq = np.add.reduce(np.square(P - C), axis=(1, 2)).tolist()
+        Lc = stack.loads(C)
+        fc, amax_c = stack.objectives(C, Lc, margin)
+        keep, moved = [], []
+        for r, k in enumerate(live):
+            if move_sq[r] <= tiny[k]:
+                # Stationary at this step size; shrinking cannot help.
+                results[k] = (P[r].copy(), objs[k], "stationary", rejected[k])
+                continue
+            step, fk, fr = steps[k], f[k], fc[r]
+            if fr <= fk and fr <= fk - c1 / step * move_sq[r]:
+                f[k], amax[k] = fr, amax_c[r]
+                objs[k].append(fr)
+                if fk - fr <= rel_tol * max(1.0, abs(fr)):
+                    results[k] = (C[r].copy(), objs[k], "rel_tol", rejected[k])
+                    continue
+                steps[k] = min(step * growth, step_cap)
+                if runs_on(k, C, r):
+                    keep.append(r)
+                    moved.append(r)
+                continue
+            rejected[k] += 1
+            steps[k] = step * shrink
+            if steps[k] < min_step:
+                results[k] = (P[r].copy(), objs[k], "step_floor", rejected[k])
+            else:
+                keep.append(r)
+        if len(moved) == b:
+            P, L = C, Lc
+        elif not keep:
             break
-        drop = f - fc
-        p, f, loads = cand, fc, cand_loads
-        objs.append(f)
-        if drop <= settings.rel_tol * max(1.0, abs(f)):
-            stop = "rel_tol"
-            break
-        step = min(step * settings.step_growth, settings.initial_step * 1e9)
-    return p, objs, stop
+        else:
+            if moved:
+                took = np.zeros(b, dtype=bool)
+                took[moved] = True
+                P = np.where(took[:, None, None], C, P)
+                L = np.where(took[:, None, None], Lc, L)
+            if len(keep) < b:
+                P, L, G = P[keep], L[:, keep], G[keep]
+                stack = stack.take(keep)
+                live = [live[r] for r in keep]
+            if not moved:
+                continue
+        G = stack.gradient(L)
+    return results
+
+
+def _starts(
+    config: SystemConfig, settings: OptimizerSettings, initial: np.ndarray | None
+) -> tuple[Evaluator, list[tuple[str, np.ndarray]]]:
+    margin = settings.stability_margin
+    _require_network_stable(config, margin)
+    ev = Evaluator(config)
+    if initial is not None:
+        return ev, [
+            ("given", _nearest_feasible(np.asarray(initial, float), config, margin))
+        ]
+    return ev, [
+        ("uniform", feasible_init(config, margin)),
+        ("pca_literal", baseline_pca(config, "paper_literal", margin)),
+        ("pca_inverse", baseline_pca(config, "inverse_time", margin)),
+    ]
+
+
+def _solve(
+    problems: list[tuple[Evaluator, list[tuple[str, np.ndarray]]]],
+    settings: OptimizerSettings,
+) -> list[OptimizeTrace | InfeasibleError]:
+    """Descend from every start of every problem, one lockstep batch per
+    schedule shape, and keep each problem's best descent."""
+    members = [(ev, label, p0) for ev, starts in problems for label, p0 in starts]
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for m, (_, _, p0) in enumerate(members):
+        by_shape.setdefault(p0.shape, []).append(m)
+    outcomes: list = [None] * len(members)
+    for shape, same in by_shape.items():
+        # Split into near-equal batches of at most PGD_BATCH_ENTRIES entries.
+        count = -(-len(same) * shape[0] * shape[1] // PGD_BATCH_ENTRIES)
+        size = -(-len(same) // count)
+        for i in range(0, len(same), size):
+            batch = same[i : i + size]
+            stack = EvaluatorStack([members[m][0] for m in batch])
+            runs = _pgd(stack, np.stack([members[m][2] for m in batch]), settings)
+            for m, run in zip(batch, runs):
+                outcomes[m] = run
+    solved: list[OptimizeTrace | InfeasibleError] = []
+    first = 0
+    for _, starts in problems:
+        runs = outcomes[first : first + len(starts)]
+        first += len(starts)
+        failed = [run for run in runs if isinstance(run, InfeasibleError)]
+        if failed:
+            # A lone descent raises, so the first failing start decides.
+            solved.append(failed[0])
+            continue
+        # min keeps the first of equal objectives: the earlier start wins.
+        best = min(range(len(runs)), key=lambda s: runs[s][1][-1])
+        p, objs, stop, _ = runs[best]
+        solved.append(
+            OptimizeTrace(
+                schedule=p,
+                objectives=np.array(objs),
+                start=starts[best][0],
+                stop_reason=stop,
+                starts=tuple(
+                    StartRecord(
+                        label=label,
+                        initial=p0,
+                        iterations=len(run[1]) - 1,
+                        rejected=run[3],
+                        stop_reason=run[2],
+                        objective=run[1][-1],
+                    )
+                    for (label, p0), run in zip(starts, runs)
+                ),
+            )
+        )
+    return solved
 
 
 def optimize_pps(
@@ -354,29 +552,27 @@ def optimize_pps(
     convex regime.
     """
     settings = settings or OptimizerSettings()
-    margin = settings.stability_margin
-    _require_network_stable(config, margin)
-    ev = Evaluator(config)
+    (trace,) = _solve([_starts(config, settings, initial)], settings)
+    if isinstance(trace, InfeasibleError):
+        raise trace
+    return trace
 
-    if initial is not None:
-        p0 = _nearest_feasible(np.asarray(initial, float), config, margin)
-        starts = [("given", p0)]
-    else:
-        starts = [
-            ("uniform", feasible_init(config, margin)),
-            ("pca_literal", baseline_pca(config, "paper_literal", margin)),
-            ("pca_inverse", baseline_pca(config, "inverse_time", margin)),
-        ]
 
-    best: tuple[np.ndarray, list[float], str, str] | None = None
-    for label, p0 in starts:
-        p, objs, stop = _pgd(ev, p0, settings)
-        if best is None or objs[-1] < best[1][-1]:
-            best = (p, objs, stop, label)
-    p, objs, stop, label = best
-    return OptimizeTrace(
-        schedule=p,
-        objectives=np.array(objs),
-        start=label,
-        stop_reason=stop,
-    )
+def optimize_many(
+    configs: list[SystemConfig], settings: OptimizerSettings | None = None
+) -> list[OptimizeTrace | InfeasibleError | StabilityError]:
+    """`optimize_pps` from its three starts for every config, with the
+    descents of every config of one schedule shape in one lockstep batch.
+
+    Returns, in config order, the trace `optimize_pps(config, settings)`
+    would return or the error it would raise.
+    """
+    settings = settings or OptimizerSettings()
+    problems: list = []
+    for config in configs:
+        try:
+            problems.append(_starts(config, settings, None))
+        except (InfeasibleError, StabilityError) as exc:
+            problems.append(exc)
+    solved = iter(_solve([p for p in problems if isinstance(p, tuple)], settings))
+    return [p if isinstance(p, Exception) else next(solved) for p in problems]

@@ -32,8 +32,8 @@ def project_simplex_rows(m: np.ndarray) -> np.ndarray:
 
 
 class EvaluatorOracle:
-    """Objective and gradient of an ``analytics.Evaluator``, recomputing loads
-    each call."""
+    """Objective and gradient of one ``analytics.Evaluator``'s config,
+    recomputing loads each call."""
 
     def __init__(self, ev):
         self.lam = ev.lam
@@ -77,7 +77,9 @@ class EvaluatorOracle:
 
 def pgd(
     core, p0: np.ndarray, settings: OptimizerSettings
-) -> tuple[np.ndarray, list[float], bool]:
+) -> tuple[np.ndarray, list[float], str]:
+    """The original one-descent loop; returns the last iterate, the
+    objectives ([0] = start) and the stop reason."""
     margin = settings.stability_margin
     p = p0.copy()
     f = core.value(p, margin)
@@ -85,33 +87,35 @@ def pgd(
         raise InfeasibleError("initial point violates the stability margin")
     objs = [f]
     step = settings.initial_step
-    converged = False
+    stop = "max_iters"
     scale = max(1.0, float(np.abs(p0).max()))
     for _ in range(settings.max_iters):
         g = core.grad(p)
         accepted = False
+        reason = "step_floor"
         while step >= settings.min_step:
             cand = project_simplex_rows(p - step * g)
             move = p - cand
             move_sq = float((move * move).sum())
             if move_sq <= (1e-16 * scale) ** 2:
-                break  # stationary at this step size; shrinking cannot help
+                reason = "stationary"  # shrinking the step cannot help
+                break
             fc = core.value(cand, margin)
             if fc <= f and fc <= f - settings.armijo_c1 / step * move_sq:
                 accepted = True
                 break
             step *= settings.armijo_shrink
         if not accepted:
-            converged = True
+            stop = reason
             break
         drop = f - fc
         p, f = cand, fc
         objs.append(f)
         if drop <= settings.rel_tol * max(1.0, abs(f)):
-            converged = True
+            stop = "rel_tol"
             break
         step = min(step * settings.step_growth, settings.initial_step * 1e9)
-    return p, objs, converged
+    return p, objs, stop
 
 
 def priority_waiting_times(config) -> np.ndarray:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aoisched.analytics import InfeasibleError, StabilityError, weighted_metrics
 from aoisched.cli import _sweep_point_config, main, read_schedule
 from aoisched.model import (
     JobClass,
@@ -15,6 +16,12 @@ from aoisched.model import (
     load_config,
     reference_vms,
     save_config,
+)
+from aoisched.optimizer import (
+    OptimizerSettings,
+    baseline_pca,
+    baseline_rca,
+    optimize_pps,
 )
 
 
@@ -224,6 +231,80 @@ def test_sweep_marks_infeasible_points(tmp_path, config_path):
     assert marked[0]["policy"] == "all"
     # The feasible point still reports the usual 12 rows.
     assert sum(float(r["point"]) == 1.0 for r in rows) == 12
+
+
+def _sweep_point_by_point(config, axis, values, pca_mode):
+    """sweep.csv rows and stderr lines of a loop that solves each point with
+    optimize_pps and rebuilds its baselines, in point order."""
+    settings = OptimizerSettings()
+    margin = settings.stability_margin
+    rows, errors, prev = [], [], None
+    for value in values:
+        point = _sweep_point_config(config, axis, value)
+        try:
+            best = optimize_pps(point, settings)
+            if prev is not None and prev.shape == best.schedule.shape:
+                warm = optimize_pps(point, settings, initial=prev)
+                if warm.objective < best.objective:
+                    best = warm
+            prev = best.schedule
+            policies = [
+                ("pps", best.schedule, "priority"),
+                ("rca", baseline_rca(point, margin), "priority"),
+                ("pca", baseline_pca(point, pca_mode, margin), "priority"),
+                ("ocafcfs", best.schedule, "fcfs"),
+            ]
+        except (InfeasibleError, StabilityError) as exc:
+            rows.append([axis, repr(value), "all", "infeasible", repr(1.0)])
+            errors.append(f"sweep point {value}: infeasible ({exc})")
+            continue
+        for policy, p, networking in policies:
+            wc, wa = weighted_metrics(p, point, networking)
+            obj = point.theta * wc + (1.0 - point.theta) * wa
+            for metric, x in (
+                ("objective", obj),
+                ("weighted_completion", wc),
+                ("weighted_aoi", wa),
+            ):
+                rows.append([axis, repr(value), policy, metric, repr(x)])
+    return rows, errors
+
+
+@pytest.mark.parametrize("pca_mode", ["paper_literal", "inverse_time"])
+def test_sweep_matches_point_by_point_solves(tmp_path, capsys, pca_mode):
+    # A fast link leaves the VMs as the bottleneck: x4 no schedule meets the
+    # margin, x40 overloads the link too. The warm chain runs across both.
+    cfg = SystemConfig(
+        classes=(
+            JobClass(id=1, arrival_rate=0.012, compute_size=1.0, output_size=1.0),
+            JobClass(id=2, arrival_rate=0.010, compute_size=1.6, output_size=0.7),
+            JobClass(id=3, arrival_rate=0.008, compute_size=0.7, output_size=1.3),
+        ),
+        vms=(
+            VmProfile(id=1, rate=0.05, shift=0.0),
+            VmProfile(id=2, rate=0.04, shift=1.0),
+        ),
+        network=NetworkProfile(rate=112.0, shift=1.0),
+        theta=0.3,
+    )
+    path = tmp_path / "fast_link.json"
+    save_config(cfg, path)
+    values = [1.0, 4.0, 1.5, 40.0, 0.8]
+    out = tmp_path / "sweep"
+    argv = [
+        "sweep", str(path), "--axis", "lambda-scale",
+        "--values", ",".join(map(str, values)), "--pca-mode", pca_mode,
+        "--out-dir", str(out),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    with open(out / "sweep.csv", newline="") as fh:
+        got = list(csv.reader(fh))[1:]
+    want, want_err = _sweep_point_by_point(cfg, "lambda-scale", values, pca_mode)
+    assert got == want
+    assert err == want_err
+    assert [line.split(":")[0] for line in err] == ["sweep point 4.0", "sweep point 40.0"]
 
 
 def test_sweep_with_simulation_rows(tmp_path, config_path):
@@ -448,6 +529,20 @@ def test_optimize_reports_stop_reason_and_rejects_bad_settings(
         rc = main(["optimize", config_path, flag, value, "--out-dir", str(out)])
         assert rc == 2
         assert "OptimizerSettings." in capsys.readouterr().err
+
+def test_optimize_report_records_every_start(tmp_path, config_path):
+    out = tmp_path / "opt"
+    assert main(["optimize", config_path, "--out-dir", str(out)]) == 0
+    solve = json.loads((out / "report.json").read_text())["optimize"]
+    starts = solve["starts"]
+    assert [s["label"] for s in starts] == ["uniform", "pca_literal", "pca_inverse"]
+    (winner,) = [s for s in starts if s["label"] == solve["start"]]
+    assert winner["stop_reason"] == solve["stop_reason"]
+    assert winner["iterations"] == solve["iterations"]
+    assert winner["objective"] == solve["objective"]
+    assert min(s["objective"] for s in starts) == solve["objective"]
+    assert all(s["rejected"] >= 0 for s in starts)
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

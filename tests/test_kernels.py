@@ -34,26 +34,26 @@ def _run_python(script: str) -> str:
 
 # Small integer-valued times make ties in arrival, key and start time common.
 _times = st.integers(0, 12).map(float)
-_keys = st.sampled_from([0.0, 1.0, 2.5, -1.0, np.inf, -np.inf])
+_keys = np.array([0.0, 1.0, 2.5, -1.0, np.inf, -np.inf])
 
 
 @st.composite
 def _priority_inputs(draw):
     # Services of 0..4 over a short span make long busy periods and ties; a
-    # long span leaves lone arrivals that find the link idle.
+    # long span leaves lone arrivals that find the link idle. Hypothesis
+    # draws the sizes, the span and a seed; numpy draws the n entries of
+    # each column, which costs far less than one draw per entry.
     n_classes = draw(st.integers(1, 30))
     n = draw(st.integers(0, 200))
-    times = st.integers(0, draw(st.sampled_from([12, 100, 800]))).map(float)
-    dep1 = np.array(draw(st.lists(times, min_size=n, max_size=n)))
+    span = draw(st.sampled_from([12, 100, 800]))
     # Classes drawn from a prefix of range(n_classes) leave the rest empty.
     used = draw(st.integers(1, n_classes))
-    cls = np.array(
-        draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n)),
-        dtype=np.int64,
-    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dep1 = rng.integers(0, span, n, endpoint=True).astype(np.float64)
+    cls = rng.integers(0, used, n).astype(np.int64)
     # Per-job keys change within a class, as they do across online windows.
-    key = np.array(draw(st.lists(_keys, min_size=n, max_size=n)))
-    s2 = np.array(draw(st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n)))
+    key = rng.choice(_keys, n)
+    s2 = rng.integers(0, 4, n, endpoint=True).astype(np.float64)
     order = np.argsort(dep1, kind="stable")
     grouped, offsets = group_by_class(cls, order, n_classes)
     return dep1, grouped, offsets, key, s2

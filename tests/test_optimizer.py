@@ -2,12 +2,12 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import minimize
 
-from aoisched.analytics import objective, stability_report
+from aoisched.analytics import EvaluatorStack, objective, stability_report
 from aoisched.model import ConfigError, default_config
 from aoisched.optimizer import (
     InfeasibleError,
@@ -20,7 +20,7 @@ from aoisched.optimizer import (
     project_simplex_rows,
 )
 
-from conftest import make_system, random_instance
+from conftest import instances, make_system, random_instance, schedules
 
 
 def test_projection_hand_values():
@@ -106,6 +106,28 @@ def test_gradient_matches_central_differences():
                 np.maximum(np.abs(g), np.abs(fd)), 1e-8
             )
             assert rel.max() < 1e-5
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_gradient_matches_central_differences_property(data):
+    # Any row-stochastic schedule of these configs is stable, so p +- h e_jv
+    # is too. With h = 1e-6 a central difference carries a rounding error
+    # of about eps * |f| / h ~ 2e-10 |f| and a truncation error of h^2 / 6
+    # times the third derivative; over 400 drawn examples the largest error
+    # relative to |g_jv| was 1.2e-7 (the smallest |g_jv| was 0.48). The
+    # tolerance, a relative 1e-5 per entry, leaves a factor of about 80.
+    cfg = data.draw(instances())
+    p = data.draw(schedules(cfg))
+    g = objective_gradient(p, cfg)
+    h = 1e-6
+    fd = np.empty_like(g)
+    for j in range(cfg.num_classes):
+        for v in range(cfg.num_vms):
+            e = np.zeros_like(p)
+            e[j, v] = h
+            fd[j, v] = (objective(p + e, cfg) - objective(p - e, cfg)) / (2 * h)
+    np.testing.assert_allclose(g, fd, rtol=1e-5, atol=0.0)
 
 
 def test_pgd_trace_monotone_and_converged():
@@ -334,3 +356,50 @@ def test_stop_reason_on_known_instances(tiny_config):
     one_vm = make_system([(0.004, 1.0, 1.0), (0.003, 1.0, 0.8)], [(0.05, 0.0)])
     stuck = optimize_pps(one_vm)
     assert (stuck.stop_reason, stuck.iterations) == ("stationary", 0)
+
+
+def test_start_records_say_how_each_descent_stopped(tiny_config, monkeypatch):
+    labels = ["uniform", "pca_literal", "pca_inverse"]
+    capped = optimize_pps(default_config(), OptimizerSettings(max_iters=3))
+    assert [r.label for r in capped.starts] == labels
+    assert [(r.stop_reason, r.iterations) for r in capped.starts] == [
+        ("max_iters", 3)
+    ] * 3
+    (winner,) = [r for r in capped.starts if r.label == capped.start]
+    assert winner.objective == capped.objective
+    assert winner.stop_reason == capped.stop_reason
+    # min_step above the first step: no start tries a candidate.
+    floor = optimize_pps(
+        tiny_config, OptimizerSettings(initial_step=1e-3, min_step=1e-2)
+    )
+    assert [(r.stop_reason, r.iterations, r.rejected) for r in floor.starts] == [
+        ("step_floor", 0, 0)
+    ] * 3
+    # Restarted at its own optimum, a descent has nowhere to go.
+    best = optimize_pps(default_config())
+    (again,) = optimize_pps(default_config(), initial=best.schedule).starts
+    assert (again.label, again.stop_reason, again.iterations, again.rejected) == (
+        "given",
+        "stationary",
+        0,
+        0,
+    )
+    assert again.objective == best.objective
+    assert np.array_equal(again.initial, best.schedule)
+    # A lone descent scores one candidate per round: each round accepts,
+    # rejects, or finds the projected step vanished.
+    scored = []
+    objectives = EvaluatorStack.objectives
+
+    def counting(self, P, loads, margin=0.0):
+        scored.append(len(P))
+        return objectives(self, P, loads, margin)
+
+    monkeypatch.setattr(EvaluatorStack, "objectives", counting)
+    start = best.starts[0]
+    (record,) = optimize_pps(default_config(), initial=start.initial).starts
+    assert (record.iterations, record.rejected) == (start.iterations, start.rejected)
+    assert record.rejected > 0
+    assert sum(scored) - 1 == (
+        record.iterations + record.rejected + (record.stop_reason == "stationary")
+    )
