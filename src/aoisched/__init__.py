@@ -68,7 +68,6 @@ from .optimizer import (
     StartRecord,
     baseline_pca,
     baseline_rca,
-    feasible_init,
     objective_gradient,
     optimize_many,
     optimize_pps,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,8 +28,9 @@ import numpy as np
 
 from .model import ConfigError, SystemConfig
 
-# Queues within this margin of full utilization count as unstable for
-# feasibility purposes; analytic formulas only hard-fail at 1.
+# A queue meets a stability margin m when its utilization is at most
+# margin_limit(m), in the optimizer and in stability_report alike; analytic
+# formulas only hard-fail at 1.
 STABILITY_MARGIN = 1e-3
 
 
@@ -44,6 +46,13 @@ def check_margin(margin: float, name: str = "margin") -> None:
     """Reject a stability margin that is not a finite number in [0, 1)."""
     if not (np.isfinite(margin) and 0.0 <= margin < 1.0):
         raise ConfigError(f"{name} must be a finite number in [0, 1), got {margin!r}")
+
+
+def margin_limit(margin: float) -> float:
+    """Largest utilization that meets the margin: 1 - margin plus 1e-12 of
+    float slack, but always below 1, so a margin of 0 still excludes a
+    saturated queue."""
+    return min(1.0 - margin + 1e-12, math.nextafter(1.0, 0.0))
 
 
 def check_schedule(p: np.ndarray, config: SystemConfig | None = None) -> list[str]:
@@ -319,7 +328,7 @@ class EvaluatorStack:
         """
         lam_v, a, b = loads
         amax = np.maximum.reduce(a, axis=(1, 2)).tolist()
-        limit = 1.0 - margin + 1e-12
+        limit = margin_limit(margin)
         inside = [i for i, x in enumerate(amax) if not x > limit]
         if len(inside) < len(amax):
             lam_v, a, b = loads[:, inside]
@@ -383,16 +392,15 @@ def stability_report(
     mean_s2, _ = net_service_moments(config)
     order = wsept_order(config)
     cum = np.cumsum((lam * mean_s2)[order - 1])
-    stable = bool(
-        np.all(rho_vm < 1.0 - margin) and (cum[-1] if cum.size else 0.0) < 1.0 - margin
-    )
+    network = float(cum[-1]) if cum.size else 0.0
+    limit = margin_limit(margin)
     return StabilityReport(
         vm_utilization=rho_vm,
-        network_utilization=float(cum[-1]) if cum.size else 0.0,
+        network_utilization=network,
         network_cumulative=cum,
         priority_order=order,
         margin=margin,
-        stable=stable,
+        stable=bool(np.all(rho_vm <= limit) and network <= limit),
     )
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import (
+    STABILITY_MARGIN,
     StabilityError,
     analytic_report,
     weighted_metrics,
@@ -46,6 +47,7 @@ from .online import (
     template_class_map,
 )
 from .optimizer import (
+    PCA_STARTS,
     InfeasibleError,
     OptimizerSettings,
     baseline_pca,
@@ -123,9 +125,9 @@ def _resolved_seed(args: argparse.Namespace, config: SystemConfig) -> int:
 
 def _settings(args: argparse.Namespace, seed: int) -> OptimizerSettings:
     return OptimizerSettings(
-        max_iters=getattr(args, "max_iters", 5000),
-        rel_tol=getattr(args, "rel_tol", 1.0e-12),
-        initial_step=getattr(args, "step", 1.0),
+        max_iters=args.max_iters,
+        rel_tol=args.rel_tol,
+        initial_step=args.step,
         stability_margin=args.margin,
         seed=seed,
     )
@@ -195,10 +197,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _policy_schedule(
-    policy: str,
-    config: SystemConfig,
-    settings: OptimizerSettings,
-    pca_mode: str = "paper_literal",
+    policy: str, config: SystemConfig, settings: OptimizerSettings, pca_mode: str
 ) -> tuple[np.ndarray, str]:
     """Schedule plus networking discipline implied by the policy name."""
     if policy in ("pps", "ocafcfs"):
@@ -305,18 +304,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not all(np.isfinite(values)):
         raise ConfigError(f"sweep values must be finite, got {raw!r}")
 
-    # Every point's cold starts descend together, in lockstep batches per
-    # schedule shape; the warm chain then runs in point order. A bad point
-    # value ends the sweep where a point-by-point loop would.
-    points: list[tuple[float, SystemConfig]] = []
-    bad_point = None
-    for value in values:
-        try:
-            points.append((value, _sweep_point_config(config, args.axis, value)))
-        except ConfigError as exc:
-            bad_point = exc
-            break
-    pca_start = {"paper_literal": "pca_literal", "inverse_time": "pca_inverse"}
+    # Every value is checked before anything is solved. Every point's cold
+    # starts then descend together, in lockstep batches per schedule shape,
+    # and the warm chain runs in point order.
+    points = [(v, _sweep_point_config(config, args.axis, v)) for v in values]
     rows: list[tuple] = []
     prev_schedule: np.ndarray | None = None
     for (value, point_cfg), cold in zip(
@@ -343,7 +334,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         per_policy = {
             "pps": (best.schedule, "priority"),
             "rca": (starts["uniform"], "priority"),
-            "pca": (starts[pca_start[args.pca_mode]], "priority"),
+            "pca": (starts[PCA_STARTS[args.pca_mode]], "priority"),
             "ocafcfs": (best.schedule, "fcfs"),
         }
         for policy, (p, networking) in per_policy.items():
@@ -371,9 +362,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     (value, policy, "sim_weighted_completion", res.weighted_completion)
                 )
                 rows.append((value, policy, "sim_weighted_aoi", res.weighted_aoi))
-
-    if bad_point is not None:
-        raise bad_point
 
     out = _out_dir(args)
     with open(out / "sweep.csv", "w", newline="") as fh:
@@ -483,16 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the config's second-moment computation",
     )
     common.add_argument(
-        "--margin", type=float, default=1.0e-3, help="stability margin for feasibility"
+        "--margin",
+        type=float,
+        default=STABILITY_MARGIN,
+        help="stability margin for feasibility",
     )
 
+    defaults = OptimizerSettings()
     opt_flags = argparse.ArgumentParser(add_help=False)
-    opt_flags.add_argument("--max-iters", type=int, default=5000)
-    opt_flags.add_argument("--rel-tol", type=float, default=1.0e-12)
-    opt_flags.add_argument("--step", type=float, default=1.0, help="initial step size")
+    opt_flags.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    opt_flags.add_argument("--rel-tol", type=float, default=defaults.rel_tol)
     opt_flags.add_argument(
+        "--step", type=float, default=defaults.initial_step, help="initial step size"
+    )
+    # Only the commands that run a proportional baseline take --pca-mode.
+    pca_flag = argparse.ArgumentParser(add_help=False)
+    pca_flag.add_argument(
         "--pca-mode",
-        choices=("paper_literal", "inverse_time"),
+        choices=tuple(PCA_STARTS),
         default="paper_literal",
         help="proportional baseline: weight VMs by mean time or its inverse",
     )
@@ -514,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser(
         "simulate",
-        parents=[common, opt_flags],
+        parents=[common, opt_flags, pca_flag],
         help="simulate a schedule file or a named policy",
     )
     p_sim.add_argument("config", help="system config JSON")
@@ -535,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        parents=[common, opt_flags],
+        parents=[common, opt_flags, pca_flag],
         help="optimize every policy across one axis; long-format CSV",
     )
     p_sweep.add_argument("config", help="system config JSON")

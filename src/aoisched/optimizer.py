@@ -6,8 +6,10 @@ terms are constants folded into the objective so traces report the full
 tradeoff objective. Gradient steps are projected row-wise onto the simplex
 (sort-based Euclidean projection); compute-queue stability is enforced by
 rejecting candidates beyond the margin inside the Armijo backtracking loop,
-so every accepted iterate is feasible. The objective is convex when classes
-share one compute size but can be nonconvex when per-class sizes mix on a VM
+so every accepted iterate is feasible. The network check, the start points
+and the descent all meet the margin by stability_report's one rule,
+analytics.margin_limit. The objective is convex when classes share one
+compute size but can be nonconvex when per-class sizes mix on a VM
 (segregating large jobs can beat any mixture), so optimize_pps descends
 from three starts, the uniform point and both proportional baselines, and
 keeps the best descent; the returned trace is the winning run's and is
@@ -40,6 +42,7 @@ from .analytics import (
     InfeasibleError,
     StabilityError,
     check_margin,
+    margin_limit,
     net_service_moments,
     service_moment_matrices,
 )
@@ -52,15 +55,17 @@ from .model import ConfigError, SystemConfig
 # temporary arrays, not its speed, grow with more.
 PGD_BATCH_ENTRIES = 4096
 
+# Armijo backtracking: a candidate must lower the objective by _ARMIJO_C1 /
+# step times its squared move; a rejection shrinks the step, an acceptance
+# grows it.
+_ARMIJO_C1, _STEP_SHRINK, _STEP_GROWTH = 1.0e-4, 0.5, 2.0
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
     max_iters: int = 5000
     rel_tol: float = 1.0e-12  # stop when the relative objective drop is below
     initial_step: float = 1.0
-    armijo_c1: float = 1.0e-4
-    armijo_shrink: float = 0.5
-    step_growth: float = 2.0
     min_step: float = 1.0e-18
     stability_margin: float = STABILITY_MARGIN
     seed: int = 0
@@ -75,9 +80,6 @@ class OptimizerSettings:
             ("rel_tol", self.rel_tol >= 0.0, ">= 0"),
             ("initial_step", self.initial_step > 0.0, "> 0"),
             ("min_step", self.min_step > 0.0, "> 0"),
-            ("armijo_c1", 0.0 < self.armijo_c1 < 1.0, "in (0, 1)"),
-            ("armijo_shrink", 0.0 < self.armijo_shrink < 1.0, "in (0, 1)"),
-            ("step_growth", self.step_growth >= 1.0, ">= 1"),
         ):
             value = getattr(self, name)
             # NaN fails every comparison above; inf is caught here.
@@ -189,7 +191,7 @@ def _require_network_stable(config: SystemConfig, margin: float) -> None:
     lam = config.arrival_rates()
     mean_s2, _ = net_service_moments(config)
     rho = float(np.dot(lam, mean_s2))
-    if rho >= 1.0 - margin:
+    if not rho <= margin_limit(margin):
         raise InfeasibleError(
             f"networking queue unstable at utilization {rho:.6f} "
             f"(margin {margin:g}); no schedule can fix this"
@@ -211,7 +213,7 @@ def _min_load_lp(config: SystemConfig) -> tuple[float, np.ndarray]:
     """Minimize the max VM utilization over row-stochastic schedules.
 
     Returns (t*, minimizing schedule). Serves as the feasibility certificate:
-    the margin is achievable iff t* <= 1 - margin.
+    the margin is achievable iff t* <= margin_limit(margin).
     """
     lam = config.arrival_rates()
     m1, _ = service_moment_matrices(config)
@@ -241,34 +243,34 @@ def _min_load_lp(config: SystemConfig) -> tuple[float, np.ndarray]:
 
 
 def _nearest_feasible(
-    anchor: np.ndarray, config: SystemConfig, margin: float
+    anchor: np.ndarray, ev: Evaluator, margin: float
 ) -> np.ndarray:
-    """Minimal-perturbation projection of anchor onto the feasible set.
+    """Minimal-perturbation projection of anchor onto ev's feasible set.
 
     Dykstra's alternating projections between the product of row simplexes
     and each VM's stability halfspace; falls back to blending toward the LP
     minimizer to clear any residual overshoot.
     """
-    core = Evaluator(config)
-    stack = EvaluatorStack([core])
+    stack = EvaluatorStack([ev])
+    limit = margin_limit(margin)
 
     def utilization(x: np.ndarray) -> np.ndarray:
         return stack.utilization(x[None])[0]
 
-    if np.all(utilization(anchor) <= 1.0 - margin):
+    if np.all(utilization(anchor) <= limit):
         return anchor.copy()
-    t_star, p_lp = _min_load_lp(config)
-    if t_star > 1.0 - margin:
+    t_star, p_lp = _min_load_lp(ev.config)
+    if t_star > limit:
         raise InfeasibleError(
             f"no schedule satisfies the stability margin: best achievable "
             f"max utilization {t_star:.6f} > {1.0 - margin:.6f}"
         )
-    coeff = core.lam[:, None] * core.m1  # halfspace normals, one column per VM
+    coeff = ev.lam[:, None] * ev.m1  # halfspace normals, one column per VM
     sqnorm = (coeff**2).sum(axis=0)
-    bound = 1.0 - margin
+    bound = 1.0 - margin  # the halfspaces' target
 
     p = anchor.copy()
-    n_sets = 1 + config.num_vms
+    n_sets = 1 + coeff.shape[1]
     increments = [np.zeros_like(p) for _ in range(n_sets)]
     for _ in range(500):
         for s in range(n_sets):
@@ -284,42 +286,46 @@ def _nearest_feasible(
             increments[s] = z - proj
             p = proj
         if (
-            np.all(utilization(p) <= bound + 1e-12)
+            np.all(utilization(p) <= limit)
             and np.all(p >= -1e-12)
             and np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         ):
             break
     p = project_simplex_rows(np.maximum(p, 0.0))
     util = utilization(p)
-    if np.any(util > bound):
+    high = util > limit
+    if high.any():
         # The Dykstra iterate can overshoot by float dust; blend toward the
         # strictly feasible LP point just enough to clear the margin.
-        util_lp = utilization(p_lp)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            need = (util - bound) / np.maximum(util - util_lp, 1e-300)
-        s = float(np.clip(np.max(need[util > bound]), 0.0, 1.0))
+        gap = np.maximum(util[high] - utilization(p_lp)[high], 1e-300)
+        s = float(np.clip(np.max((util[high] - bound) / gap), 0.0, 1.0))
         s = min(1.0, s * (1.0 + 1e-9) + 1e-12)
-        p = (1.0 - s) * p + s * p_lp
-        p = project_simplex_rows(p)
-        if np.any(utilization(p) > bound + 1e-9):
+        p = project_simplex_rows((1.0 - s) * p + s * p_lp)
+        if np.any(utilization(p) > limit):
             raise InfeasibleError("could not project anchor to the feasible set")
     return p
 
 
-def feasible_init(
-    config: SystemConfig, margin: float = STABILITY_MARGIN
-) -> np.ndarray:
-    """Uniform schedule, minimally shifted to meet the stability margin."""
-    _require_network_stable(config, margin)
-    uniform = np.full((config.num_classes, config.num_vms), 1.0 / config.num_vms)
-    return _nearest_feasible(uniform, config, margin)
+# The optimizer's start label for each proportional baseline mode.
+PCA_STARTS = {"paper_literal": "pca_literal", "inverse_time": "pca_inverse"}
+
+
+def _anchor(label: str, m1: np.ndarray) -> np.ndarray:
+    # Start `label` before projection, from the (J, V) mean service times m1.
+    # Compute size cancels row-wise, so the pca rows are all alike.
+    if label == "uniform":
+        return np.full(m1.shape, 1.0 / m1.shape[1])
+    w = m1 if label == "pca_literal" else 1.0 / m1
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def baseline_rca(
     config: SystemConfig, margin: float = STABILITY_MARGIN
 ) -> np.ndarray:
     """Rate-blind baseline: uniform rows (projected to feasibility if needed)."""
-    return feasible_init(config, margin)
+    _require_network_stable(config, margin)
+    ev = Evaluator(config)
+    return _nearest_feasible(_anchor("uniform", ev.m1), ev, margin)
 
 
 def baseline_pca(
@@ -327,23 +333,17 @@ def baseline_pca(
     mode: str = "paper_literal",
     margin: float = STABILITY_MARGIN,
 ) -> np.ndarray:
-    """Proportional assignment baseline.
+    """Proportional assignment baseline (projected to feasibility if needed).
 
     "paper_literal" weights VMs proportionally to their mean service time
     (as published; slower VMs get more traffic), "inverse_time" weights by
-    the reciprocal (faster VMs get more). Compute size cancels row-wise, so
-    every class gets the same row.
+    the reciprocal (faster VMs get more).
     """
     _require_network_stable(config, margin)
-    m1, _ = service_moment_matrices(config)
-    if mode == "paper_literal":
-        w = m1
-    elif mode == "inverse_time":
-        w = 1.0 / m1
-    else:
+    if mode not in PCA_STARTS:
         raise ConfigError(f"unknown pca mode {mode!r}")
-    p = w / w.sum(axis=1, keepdims=True)
-    return _nearest_feasible(p, config, margin)
+    ev = Evaluator(config)
+    return _nearest_feasible(_anchor(PCA_STARTS[mode], ev.m1), ev, margin)
 
 
 def _pgd(
@@ -363,8 +363,7 @@ def _pgd(
     """
     margin = settings.stability_margin
     max_iters, min_step = settings.max_iters, settings.min_step
-    c1, shrink = settings.armijo_c1, settings.armijo_shrink
-    growth, rel_tol = settings.step_growth, settings.rel_tol
+    rel_tol = settings.rel_tol
     step_cap = settings.initial_step * 1e9
     n, rows, cols = starts.shape
     ks, row_idx = np.arange(1, cols + 1), np.arange(n * rows)
@@ -429,19 +428,19 @@ def _pgd(
                 results[k] = (P[r].copy(), objs[k], "stationary", rejected[k])
                 continue
             step, fk, fr = steps[k], f[k], fc[r]
-            if fr <= fk and fr <= fk - c1 / step * move_sq[r]:
+            if fr <= fk and fr <= fk - _ARMIJO_C1 / step * move_sq[r]:
                 f[k], amax[k] = fr, amax_c[r]
                 objs[k].append(fr)
                 if fk - fr <= rel_tol * max(1.0, abs(fr)):
                     results[k] = (C[r].copy(), objs[k], "rel_tol", rejected[k])
                     continue
-                steps[k] = min(step * growth, step_cap)
+                steps[k] = min(step * _STEP_GROWTH, step_cap)
                 if runs_on(k, C, r):
                     keep.append(r)
                     moved.append(r)
                 continue
             rejected[k] += 1
-            steps[k] = step * shrink
+            steps[k] = step * _STEP_SHRINK
             if steps[k] < min_step:
                 results[k] = (P[r].copy(), objs[k], "step_floor", rejected[k])
             else:
@@ -473,14 +472,11 @@ def _starts(
     _require_network_stable(config, margin)
     ev = Evaluator(config)
     if initial is not None:
-        return ev, [
-            ("given", _nearest_feasible(np.asarray(initial, float), config, margin))
-        ]
-    return ev, [
-        ("uniform", feasible_init(config, margin)),
-        ("pca_literal", baseline_pca(config, "paper_literal", margin)),
-        ("pca_inverse", baseline_pca(config, "inverse_time", margin)),
-    ]
+        anchors = [("given", np.asarray(initial, float))]
+    else:
+        labels = ("uniform", *PCA_STARTS.values())
+        anchors = [(label, _anchor(label, ev.m1)) for label in labels]
+    return ev, [(label, _nearest_feasible(a, ev, margin)) for label, a in anchors]
 
 
 def _solve(

@@ -101,10 +101,10 @@ def pgd(
                 reason = "stationary"  # shrinking the step cannot help
                 break
             fc = core.value(cand, margin)
-            if fc <= f and fc <= f - settings.armijo_c1 / step * move_sq:
+            if fc <= f and fc <= f - 1.0e-4 / step * move_sq:
                 accepted = True
                 break
-            step *= settings.armijo_shrink
+            step *= 0.5
         if not accepted:
             stop = reason
             break
@@ -114,7 +114,7 @@ def pgd(
         if drop <= settings.rel_tol * max(1.0, abs(f)):
             stop = "rel_tol"
             break
-        step = min(step * settings.step_growth, settings.initial_step * 1e9)
+        step = min(step * 2.0, settings.initial_step * 1e9)
     return p, objs, stop
 
 

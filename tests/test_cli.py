@@ -270,11 +270,10 @@ def _sweep_point_by_point(config, axis, values, pca_mode):
     return rows, errors
 
 
-@pytest.mark.parametrize("pca_mode", ["paper_literal", "inverse_time"])
-def test_sweep_matches_point_by_point_solves(tmp_path, capsys, pca_mode):
-    # A fast link leaves the VMs as the bottleneck: x4 no schedule meets the
-    # margin, x40 overloads the link too. The warm chain runs across both.
-    cfg = SystemConfig(
+def _fast_link_config():
+    # A fast link leaves the VMs as the bottleneck: at rates x4 no schedule
+    # meets the margin, at x40 the link is overloaded too.
+    return SystemConfig(
         classes=(
             JobClass(id=1, arrival_rate=0.012, compute_size=1.0, output_size=1.0),
             JobClass(id=2, arrival_rate=0.010, compute_size=1.6, output_size=0.7),
@@ -287,6 +286,12 @@ def test_sweep_matches_point_by_point_solves(tmp_path, capsys, pca_mode):
         network=NetworkProfile(rate=112.0, shift=1.0),
         theta=0.3,
     )
+
+
+@pytest.mark.parametrize("pca_mode", ["paper_literal", "inverse_time"])
+def test_sweep_matches_point_by_point_solves(tmp_path, capsys, pca_mode):
+    # The warm chain runs across the infeasible points x4 and x40.
+    cfg = _fast_link_config()
     path = tmp_path / "fast_link.json"
     save_config(cfg, path)
     values = [1.0, 4.0, 1.5, 40.0, 0.8]
@@ -305,6 +310,24 @@ def test_sweep_matches_point_by_point_solves(tmp_path, capsys, pca_mode):
     assert got == want
     assert err == want_err
     assert [line.split(":")[0] for line in err] == ["sweep point 4.0", "sweep point 40.0"]
+
+
+def test_sweep_checks_every_value_before_solving(tmp_path, capsys):
+    # The infeasible point x4 comes before the bad value, but nothing is
+    # solved until every value has passed.
+    path = tmp_path / "fast_link.json"
+    save_config(_fast_link_config(), path)
+    out = tmp_path / "sweep"
+    argv = [
+        "sweep", str(path), "--axis", "lambda-scale", "--values", "1.0,4.0,-1",
+        "--out-dir", str(out),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "lambda-scale must be positive" in err
+    assert "sweep point" not in err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_with_simulation_rows(tmp_path, config_path):
@@ -529,6 +552,15 @@ def test_optimize_reports_stop_reason_and_rejects_bad_settings(
         rc = main(["optimize", config_path, flag, value, "--out-dir", str(out)])
         assert rc == 2
         assert "OptimizerSettings." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["optimize", "online"])
+def test_pca_mode_only_where_a_baseline_runs(config_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, config_path, "--pca-mode", "inverse_time"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --pca-mode" in capsys.readouterr().err
+
 
 def test_optimize_report_records_every_start(tmp_path, config_path):
     out = tmp_path / "opt"

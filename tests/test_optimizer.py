@@ -14,7 +14,6 @@ from aoisched.optimizer import (
     OptimizerSettings,
     baseline_pca,
     baseline_rca,
-    feasible_init,
     objective_gradient,
     optimize_pps,
     project_simplex_rows,
@@ -204,7 +203,7 @@ def test_feasible_init_meets_margin():
     # Uniform rows put load 0.1*20*0.5 = 1.0 on VM1, over the margin; the
     # projected point must clear it while staying near uniform.
     hot = make_system([(0.1, 1.0, 0.1)], [(0.05, 0.0), (0.2, 0.0)])
-    p = feasible_init(hot, margin=1e-3)
+    p = baseline_rca(hot, margin=1e-3)
     assert p.shape == (1, 2)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     util1 = 0.1 * 20.0 * p[0, 0]
@@ -217,7 +216,7 @@ def test_feasible_init_with_several_classes_meets_margin():
     # The LP certificate runs whenever the anchor is infeasible; with more
     # than one class its constraint rows once had one column too many.
     hot = make_system([(0.05, 1.0, 0.1), (0.05, 1.0, 0.1)], [(0.05, 0.0), (0.2, 0.0)])
-    p = feasible_init(hot, margin=1e-3)
+    p = baseline_rca(hot, margin=1e-3)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert 0.05 * 20.0 * p[:, 0].sum() <= 1.0 - 1e-3 + 1e-9
 
@@ -226,7 +225,7 @@ def test_infeasible_compute_raises_with_certificate():
     cfg = make_system([(0.2, 1.0, 0.1)], [(0.05, 0.0), (0.04, 0.0)])
     # Best split gives max utilization well above 1: no schedule works.
     with pytest.raises(InfeasibleError, match="max utilization"):
-        feasible_init(cfg)
+        baseline_rca(cfg)
     with pytest.raises(InfeasibleError):
         optimize_pps(cfg)
 
@@ -243,13 +242,59 @@ def test_network_load_inside_margin_band_is_infeasible():
     e = 0.02
     cfg = make_system([(0.9995 / (e * (18.0 + 1.0 / 112.0)), 0.01, e)], [(1e3, 0.0)])
     assert not stability_report(np.ones((1, 1)), cfg).stable
-    for solve in (optimize_pps, feasible_init, baseline_pca):
+    for solve in (optimize_pps, baseline_rca, baseline_pca):
         with pytest.raises(InfeasibleError, match="networking"):
             solve(cfg)
     # A smaller margin admits the same load, and the verdicts still agree.
     settings = OptimizerSettings(stability_margin=1e-4)
     schedule = optimize_pps(cfg, settings).schedule
     assert stability_report(schedule, cfg, margin=1e-4).stable
+
+
+def test_optimum_on_the_margin_is_stable():
+    # The descent accepts a VM utilization up to 1 - margin + 1e-12; here
+    # the optimum lands at 0.800000000000643, which stability_report once
+    # called unstable at the same margin.
+    cfg = make_system(
+        [(0.0404, 1.087, 0.1), (0.0901, 0.841, 0.1), (0.0661, 0.626, 0.1),
+         (0.0849, 1.681, 0.1)],
+        [(0.0946, 0.0), (0.2667, 0.0), (0.0458, 0.0)],
+    )
+    schedule = optimize_pps(cfg, OptimizerSettings(stability_margin=0.2)).schedule
+    report = stability_report(schedule, cfg, margin=0.2)
+    assert report.vm_utilization.max() > 0.8
+    assert report.stable
+
+
+def test_zero_margin_excludes_a_saturated_vm():
+    # Uniform rows load VM1 to exactly 1. At margin 0 that start was once
+    # accepted, and the descent then failed on it.
+    cfg = make_system([(0.1, 1.0, 0.1)], [(0.05, 0.0), (0.2, 0.0)])
+    assert stability_report(np.full((1, 2), 0.5), cfg).vm_utilization[0] == 1.0
+    rca = baseline_rca(cfg, margin=0.0)
+    schedule = optimize_pps(cfg, OptimizerSettings(stability_margin=0.0)).schedule
+    for p in (rca, schedule):
+        report = stability_report(p, cfg, margin=0.0)
+        assert np.all(report.vm_utilization < 1.0)
+        assert report.stable
+
+
+@settings(max_examples=60)
+@given(instances(), st.sampled_from([1e-3, 0.05, 0.2]))
+def test_solutions_meet_the_margin_they_were_solved_for(cfg, margin):
+    # The baselines and the optimum pass stability_report at the margin they
+    # were built for; draws that no schedule can fit are skipped.
+    try:
+        solved = [
+            baseline_rca(cfg, margin),
+            baseline_pca(cfg, "paper_literal", margin),
+            baseline_pca(cfg, "inverse_time", margin),
+            optimize_pps(cfg, OptimizerSettings(stability_margin=margin)).schedule,
+        ]
+    except InfeasibleError:
+        return
+    for p in solved:
+        assert stability_report(p, cfg, margin=margin).stable
 
 
 def test_baseline_pca_modes():
@@ -285,7 +330,7 @@ def test_nan_stability_margin_rejected(tiny_config):
         optimize_pps(tiny_config, OptimizerSettings(stability_margin=float("nan")))
     # The entry points that take the margin directly check it the same way.
     with pytest.raises(ConfigError, match="margin"):
-        feasible_init(tiny_config, margin=float("nan"))
+        baseline_rca(tiny_config, margin=float("nan"))
     with pytest.raises(ConfigError, match="margin"):
         baseline_pca(tiny_config, margin=-0.5)
 
@@ -317,12 +362,6 @@ def test_negative_max_iters_rejected(tiny_config):
         ("initial_step", float("inf")),
         ("min_step", 0.0),
         ("min_step", float("nan")),
-        ("armijo_c1", 0.0),
-        ("armijo_c1", 1.0),
-        ("armijo_shrink", 1.0),
-        ("armijo_shrink", float("nan")),
-        ("step_growth", 0.5),
-        ("step_growth", float("inf")),
     ],
 )
 def test_out_of_range_settings_name_the_field(field, value):
@@ -331,9 +370,7 @@ def test_out_of_range_settings_name_the_field(field, value):
 
 
 def test_settings_range_edges_accepted():
-    OptimizerSettings(
-        stability_margin=0.0, max_iters=0, rel_tol=0.0, step_growth=1.0
-    )
+    OptimizerSettings(stability_margin=0.0, max_iters=0, rel_tol=0.0)
 
 
 def test_stop_reason_on_known_instances(tiny_config):

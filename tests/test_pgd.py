@@ -25,7 +25,7 @@ from aoisched.optimizer import (
     _min_load_lp,
     _pgd,
     baseline_pca,
-    feasible_init,
+    baseline_rca,
     optimize_many,
     optimize_pps,
     project_simplex_rows,
@@ -79,7 +79,7 @@ def _member(draw, n_classes, n_vms, margin):
         cfg = build(rates, outputs * (0.7 / link))
     start = draw(st.sampled_from(["uniform", "paper_literal", "inverse_time"]))
     if start == "uniform":
-        p0 = feasible_init(cfg, margin)
+        p0 = baseline_rca(cfg, margin)
     else:
         p0 = baseline_pca(cfg, start, margin)
     return cfg, p0
@@ -173,7 +173,7 @@ def _same_shape_configs(n, shape=(4, 3), seed=7):
 def test_batch_members_stop_at_different_rounds_for_every_reason():
     configs = _same_shape_configs(8)
     evs = [Evaluator(cfg) for cfg in configs]
-    starts = [feasible_init(cfg) for cfg in configs]
+    starts = [baseline_rca(cfg) for cfg in configs]
     settings = OptimizerSettings(max_iters=100, min_step=0.2)
     runs = _assert_same_descents(evs, starts, settings)
     assert {run[2] for run in runs} == {"rel_tol", "stationary", "step_floor", "max_iters"}
@@ -213,13 +213,13 @@ def test_backtracking_meets_infinite_candidates(monkeypatch):
 
     monkeypatch.setattr(EvaluatorStack, "objectives", counting)
     ev = Evaluator(heavy)
-    p0 = feasible_init(heavy, 0.05)
+    p0 = baseline_rca(heavy, 0.05)
     _assert_same_descents([ev], [p0], settings)
     assert any(any(row) for row in infinite)
     infinite.clear()
     _assert_same_descents(
         [ev, Evaluator(light), ev],
-        [p0, feasible_init(light, 0.05), baseline_pca(heavy, "paper_literal", 0.05)],
+        [p0, baseline_rca(light, 0.05), baseline_pca(heavy, "paper_literal", 0.05)],
         settings,
     )
     assert any(row[0] for row in infinite if len(row) == 3)
@@ -230,7 +230,7 @@ def test_infeasible_members_fail_alone():
     # while the rest of the batch runs on.
     cfg = _three_class_config(0.9)
     ev = Evaluator(cfg)
-    p0 = feasible_init(cfg)
+    p0 = baseline_rca(cfg)
     slowest = np.zeros_like(p0)
     slowest[:, 1] = 1.0
     settings = OptimizerSettings(max_iters=50)
@@ -316,7 +316,7 @@ def test_default_configs_match_oracle_from_every_start(num_classes):
     settings = OptimizerSettings()
     ev = Evaluator(cfg)
     starts = [
-        feasible_init(cfg),
+        baseline_rca(cfg),
         baseline_pca(cfg, "paper_literal"),
         baseline_pca(cfg, "inverse_time"),
     ]
