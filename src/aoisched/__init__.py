@@ -19,14 +19,9 @@ from .analytics import (
     check_schedule,
     fcfs_waiting_time,
     net_service_moments,
-    objective,
     priority_waiting_times,
     service_moment_matrices,
     stability_report,
-    vm_aggregate_moments,
-    vm_arrival_rates,
-    vm_waiting_time,
-    vm_waiting_times,
     weighted_metrics,
     wsept_order,
 )
@@ -68,7 +63,6 @@ from .optimizer import (
     StartRecord,
     baseline_pca,
     baseline_rca,
-    objective_gradient,
     optimize_many,
     optimize_pps,
     project_simplex_rows,

@@ -111,55 +111,6 @@ def net_service_moments(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return _shifted_exp_moments(b, e / config.network.rate, config.moment_mode)
 
 
-def vm_arrival_rates(p: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Poisson rate reaching each VM: Lambda_v = sum_j p[j,v] * rate_j."""
-    return np.asarray(p, dtype=np.float64).T @ config.arrival_rates()
-
-
-def vm_aggregate_moments(
-    p: np.ndarray, config: SystemConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture service moments seen by each VM, shape (V,) each.
-
-    The mixture weight of class j at VM v is p[j,v]*rate_j / Lambda_v. VMs
-    receiving no traffic get zero moments.
-    """
-    lam = config.arrival_rates()
-    m1, m2 = service_moment_matrices(config)
-    flow = np.asarray(p, dtype=np.float64) * lam[:, None]
-    lam_v = flow.sum(axis=0)
-    ez = np.zeros_like(lam_v)
-    ez2 = np.zeros_like(lam_v)
-    nz = lam_v > 0.0
-    ez[nz] = (flow * m1).sum(axis=0)[nz] / lam_v[nz]
-    ez2[nz] = (flow * m2).sum(axis=0)[nz] / lam_v[nz]
-    return ez, ez2
-
-
-def vm_waiting_time(
-    lam_v: np.ndarray, ez: np.ndarray, ez2: np.ndarray
-) -> np.ndarray:
-    """Pollaczek-Khinchine mean wait per VM: Lambda*E[Z^2] / (2*(1 - rho))."""
-    lam_v = np.atleast_1d(np.asarray(lam_v, dtype=np.float64))
-    ez = np.atleast_1d(np.asarray(ez, dtype=np.float64))
-    ez2 = np.atleast_1d(np.asarray(ez2, dtype=np.float64))
-    rho = lam_v * ez
-    bad = np.where(rho >= 1.0)[0]
-    if bad.size:
-        v = int(bad[0])
-        raise StabilityError(
-            f"compute queue at VM {v + 1} unstable: utilization {rho[v]:.6f} >= 1"
-        )
-    return lam_v * ez2 / (2.0 * (1.0 - rho))
-
-
-def vm_waiting_times(p: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Mean compute wait at each VM under schedule p, shape (V,)."""
-    lam_v = vm_arrival_rates(p, config)
-    ez, ez2 = vm_aggregate_moments(p, config)
-    return vm_waiting_time(lam_v, ez, ez2)
-
-
 def wsept_order(config: SystemConfig) -> np.ndarray:
     """Class ids ordered by decreasing (w_j + g_j) / output_size.
 
@@ -178,14 +129,23 @@ def wsept_keys(rates: np.ndarray, output_sizes: np.ndarray) -> np.ndarray:
     return (rates / rates.sum()) / output_sizes
 
 
+def link_utilization(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """WSEPT priority order (class ids, highest first) and the link's
+    cumulative utilization through each priority level, summed in that
+    order. The last entry is the link's utilization, which every network
+    stability verdict reads."""
+    order = wsept_order(config)
+    mean_s2, _ = net_service_moments(config)
+    return order, np.cumsum((config.arrival_rates() * mean_s2)[order - 1])
+
+
 def priority_waiting_times(config: SystemConfig) -> np.ndarray:
     """Mean network wait per class (class-id order) under WSEPT priorities."""
     lam = config.arrival_rates()
-    mean_s2, m2_s2 = net_service_moments(config)
+    _, m2_s2 = net_service_moments(config)
     residual = float(np.dot(lam, m2_s2)) / 2.0
-    order = wsept_order(config) - 1
-    # Cumulative utilization through each priority level, summed in order.
-    cum = np.cumsum((lam * mean_s2)[order])
+    order, cum = link_utilization(config)
+    order = order - 1
     full = np.flatnonzero(cum >= 1.0)
     if full.size:
         level = int(full[0])
@@ -251,8 +211,26 @@ class Evaluator:
     def classes(self, p: np.ndarray):
         """Per-class (w1, s1, w2, s2, aoi, completion) at schedule p."""
         p = np.asarray(p, dtype=np.float64)
+        # Pollaczek-Khinchine wait per VM, Lambda_v E[Z^2] / (2 (1 - rho_v)),
+        # with mixture moments weighted by the flow p[j,v] rate_j; a VM that
+        # receives no traffic has zero moments. This rho_v only hard-fails
+        # at 1: margin verdicts read stability_report's utilization.
+        lam_v = p.T @ self.lam
+        flow = p * self.lam[:, None]
+        flow_v = flow.sum(axis=0)
+        nz = flow_v > 0.0
+        ez, ez2 = np.zeros((2, lam_v.size))
+        ez[nz] = (flow * self.m1).sum(axis=0)[nz] / flow_v[nz]
+        ez2[nz] = (flow * self.m2).sum(axis=0)[nz] / flow_v[nz]
+        rho = lam_v * ez
+        bad = np.flatnonzero(rho >= 1.0)
+        if bad.size:
+            v = int(bad[0])
+            raise StabilityError(
+                f"compute queue at VM {v + 1} unstable: utilization {rho[v]:.6f} >= 1"
+            )
         s1 = (p * self.m1).sum(axis=1)
-        w1 = p @ vm_waiting_times(p, self.config)
+        w1 = p @ (lam_v * ez2 / (2.0 * (1.0 - rho)))
         aoi = s1 + self.c * (self.w2 + self.mean_s2)
         completion = w1 + s1 + self.w2 + self.mean_s2
         return w1, s1, self.w2, self.mean_s2, aoi, completion
@@ -362,14 +340,6 @@ def weighted_metrics(
     return ev.weighted(aoi, completion)
 
 
-def objective(
-    p: np.ndarray, config: SystemConfig, networking: str = "priority"
-) -> float:
-    """Scalar tradeoff objective: sum_j share_j * (theta*C_j + (1-theta)*A_j)."""
-    wc, wa = weighted_metrics(p, config, networking)
-    return config.theta * wc + (1.0 - config.theta) * wa
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     vm_utilization: np.ndarray
@@ -385,13 +355,11 @@ def stability_report(
 ) -> StabilityReport:
     """Utilizations of every queue plus a margin-aware stability verdict."""
     check_margin(margin)
-    lam_v = vm_arrival_rates(p, config)
-    ez, _ = vm_aggregate_moments(p, config)
-    rho_vm = lam_v * ez
+    # The VM utilizations are EvaluatorStack.loads', bit for bit.
     lam = config.arrival_rates()
-    mean_s2, _ = net_service_moments(config)
-    order = wsept_order(config)
-    cum = np.cumsum((lam * mean_s2)[order - 1])
+    m1, _ = service_moment_matrices(config)
+    rho_vm = ((lam[:, None] * np.asarray(p, dtype=np.float64)) * m1).sum(axis=0)
+    order, cum = link_utilization(config)
     network = float(cum[-1]) if cum.size else 0.0
     limit = margin_limit(margin)
     return StabilityReport(
@@ -501,7 +469,7 @@ def analytic_report(
         service_network=mean_s2,
         aoi=aoi,
         completion=completion,
-        vm_rates=vm_arrival_rates(p, config),
+        vm_rates=p.T @ ev.lam,
         vm_utilization=stability.vm_utilization,
         priority_order=stability.priority_order,
         weighted_completion=wc,

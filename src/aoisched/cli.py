@@ -157,6 +157,8 @@ def read_schedule(path: str | Path) -> np.ndarray:
                 rows.append([float(x) for x in row[1:]])
             except ValueError:
                 raise ConfigError(f"{path}: line {lineno}: bad probability") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise ConfigError(f"{path}: line {lineno}: wrong number of probabilities")
     if not rows:
         raise ConfigError(f"{path}: schedule file has no rows")
     return np.array(rows, dtype=np.float64)
@@ -403,7 +405,10 @@ def cmd_online(args: argparse.Namespace) -> int:
         trace = ingest_trace(args.trace)
         if args.class_map:
             with open(args.class_map) as fh:
-                class_map = {str(k): v for k, v in json.load(fh).items()}
+                raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ConfigError(f"--class-map: {args.class_map} is not a JSON object")
+            class_map = {str(k): v for k, v in raw.items()}
             mapping_mode = "explicit"
         else:
             class_map = None

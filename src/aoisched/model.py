@@ -254,11 +254,10 @@ def validate_config(config: SystemConfig) -> list[str]:
     if not problems:
         # Networking load does not depend on the schedule, so an overloaded
         # link makes every schedule infeasible and is worth flagging here.
-        lam = config.arrival_rates()
-        mean_s2 = config.output_sizes() * (
-            config.network.shift + 1.0 / config.network.rate
-        )
-        rho_net = float(np.dot(lam, mean_s2))
+        # Imported here: analytics imports this module.
+        from .analytics import link_utilization
+
+        rho_net = float(link_utilization(config)[1][-1])
         if rho_net >= 1.0:
             problems.append(
                 f"networking queue unstable: utilization {rho_net:.4f} >= 1"

@@ -42,8 +42,8 @@ from .analytics import (
     InfeasibleError,
     StabilityError,
     check_margin,
+    link_utilization,
     margin_limit,
-    net_service_moments,
     service_moment_matrices,
 )
 from .model import ConfigError, SystemConfig
@@ -175,22 +175,11 @@ def _project(
     return np.maximum(m - tau[:, None], 0.0)
 
 
-def objective_gradient(p: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """Gradient of the analytic tradeoff objective with respect to p."""
-    stack = EvaluatorStack([Evaluator(config)])
-    loads = stack.loads(np.asarray(p, dtype=np.float64)[None])
-    if (loads[1] >= 1.0).any():
-        raise InfeasibleError("gradient requested at an unstable point")
-    return stack.gradient(loads)[0]
-
-
 def _require_network_stable(config: SystemConfig, margin: float) -> None:
     # Networking load ignores p entirely, so check it once up front, against
     # the same margin stability_report applies.
     check_margin(margin)
-    lam = config.arrival_rates()
-    mean_s2, _ = net_service_moments(config)
-    rho = float(np.dot(lam, mean_s2))
+    rho = float(link_utilization(config)[1][-1])
     if not rho <= margin_limit(margin):
         raise InfeasibleError(
             f"networking queue unstable at utilization {rho:.6f} "
@@ -267,7 +256,7 @@ def _nearest_feasible(
         )
     coeff = ev.lam[:, None] * ev.m1  # halfspace normals, one column per VM
     sqnorm = (coeff**2).sum(axis=0)
-    bound = 1.0 - margin  # the halfspaces' target
+    bound = 1.0 - max(margin, 1e-12)  # the halfspaces' target, < margin_limit(0)
 
     p = anchor.copy()
     n_sets = 1 + coeff.shape[1]

@@ -8,7 +8,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aoisched.analytics import net_service_moments, service_moment_matrices
+from aoisched.analytics import (
+    Evaluator,
+    EvaluatorStack,
+    net_service_moments,
+    service_moment_matrices,
+    stability_report,
+    weighted_metrics,
+)
 from aoisched.model import JobClass, NetworkProfile, SystemConfig, VmProfile
 
 # Property tests that run PGD take a variable time per example on a loaded
@@ -39,6 +46,41 @@ def make_system(
         moment_mode=moment_mode,
         **kwargs,
     )
+
+
+def objective(p, config, networking="priority"):
+    """The tradeoff objective theta * C + (1 - theta) * A of schedule p."""
+    wc, wa = weighted_metrics(p, config, networking)
+    return config.theta * wc + (1.0 - config.theta) * wa
+
+
+def objective_gradient(p, config):
+    """The optimizer's gradient of the objective at schedule p."""
+    stack = EvaluatorStack([Evaluator(config)])
+    return stack.gradient(stack.loads(np.asarray(p, dtype=np.float64)[None]))[0]
+
+
+def near_limit(build, load, lam, target, rng, ulps):
+    """build(lam) with the rates lam scaled so that load(config) lies within
+    a few units in the last place of target, on a random side of it."""
+    for _ in range(2):
+        lam = lam * (target / load(build(lam)))
+    return build(lam * (1.0 + int(rng.integers(-ulps, ulps + 1)) * 2.0**-53))
+
+
+def near_limit_link(rng, target):
+    """One fast VM and J random classes whose link utilization lies within
+    3 ulps of target."""
+    J = int(rng.integers(2, 41))
+    sizes = rng.uniform(0.5, 1.5, J).tolist()
+
+    def build(lam):
+        return make_system([(r, 0.01, e) for r, e in zip(lam, sizes)], [(1e3, 0.0)])
+
+    def load(cfg):
+        return stability_report(np.ones((J, 1)), cfg, 0.0).network_utilization
+
+    return near_limit(build, load, rng.uniform(0.5, 1.5, J), target, rng, 3)
 
 
 def random_instance(rng, equal_d=False, j_max=6, v_max=4, theta=None):

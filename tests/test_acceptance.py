@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from aoisched.analytics import (
+    Evaluator,
     analytic_report,
     net_service_moments,
-    objective,
     stability_report,
-    vm_waiting_times,
     weighted_metrics,
     wsept_order,
 )
@@ -30,12 +29,11 @@ from aoisched.optimizer import (
     OptimizerSettings,
     baseline_pca,
     baseline_rca,
-    objective_gradient,
     optimize_pps,
 )
 from aoisched.simulator import SimConfig, policy_tradeoff_example, run_simulation
 
-from conftest import make_system, random_instance
+from conftest import make_system, objective, objective_gradient, random_instance
 
 
 def _report(n: int, label: str, ok: bool, capsys) -> None:
@@ -329,8 +327,8 @@ def test_acceptance_10_moment_mode_exposure(cross_validation, capsys):
         [(0.05, 1.0, 1.0)], [(82.0, 10.0)], moment_mode="paper_literal"
     )
     one = np.array([[1.0]])
-    w_exact = float(vm_waiting_times(one, shifted)[0])
-    w_literal = float(vm_waiting_times(one, shifted_literal)[0])
+    w_exact = float(Evaluator(shifted).classes(one)[0][0])
+    w_literal = float(Evaluator(shifted_literal).classes(one)[0][0])
 
     # Against measured data only the exact mode survives the 5% gate that
     # the cross-validation run holds itself to.

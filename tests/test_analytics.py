@@ -8,25 +8,21 @@ from hypothesis import strategies as st
 
 from aoisched.analytics import (
     Evaluator,
+    EvaluatorStack,
     StabilityError,
     analytic_report,
     check_schedule,
     fcfs_waiting_time,
     net_service_moments,
-    objective,
     priority_waiting_times,
     service_moment_matrices,
     stability_report,
-    vm_aggregate_moments,
-    vm_arrival_rates,
-    vm_waiting_time,
-    vm_waiting_times,
     weighted_metrics,
     wsept_order,
 )
 from aoisched.model import ConfigError
 
-from conftest import instances, make_system, random_instance, schedules
+from conftest import instances, make_system, objective, random_instance, schedules
 
 
 def test_compute_moments_exact_reference_vm():
@@ -77,41 +73,45 @@ def test_net_moments_match_compute_formula():
     assert m2[0] == pytest.approx(b * b + 2 * b * inv_g + 2 * inv_g * inv_g)
 
 
-def test_vm_aggregate_moments_hand_mixture():
+def test_pk_wait_hand_mixture():
     # Two classes, one VM (rate 1, shift 0.5): sizes 1 and 2 give per-class
-    # means 1.5 and 3, second moments 3.25 and 13. Flow weights 0.75/0.25.
-    cfg = make_system([(0.3, 1.0, 1.0), (0.1, 2.0, 1.0)], [(1.0, 0.5)])
-    p = np.ones((2, 1))
-    ez, ez2 = vm_aggregate_moments(p, cfg)
-    assert ez[0] == pytest.approx(1.875)
-    assert ez2[0] == pytest.approx(5.6875)
+    # means 1.5 and 3, second moments 3.25 and 13. Flow weights 0.75/0.25
+    # mix them to E[Z] = 1.875 and E[Z^2] = 5.6875 at Lambda = 0.4, so
+    # rho = 0.75 and W = 0.4 * 5.6875 / (2 * 0.25) = 4.55.
+    cfg = make_system([(0.3, 1.0, 0.01), (0.1, 2.0, 0.01)], [(1.0, 0.5)])
+    w1 = Evaluator(cfg).classes(np.ones((2, 1)))[0]
+    np.testing.assert_allclose(w1, [4.55, 4.55], rtol=1e-14)
 
 
-def test_vm_aggregate_moments_zero_flow_vm():
+def test_pk_wait_zero_flow_vm():
+    # A VM that receives no traffic waits zero and adds nothing to w1.
     cfg = make_system([(0.01, 1.0, 1.0)], [(0.05, 0.0), (0.04, 0.0)])
     p = np.array([[1.0, 0.0]])
-    ez, ez2 = vm_aggregate_moments(p, cfg)
-    assert ez[1] == 0.0 and ez2[1] == 0.0
-    assert vm_arrival_rates(p, cfg).tolist() == [0.01, 0.0]
+    w1 = Evaluator(cfg).classes(p)[0]
+    alone = Evaluator(make_system([(0.01, 1.0, 1.0)], [(0.05, 0.0)]))
+    assert w1[0] == alone.classes(np.ones((1, 1)))[0][0]
+    assert analytic_report(p, cfg).vm_rates.tolist() == [0.01, 0.0]
 
 
 def test_pk_wait_mm1_textbook():
     # M/M/1: W = rho / (mu - lambda) = 1.0 at lambda = 0.5, mu = 1.
-    w = vm_waiting_time(np.array([0.5]), np.array([1.0]), np.array([2.0]))
-    assert w[0] == pytest.approx(1.0, rel=1e-15)
+    cfg = make_system([(0.5, 1.0, 0.01)], [(1.0, 0.0)])
+    w1 = Evaluator(cfg).classes(np.ones((1, 1)))[0]
+    assert w1[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_pk_wait_shifted_exponential_hand_value():
     # lambda = 0.02, shift 10, rate 0.1: m1 = 20, m2 = 500, rho = 0.4,
     # W = 0.02*500/(2*0.6) = 25/3.
     cfg = make_system([(0.02, 1.0, 1.0)], [(0.1, 10.0)])
-    w = vm_waiting_times(np.ones((1, 1)), cfg)
-    assert w[0] == pytest.approx(25.0 / 3.0, rel=1e-14)
+    w1 = Evaluator(cfg).classes(np.ones((1, 1)))[0]
+    assert w1[0] == pytest.approx(25.0 / 3.0, rel=1e-14)
 
 
 def test_pk_wait_unstable_raises():
+    cfg = make_system([(1.1, 1.0, 0.001)], [(1.0, 0.0)])
     with pytest.raises(StabilityError, match="VM 1 unstable"):
-        vm_waiting_time(np.array([1.1]), np.array([1.0]), np.array([2.0]))
+        Evaluator(cfg).classes(np.ones((1, 1)))
 
 
 def test_priority_waits_two_class_hand_value():
@@ -214,8 +214,11 @@ def test_completion_assembly():
         [(0.012, 1.0, 1.0), (0.006, 2.0, 0.7)], [(0.05, 0.0), (0.04, 2.0)]
     )
     p = np.array([[0.7, 0.3], [0.2, 0.8]])
-    m1, _ = service_moment_matrices(cfg)
-    w1 = p @ vm_waiting_times(p, cfg)
+    m1, m2 = service_moment_matrices(cfg)
+    # Pollaczek-Khinchine per VM: sum_j flow_jv m2_jv / (2 (1 - rho_v)).
+    flow = p * cfg.arrival_rates()[:, None]
+    rho = (flow * m1).sum(axis=0)
+    w1 = p @ ((flow * m2).sum(axis=0) / (2.0 * (1.0 - rho)))
     s2, _ = net_service_moments(cfg)
     expect = w1 + (p * m1).sum(axis=1) + priority_waiting_times(cfg) + s2
     np.testing.assert_allclose(Evaluator(cfg).classes(p)[5], expect)
@@ -295,9 +298,9 @@ def test_stability_report_margin_verdict():
     p = np.full((2, 2), 0.5)
     rep = stability_report(p, cfg)
     assert rep.stable
-    np.testing.assert_allclose(
-        rep.vm_utilization, vm_arrival_rates(p, cfg) * vm_aggregate_moments(p, cfg)[0]
-    )
+    # The optimizer's loads, bit for bit.
+    stack = EvaluatorStack([Evaluator(cfg)])
+    assert np.array_equal(rep.vm_utilization, stack.utilization(p[None])[0])
     assert rep.network_utilization < 1.0
     assert list(rep.priority_order) == list(wsept_order(cfg))
     # A load inside the margin band (0.9994 > 1 - 1e-3) flips the verdict

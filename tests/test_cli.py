@@ -447,6 +447,14 @@ def test_online_rejects_bad_window_and_class_map(tmp_path, config_path, capsys):
     )
     assert rc == 2
     assert "not an integer" in capsys.readouterr().err
+    for content in ("[1, 2]", "null", '"k0"'):
+        cmap.write_text(content)
+        rc = main(
+            ["online", config_path, "--trace", str(trace), "--class-map", str(cmap),
+             "--window", "10000", "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "is not a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("window", ["0", "-5", "nan", "inf"])
@@ -522,6 +530,15 @@ def test_error_exit_codes(tmp_path, config_path, capsys):
     )
     assert rc == 2
     assert "not a schedule file" in capsys.readouterr().err
+
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("class_id,p_1,p_2\n1,0.5,0.5\n2,1.0\n")
+    rc = main(
+        ["simulate", config_path, "--schedule", str(ragged),
+         "--out-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    assert "line 3: wrong number of probabilities" in capsys.readouterr().err
 
     rc = main(
         ["sweep", config_path, "--axis", "theta", "--values", "a,b",

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from aoisched.analytics import stability_report
 from aoisched.model import (
     REFERENCE_VM_PARAMS,
     ConfigError,
@@ -22,7 +23,7 @@ from aoisched.model import (
     validate_config,
 )
 
-from conftest import make_system
+from conftest import make_system, near_limit_link
 
 
 def test_validate_accepts_reference_network_load():
@@ -38,6 +39,17 @@ def test_validate_rejects_overloaded_network():
     assert len(problems) == 1
     assert "networking queue unstable" in problems[0]
     assert "1.0805" in problems[0]
+
+
+def test_validate_flags_the_link_exactly_at_utilization_one():
+    # Link utilization within 3 ulps of 1: validate_config flags the link
+    # exactly when stability_report's link utilization reaches 1.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        cfg = near_limit_link(rng, 1.0)
+        rho = stability_report(np.ones((cfg.num_classes, 1)), cfg, 0.0)
+        flagged = any("networking" in p for p in validate_config(cfg))
+        assert flagged == (rho.network_utilization >= 1.0)
 
 
 def test_validate_theta_out_of_range():

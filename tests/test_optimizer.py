@@ -7,19 +7,33 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import minimize
 
-from aoisched.analytics import EvaluatorStack, objective, stability_report
+from aoisched import optimizer
+from aoisched.analytics import (
+    EvaluatorStack,
+    margin_limit,
+    service_moment_matrices,
+    stability_report,
+)
 from aoisched.model import ConfigError, default_config
 from aoisched.optimizer import (
     InfeasibleError,
     OptimizerSettings,
     baseline_pca,
     baseline_rca,
-    objective_gradient,
     optimize_pps,
     project_simplex_rows,
 )
 
-from conftest import instances, make_system, random_instance, schedules
+from conftest import (
+    instances,
+    make_system,
+    near_limit,
+    near_limit_link,
+    objective,
+    objective_gradient,
+    random_instance,
+    schedules,
+)
 
 
 def test_projection_hand_values():
@@ -266,17 +280,80 @@ def test_optimum_on_the_margin_is_stable():
     assert report.stable
 
 
-def test_zero_margin_excludes_a_saturated_vm():
+def test_zero_margin_excludes_a_saturated_vm(monkeypatch):
     # Uniform rows load VM1 to exactly 1. At margin 0 that start was once
-    # accepted, and the descent then failed on it.
+    # accepted, and the descent then failed on it. The Dykstra halfspaces
+    # aim below margin_limit(0), so its projection stops after the first
+    # round (one simplex projection there, one after the loop) instead of
+    # running all 500.
+    calls = []
+    project = optimizer.project_simplex_rows
+    monkeypatch.setattr(
+        optimizer, "project_simplex_rows", lambda m: calls.append(1) or project(m)
+    )
     cfg = make_system([(0.1, 1.0, 0.1)], [(0.05, 0.0), (0.2, 0.0)])
     assert stability_report(np.full((1, 2), 0.5), cfg).vm_utilization[0] == 1.0
     rca = baseline_rca(cfg, margin=0.0)
+    assert len(calls) == 2
     schedule = optimize_pps(cfg, OptimizerSettings(stability_margin=0.0)).schedule
     for p in (rca, schedule):
         report = stability_report(p, cfg, margin=0.0)
         assert np.all(report.vm_utilization < 1.0)
         assert report.stable
+
+
+def test_near_limit_vm_solutions_pass_stability_report():
+    # Rates put the uniform schedule's busiest VM within 4 ulps of the
+    # margin limit, where a utilization computed in two ways once made the
+    # optimizer accept schedules that stability_report called unstable.
+    rng = np.random.default_rng(17)
+    margins = (0.0, 1e-3, 0.05, 0.2)
+    for i in range(160):
+        margin = margins[i % 4]
+        J, V = int(rng.integers(2, 41)), int(rng.integers(1, 4))
+        vms = [(rng.uniform(0.03, 0.12), rng.uniform(0.0, 5.0)) for _ in range(V)]
+        sizes = rng.uniform(0.5, 2.0, J).tolist()
+        uniform = np.full((J, V), 1.0 / V)
+
+        def build(lam):
+            return make_system([(r, d, 1e-3) for r, d in zip(lam, sizes)], vms)
+
+        def load(cfg):
+            m1, _ = service_moment_matrices(cfg)
+            lam = cfg.arrival_rates()[:, None]
+            return ((lam * uniform) * m1).sum(axis=0).max()
+
+        lam = rng.uniform(0.5, 1.5, J)
+        cfg = near_limit(build, load, lam, margin_limit(margin), rng, 4)
+        try:
+            solved = [baseline_rca(cfg, margin)]
+            if i % 5 == 0:
+                solver = OptimizerSettings(stability_margin=margin, max_iters=50)
+                solved.append(optimize_pps(cfg, solver).schedule)
+        except InfeasibleError:
+            continue
+        for p in solved:
+            assert stability_report(p, cfg, margin=margin).stable
+
+
+def test_near_limit_link_verdicts_agree():
+    # Link utilization within 3 ulps of the margin limit: optimize_pps
+    # refuses the config exactly when stability_report calls the link
+    # unstable, and what it returns passes stability_report.
+    rng = np.random.default_rng(23)
+    solver = {m: OptimizerSettings(stability_margin=m, max_iters=0) for m in (1e-3, 0.05)}
+    for i in range(200):
+        margin = (1e-3, 0.05)[i % 2]
+        cfg = near_limit_link(rng, margin_limit(margin))
+        p = np.ones((cfg.num_classes, 1))
+        unstable = not stability_report(p, cfg, margin).stable
+        try:
+            schedule = optimize_pps(cfg, solver[margin]).schedule
+        except InfeasibleError as exc:
+            assert unstable and "networking" in str(exc)
+            continue
+        assert not unstable
+        assert stability_report(schedule, cfg, margin).stable
 
 
 @settings(max_examples=60)
