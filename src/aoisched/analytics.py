@@ -19,14 +19,12 @@ The scalar objective is sum_j share_j * (theta * completion_j +
 from __future__ import annotations
 
 import copy
-import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig
+from .model import ConfigError, SystemConfig, write_table
 
 # A queue meets a stability margin m when its utilization is at most
 # margin_limit(m), in the optimizer and in stability_report alike; analytic
@@ -50,9 +48,10 @@ def check_margin(margin: float, name: str = "margin") -> None:
 
 def margin_limit(margin: float) -> float:
     """Largest utilization that meets the margin: 1 - margin plus 1e-12 of
-    float slack, but always below 1, so a margin of 0 still excludes a
-    saturated queue."""
-    return min(1.0 - margin + 1e-12, math.nextafter(1.0, 0.0))
+    float slack, but never above 1 - 1e-10. `Evaluator.classes` sums a VM's
+    load in another order, which can move it by a few ulps; that headroom
+    keeps every load that meets a margin of 0 below 1 there too."""
+    return min(1.0 - margin + 1e-12, 1.0 - 1e-10)
 
 
 def check_schedule(p: np.ndarray, config: SystemConfig | None = None) -> list[str]:
@@ -406,10 +405,17 @@ class AnalyticReport:
     theta: float
     moment_mode: str
     networking: str
-    manifest: dict = field(default_factory=dict)
+
+    def _class_rows(self) -> list[list]:
+        """The per-class table under REPORT_COLUMNS, one row per class."""
+        return [
+            [int(self.class_ids[j])]
+            + [float(getattr(self, a)[j]) for a in _REPORT_FIELDS.values()]
+            for j in range(len(self.class_ids))
+        ]
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "theta": self.theta,
             "moment_mode": self.moment_mode,
             "networking": self.networking,
@@ -419,37 +425,17 @@ class AnalyticReport:
             "priority_order": [int(x) for x in self.priority_order],
             "vm_rates": [float(x) for x in self.vm_rates],
             "vm_utilization": [float(x) for x in self.vm_utilization],
-            "classes": [
-                {
-                    "class_id": int(self.class_ids[j]),
-                    **{
-                        col: float(getattr(self, attr)[j])
-                        for col, attr in _REPORT_FIELDS.items()
-                    },
-                }
-                for j in range(len(self.class_ids))
-            ],
+            "classes": [dict(zip(REPORT_COLUMNS, row)) for row in self._class_rows()],
         }
-        if self.manifest:
-            out["manifest"] = self.manifest
-        return out
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            for j in range(len(self.class_ids)):
-                writer.writerow(
-                    [int(self.class_ids[j])]
-                    + [repr(float(getattr(self, a)[j])) for a in _REPORT_FIELDS.values()]
-                )
+        write_table(path, REPORT_COLUMNS, self._class_rows())
 
 
 def analytic_report(
     p: np.ndarray,
     config: SystemConfig,
     networking: str = "priority",
-    manifest: dict | None = None,
 ) -> AnalyticReport:
     """Evaluate every closed-form quantity for one schedule."""
     p = np.asarray(p, dtype=np.float64)
@@ -478,5 +464,4 @@ def analytic_report(
         theta=config.theta,
         moment_mode=config.moment_mode,
         networking=networking,
-        manifest=manifest or {},
     )

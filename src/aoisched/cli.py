@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,10 +32,14 @@ from .analytics import (
 from .model import (
     ConfigError,
     SystemConfig,
-    config_to_dict,
+    config_hash,
+    dumps_json,
     load_config,
+    read_json_object,
     reference_vms,
     validate_config,
+    write_json,
+    write_table,
 )
 from .online import (
     default_window,
@@ -75,11 +78,6 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _config_hash(config: SystemConfig) -> str:
-    canon = json.dumps(config_to_dict(config), sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _manifest(args: argparse.Namespace, command: str, **extra) -> dict:
     man = {
         "command": command,
@@ -101,12 +99,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(getattr(args, "out_dir", ".") or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load(args: argparse.Namespace) -> SystemConfig:
@@ -136,11 +128,8 @@ def _settings(args: argparse.Namespace, seed: int) -> OptimizerSettings:
 def write_schedule(path: str | Path, p: np.ndarray) -> None:
     """Row-major schedule CSV: class_id, then one probability per VM."""
     p = np.asarray(p, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class_id"] + [f"p_{v + 1}" for v in range(p.shape[1])])
-        for j in range(p.shape[0]):
-            writer.writerow([j + 1] + [repr(float(x)) for x in p[j]])
+    header = ["class_id"] + [f"p_{v + 1}" for v in range(p.shape[1])]
+    write_table(path, header, ([j + 1, *row] for j, row in enumerate(p)))
 
 
 def read_schedule(path: str | Path) -> np.ndarray:
@@ -174,14 +163,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "optimize",
         seed=seed,
         settings=dataclasses.asdict(settings),
-        config_hash=_config_hash(config),
+        config_hash=config_hash(config),
     )
-    report = analytic_report(trace.schedule, config, manifest=man)
+    report = analytic_report(trace.schedule, config)
     out = _out_dir(args)
     trace.write_csv(out / "convergence.csv")
     write_schedule(out / "schedule.csv", trace.schedule)
     report.write_csv(out / "report.csv")
     payload = report.to_dict()
+    payload["manifest"] = man
     payload["optimize"] = {
         "objective": trace.objective,
         "iterations": trace.iterations,
@@ -190,7 +180,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "stop_reason": trace.stop_reason,
         "starts": [record.to_dict() for record in trace.starts],
     }
-    _write_json(out / "report.json", payload)
+    write_json(out / "report.json", payload)
     print(
         f"optimize: objective={trace.objective!r} iterations={trace.iterations} "
         f"converged={trace.converged} -> {out}"
@@ -239,21 +229,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=seed,
         policy=policy,
         sim=dataclasses.asdict(sim),
-        config_hash=_config_hash(config),
+        config_hash=config_hash(config),
     )
-    result = dataclasses.replace(result, manifest=man)
     out = _out_dir(args)
     result.write_csv(out / "simulation.csv")
-    _write_json(out / "simulation.json", result.to_dict())
+    write_json(out / "simulation.json", {**result.to_dict(), "manifest": man})
     write_schedule(out / "schedule.csv", p)
     if args.event_log and result.event_log is not None:
-        with open(out / "event_log.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(result.event_log.dtype.names)
-            for rec in result.event_log:
-                writer.writerow(
-                    [int(rec[0]), int(rec[1])] + [repr(float(x)) for x in list(rec)[2:]]
-                )
+        log = result.event_log
+        write_table(out / "event_log.csv", log.dtype.names, log.tolist())
     print(
         f"simulate[{policy}]: weighted_objective={result.weighted_objective!r} "
         f"ci={result.ci_weighted_objective!r} -> {out}"
@@ -366,13 +350,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rows.append((value, policy, "sim_weighted_aoi", res.weighted_aoi))
 
     out = _out_dir(args)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "point", "policy", "metric", "value"])
-        for value, policy, metric, metric_value in rows:
-            writer.writerow(
-                [args.axis, repr(float(value)), policy, metric, repr(float(metric_value))]
-            )
+    write_table(
+        out / "sweep.csv",
+        ["axis", "point", "policy", "metric", "value"],
+        ([args.axis, *row] for row in rows),
+    )
     man = _manifest(
         args,
         "sweep",
@@ -381,9 +363,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values=values,
         simulate=bool(args.simulate),
         settings=dataclasses.asdict(settings),
-        config_hash=_config_hash(config),
+        config_hash=config_hash(config),
     )
-    _write_json(out / "sweep_manifest.json", man)
+    write_json(out / "sweep_manifest.json", man)
     print(f"sweep[{args.axis}]: {len(values)} points, {len(rows)} rows -> {out}")
     return 0
 
@@ -404,10 +386,7 @@ def cmd_online(args: argparse.Namespace) -> int:
     if args.trace:
         trace = ingest_trace(args.trace)
         if args.class_map:
-            with open(args.class_map) as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ConfigError(f"--class-map: {args.class_map} is not a JSON object")
+            raw = read_json_object(args.class_map, "--class-map file")
             class_map = {str(k): v for k, v in raw.items()}
             mapping_mode = "explicit"
         else:
@@ -439,9 +418,9 @@ def cmd_online(args: argparse.Namespace) -> int:
         window_length=window,
         class_mapping=mapping_mode,
         settings=dataclasses.asdict(settings),
-        config_hash=_config_hash(config),
+        config_hash=config_hash(config),
     )
-    _write_json(
+    write_json(
         out / "online_report.json",
         {
             "manifest": man,
@@ -460,8 +439,8 @@ def cmd_online(args: argparse.Namespace) -> int:
 def cmd_example_fig3(args: argparse.Namespace) -> int:
     payload = policy_tradeoff_example()
     payload["manifest"] = _manifest(args, "example-fig3")
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    _write_json(_out_dir(args) / "example_fig3.json", payload)
+    print(dumps_json(payload))
+    write_json(_out_dir(args) / "example_fig3.json", payload)
     return 0
 
 

@@ -11,11 +11,18 @@ unit size throughout.
 
 Class sizes may be drawn from a bounded Pareto distribution (heavy-tailed sizes
 clipped at a multiple of the unclipped mean) instead of being listed explicitly.
+
+This module also owns the artifact formats: the config JSON round trip, and
+`write_table` and `write_json`, through which every CSV table and JSON report
+is written.
 """
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -430,21 +437,65 @@ def generate_classes(
     )
 
 
-def load_config(path: str | Path) -> SystemConfig:
-    path = Path(path)
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at `path`; `what` names the file in errors."""
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"{what} not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return config_from_dict(data)
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return data
+
+
+def load_config(path: str | Path) -> SystemConfig:
+    return config_from_dict(read_json_object(path, "config file"))
 
 
 def save_config(config: SystemConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
+
+
+def config_hash(config: SystemConfig) -> str:
+    """SHA-256 of the config's canonical JSON (sorted keys, no indent)."""
+    canon = json.dumps(config_to_dict(config), sort_keys=True)
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def write_table(path: str | Path, header, rows) -> None:
+    """CSV table: every float cell as repr(float(x)), which round-trips at
+    full precision, and every other cell as csv writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
+            for row in rows
+        )
+
+
+def _finite_or_none(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return obj
+
+
+def dumps_json(payload) -> str:
+    """Strict JSON: sorted keys, indent 2, and null for every non-finite
+    number, so no NaN or Infinity token reaches a report."""
+    return json.dumps(
+        _finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False
+    )
+
+
+def write_json(path: str | Path, payload) -> None:
+    Path(path).write_text(dumps_json(payload) + "\n")
 
 
 def reference_vms(count: int) -> tuple[VmProfile, ...]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .analytics import wsept_keys
-from .model import ConfigError, SystemConfig, validate_config
+from .model import ConfigError, SystemConfig, validate_config, write_table
 from .optimizer import InfeasibleError, OptimizerSettings, optimize_pps
 from .simulator import (
     CLASS_QUANTITIES,
@@ -251,14 +251,11 @@ class OnlineResult:
         cols = ["window", "source", "objective_estimate"] + [
             f"rate_{j + 1}" for j in range(J)
         ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for k, w in enumerate(self.windows):
-                writer.writerow(
-                    [k, self.sources[k], repr(float(self.window_objectives[k]))]
-                    + [repr(float(x)) for x in w.rates]
-                )
+        rows = (
+            [k, self.sources[k], self.window_objectives[k], *w.rates]
+            for k, w in enumerate(self.windows)
+        )
+        write_table(path, cols, rows)
 
 
 @dataclass(frozen=True)

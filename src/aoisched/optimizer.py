@@ -46,7 +46,7 @@ from .analytics import (
     margin_limit,
     service_moment_matrices,
 )
-from .model import ConfigError, SystemConfig
+from .model import ConfigError, SystemConfig, write_table
 
 
 # Schedule entries in one lockstep batch, summed over its descents. A round
@@ -141,13 +141,7 @@ class OptimizeTrace:
         return float(self.objectives[-1])
 
     def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "objective"])
-            for i, obj in enumerate(self.objectives):
-                writer.writerow([i, repr(float(obj))])
+        write_table(path, ["iteration", "objective"], enumerate(self.objectives))
 
 
 def project_simplex_rows(m: np.ndarray) -> np.ndarray:
@@ -179,6 +173,9 @@ def _require_network_stable(config: SystemConfig, margin: float) -> None:
     # Networking load ignores p entirely, so check it once up front, against
     # the same margin stability_report applies.
     check_margin(margin)
+    for name in ("classes", "vms"):
+        if not getattr(config, name):
+            raise ConfigError(f"config.{name} is empty: no schedule to solve for")
     rho = float(link_utilization(config)[1][-1])
     if not rho <= margin_limit(margin):
         raise InfeasibleError(
@@ -256,7 +253,7 @@ def _nearest_feasible(
         )
     coeff = ev.lam[:, None] * ev.m1  # halfspace normals, one column per VM
     sqnorm = (coeff**2).sum(axis=0)
-    bound = 1.0 - max(margin, 1e-12)  # the halfspaces' target, < margin_limit(0)
+    bound = 1.0 - max(margin, 1e-9)  # the halfspaces' target, < margin_limit(margin)
 
     p = anchor.copy()
     n_sets = 1 + coeff.shape[1]

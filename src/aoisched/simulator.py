@@ -25,15 +25,14 @@ come from across-replication means (Student t).
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _kernels
-from .model import ConfigError, SystemConfig, validate_config
+from .model import ConfigError, SystemConfig, validate_config, write_table
 from .analytics import check_schedule, wsept_keys
 
 NETWORKING_DISCIPLINES = ("priority", "fcfs")
@@ -57,6 +56,7 @@ CLASS_COLUMNS = (
     "mean_completion",
     "ci_completion",
 )
+SIM_COLUMNS = ("class_id", "count", *CLASS_COLUMNS)
 
 EVENT_LOG_COLUMNS = [
     "serial",
@@ -131,49 +131,34 @@ class SimResult:
     horizon: float
     backend: str
     event_log: np.ndarray | None = None
-    manifest: dict = field(default_factory=dict)
+
+    def _class_rows(self) -> list[list]:
+        """The per-class table under SIM_COLUMNS, one row per class."""
+        return [
+            [int(self.class_ids[j]), int(self.counts[j])]
+            + [float(getattr(self, c)[j]) for c in CLASS_COLUMNS]
+            for j in range(len(self.class_ids))
+        ]
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "replications": self.replications,
             "horizon": self.horizon,
             "backend": self.backend,
             "weighted_objective": self.weighted_objective,
-            "ci_weighted_objective": _nanfloat(self.ci_weighted_objective),
+            "ci_weighted_objective": self.ci_weighted_objective,
             "weighted_completion": self.weighted_completion,
             "weighted_aoi": self.weighted_aoi,
             "vm_utilization": [float(x) for x in self.vm_utilization],
             "unstable_vms": [bool(x) for x in self.unstable_vms],
             "unstable_network": bool(self.unstable_network),
-            "interdeparture_mean": _nanfloat(self.interdeparture_mean),
-            "interdeparture_cv": _nanfloat(self.interdeparture_cv),
-            "classes": [
-                {
-                    "class_id": int(self.class_ids[j]),
-                    "count": int(self.counts[j]),
-                    **{c: _nanfloat(getattr(self, c)[j]) for c in CLASS_COLUMNS},
-                }
-                for j in range(len(self.class_ids))
-            ],
+            "interdeparture_mean": self.interdeparture_mean,
+            "interdeparture_cv": self.interdeparture_cv,
+            "classes": [dict(zip(SIM_COLUMNS, row)) for row in self._class_rows()],
         }
-        if self.manifest:
-            out["manifest"] = self.manifest
-        return out
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class_id", "count", *CLASS_COLUMNS])
-            for j in range(len(self.class_ids)):
-                writer.writerow(
-                    [int(self.class_ids[j]), int(self.counts[j])]
-                    + [repr(float(getattr(self, c)[j])) for c in CLASS_COLUMNS]
-                )
-
-
-def _nanfloat(x: float) -> float | None:
-    x = float(x)
-    return None if np.isnan(x) else x
+        write_table(path, SIM_COLUMNS, self._class_rows())
 
 
 def interdeparture_stats(departures: np.ndarray) -> tuple[float, float]:

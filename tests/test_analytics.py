@@ -315,13 +315,13 @@ def test_analytic_report_values_and_csv(tmp_path):
         [(0.012, 1.0, 1.0), (0.006, 1.0, 0.7)], [(0.05, 0.0), (0.04, 0.0)], theta=0.3
     )
     p = np.full((2, 2), 0.5)
-    rep = analytic_report(p, cfg, manifest={"note": "t"})
+    rep = analytic_report(p, cfg)
     *_, aoi, completion = Evaluator(cfg).classes(p)
     np.testing.assert_allclose(rep.completion, completion)
     np.testing.assert_allclose(rep.aoi, aoi)
     assert rep.objective == pytest.approx(objective(p, cfg), rel=1e-15)
     d = rep.to_dict()
-    assert d["manifest"] == {"note": "t"}
+    assert "manifest" not in d
     assert len(d["classes"]) == 2
 
     path = tmp_path / "report.csv"

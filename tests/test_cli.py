@@ -13,6 +13,7 @@ from aoisched.model import (
     NetworkProfile,
     SystemConfig,
     VmProfile,
+    default_config,
     load_config,
     reference_vms,
     save_config,
@@ -455,6 +456,13 @@ def test_online_rejects_bad_window_and_class_map(tmp_path, config_path, capsys):
         )
         assert rc == 2
         assert "is not a JSON object" in capsys.readouterr().err
+    cmap.write_text("{bad")
+    rc = main(
+        ["online", config_path, "--trace", str(trace), "--class-map", str(cmap),
+         "--window", "10000", "--out-dir", str(tmp_path)]
+    )
+    assert rc == 2
+    assert f"--class-map file {cmap} is not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("window", ["0", "-5", "nan", "inf"])
@@ -496,7 +504,7 @@ def test_online_trace_with_empty_full_windows_exits_2(tmp_path, config_path, cap
     assert "hold no job" in capsys.readouterr().err
     assert not out.exists()
     # A record in warmup window 0 keeps the run going; with no scored job its
-    # objective is nan.
+    # objective is nan, which the report writes as null.
     trace.write_text("timestamp_ms,key\n1,a\n4,a\n")
     rc = main(
         ["online", config_path, "--trace", str(trace), "--window", "2",
@@ -504,7 +512,7 @@ def test_online_trace_with_empty_full_windows_exits_2(tmp_path, config_path, cap
     )
     assert rc == 0
     report = json.loads((out / "online_report.json").read_text())
-    assert np.isnan(report["online"]["overall"]["weighted_objective"])
+    assert report["online"]["overall"]["weighted_objective"] is None
 
 
 def test_example_fig3_prints_and_writes(tmp_path, config_path, capsys):
@@ -516,6 +524,42 @@ def test_example_fig3_prints_and_writes(tmp_path, config_path, capsys):
     assert printed["policy1"]["weighted_age"] == pytest.approx(27.55)
     assert printed["policy2"]["weighted_completion"] == pytest.approx(57.05)
     assert printed["manifest"]["command"] == "example-fig3"
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_report_is_strict_json(tmp_path, config_path, capsys):
+    # The sparse trace leaves the online run with no scored job, so its
+    # objectives and gap are nan; they must reach the report as null.
+    cfg4 = tmp_path / "cfg4.json"
+    save_config(default_config(4), cfg4)
+    trace = tmp_path / "sparse.csv"
+    trace.write_text("timestamp_ms,key\n1,1\n2,2\n3,1\n250,1\n")
+    runs = [
+        ["optimize", config_path],
+        ["simulate", config_path, "--horizon", "2e4", "--replications", "1"],
+        ["sweep", config_path, "--axis", "theta", "--values", "0.2,0.8"],
+        ["online", config_path, "--windows", "2", "--window", "20000"],
+        ["online", str(cfg4), "--trace", str(trace), "--window", "100"],
+        ["example-fig3"],
+    ]
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"run{k}"
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        reports = [path.read_text() for path in sorted(out.glob("*.json"))]
+        assert reports
+        printed = capsys.readouterr().out
+        if argv[0] == "example-fig3":
+            reports.append(printed)
+        for text in reports:
+            _strict_json(text)
+    report = _strict_json((tmp_path / "run4" / "online_report.json").read_text())
+    assert report["objective_gap_percent"] is None
 
 
 def test_error_exit_codes(tmp_path, config_path, capsys):

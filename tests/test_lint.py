@@ -42,3 +42,36 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# The artifact formats are decided in one module: every CSV table and JSON
+# document is written through model's writers.
+WRITERS = {("csv", "writer"), ("json", "dump"), ("json", "dumps")}
+
+
+def _writer_references(source: str) -> list[str]:
+    """`csv.writer`, `json.dump` and `json.dumps`, by attribute or import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in WRITERS:
+                found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [
+                f"line {node.lineno}: {node.module}.{alias.name}"
+                for alias in node.names
+                if (node.module, alias.name) in WRITERS
+            ]
+    return found
+
+
+def test_writer_checker_finds_both_forms():
+    source = "import csv, json\nfrom json import dumps\nw = csv.writer(f)\njson.loads(s)\n"
+    assert _writer_references(source) == ["line 2: json.dumps", "line 3: csv.writer"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(SRC.glob("*.py")) - {SRC / "model.py"}), ids=lambda p: p.name
+)
+def test_artifact_writers_live_in_model(path):
+    assert _writer_references(path.read_text()) == []

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 from aoisched import optimizer
 from aoisched.analytics import (
     EvaluatorStack,
+    analytic_report,
     margin_limit,
     service_moment_matrices,
     stability_report,
@@ -20,6 +21,7 @@ from aoisched.optimizer import (
     OptimizerSettings,
     baseline_pca,
     baseline_rca,
+    optimize_many,
     optimize_pps,
     project_simplex_rows,
 )
@@ -305,7 +307,9 @@ def test_zero_margin_excludes_a_saturated_vm(monkeypatch):
 def test_near_limit_vm_solutions_pass_stability_report():
     # Rates put the uniform schedule's busiest VM within 4 ulps of the
     # margin limit, where a utilization computed in two ways once made the
-    # optimizer accept schedules that stability_report called unstable.
+    # optimizer accept schedules that stability_report called unstable, and
+    # at margin 0 baselines whose load analytic_report's own sum rounded
+    # to 1.
     rng = np.random.default_rng(17)
     margins = (0.0, 1e-3, 0.05, 0.2)
     for i in range(160):
@@ -334,6 +338,7 @@ def test_near_limit_vm_solutions_pass_stability_report():
             continue
         for p in solved:
             assert stability_report(p, cfg, margin=margin).stable
+        analytic_report(solved[0], cfg)
 
 
 def test_near_limit_link_verdicts_agree():
@@ -410,6 +415,22 @@ def test_nan_stability_margin_rejected(tiny_config):
         baseline_rca(tiny_config, margin=float("nan"))
     with pytest.raises(ConfigError, match="margin"):
         baseline_pca(tiny_config, margin=-0.5)
+
+
+@pytest.mark.parametrize(
+    "classes, vms, field",
+    [([], [(0.05, 0.0)], "classes"), ([(0.01, 1.0, 1.0)], [], "vms")],
+)
+def test_empty_config_rejected(classes, vms, field):
+    cfg = make_system(classes, vms)
+    for solve in (
+        optimize_pps,
+        lambda c: optimize_many([c]),
+        baseline_rca,
+        baseline_pca,
+    ):
+        with pytest.raises(ConfigError, match=f"config.{field} is empty"):
+            solve(cfg)
 
 
 def test_negative_stability_margin_rejected(tiny_config):
