@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -319,63 +320,76 @@ def config_to_dict(config: SystemConfig) -> dict:
     return out
 
 
+def _numbers(d: dict, where: str, *keys: str) -> list[float]:
+    """d[key] for each key as a float; KeyError if one is absent. A value that
+    is not a JSON number (a bool, a string, null or NaN) raises a ConfigError
+    naming its JSON path, where + key, for example classes[3].compute_size."""
+    values = [d[key] for key in keys]
+    for key, v in zip(keys, values):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or v != v:
+            raise ConfigError(f"{where}{key} must be a number, got {v!r}")
+    return [float(v) for v in values]
+
+
 def config_from_dict(data: dict) -> SystemConfig:
     """Build a SystemConfig from the documented JSON schema.
 
     Required keys: theta, vms, network, and either classes or num_classes.
     Generated classes get arrival rates proportional to 1/(j+1) scaled to
     total_arrival_rate (default 0.035/ms); missing sizes are drawn from the
-    pareto section using the config seed.
+    pareto section using the config seed. seed must be a non-negative integer.
     """
     try:
-        theta = float(data["theta"])
+        (theta,) = _numbers(data, "", "theta")
         net = data["network"]
-        network = NetworkProfile(rate=float(net["rate"]), shift=float(net["shift"]))
+        network = NetworkProfile(*_numbers(net, "network.", "rate", "shift"))
         vms = tuple(
-            VmProfile(id=i + 1, rate=float(v["rate"]), shift=float(v["shift"]))
+            VmProfile(i + 1, *_numbers(v, f"vms[{i}].", "rate", "shift"))
             for i, v in enumerate(data["vms"])
         )
     except KeyError as exc:
         raise ConfigError(f"config missing required key: {exc}") from exc
 
-    seed = int(data.get("seed", 0))
+    seed = data.get("seed", 0)
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     pareto = None
     if "pareto" in data:
-        p = data["pareto"]
-        pareto = ParetoSpec(
-            shape=float(p.get("shape", 2.0)),
-            scale=float(p.get("scale", 300.0)),
-            cap_multiplier=float(p.get("cap_multiplier", 5.0)),
-        )
+        p = {"shape": 2.0, "scale": 300.0, "cap_multiplier": 5.0, **data["pareto"]}
+        pareto = ParetoSpec(*_numbers(p, "pareto.", "shape", "scale", "cap_multiplier"))
 
     if "classes" in data:
         raw_classes = data["classes"]
-        need_compute = [i for i, c in enumerate(raw_classes) if "compute_size" not in c]
-        need_output = [i for i, c in enumerate(raw_classes) if "output_size" not in c]
-        drawn_compute = drawn_output = None
-        if need_compute or need_output:
+        if any("compute_size" not in c or "output_size" not in c for c in raw_classes):
             if pareto is None:
                 raise ConfigError(
                     "classes omit sizes but config has no pareto section"
                 )
             # Compute sizes are drawn first, then output sizes, so adding or
             # removing one kind of override does not shift the other stream.
-            drawn_compute = sample_class_sizes(pareto, len(raw_classes), seed)
-            drawn_output = sample_class_sizes(pareto, len(raw_classes), seed + 1)
+            # A size the class gives overrides its draw.
+            drawn = zip(
+                sample_class_sizes(pareto, len(raw_classes), seed),
+                sample_class_sizes(pareto, len(raw_classes), seed + 1),
+            )
+            raw_classes = [
+                {"compute_size": d, "output_size": e, **c}
+                for (d, e), c in zip(drawn, raw_classes)
+            ]
         classes = []
         for i, c in enumerate(raw_classes):
+            where = f"classes[{i}]."
             try:
-                rate = float(c["arrival_rate"])
+                rate, compute, output = _numbers(
+                    c, where, "arrival_rate", "compute_size", "output_size"
+                )
             except KeyError as exc:
                 raise ConfigError(
                     f"class {i + 1} missing required key: {exc}"
                 ) from exc
-            compute = float(c.get("compute_size", np.nan))
-            output = float(c.get("output_size", np.nan))
-            if np.isnan(compute):
-                compute = float(drawn_compute[i])
-            if np.isnan(output):
-                output = float(drawn_output[i])
             classes.append(
                 JobClass(
                     id=i + 1,
@@ -383,7 +397,9 @@ def config_from_dict(data: dict) -> SystemConfig:
                     compute_size=compute,
                     output_size=output,
                     update_rate=(
-                        float(c["update_rate"]) if "update_rate" in c else None
+                        _numbers(c, where, "update_rate")[0]
+                        if "update_rate" in c
+                        else None
                     ),
                     info_set=(
                         tuple(int(x) for x in c["info_set"])
@@ -395,7 +411,9 @@ def config_from_dict(data: dict) -> SystemConfig:
         classes = tuple(classes)
     elif "num_classes" in data:
         count = int(data["num_classes"])
-        total = float(data.get("total_arrival_rate", 0.035))
+        (total,) = _numbers(
+            {"total_arrival_rate": 0.035, **data}, "", "total_arrival_rate"
+        )
         if pareto is None:
             raise ConfigError("num_classes requires a pareto section for sizes")
         classes = generate_classes(count, total, pareto, seed)

@@ -21,7 +21,7 @@ class (r mod J) + 1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 
@@ -32,17 +32,14 @@ from .analytics import wsept_keys
 from .model import ConfigError, SystemConfig, validate_config, write_table
 from .optimizer import InfeasibleError, OptimizerSettings, optimize_pps
 from .simulator import (
-    CLASS_QUANTITIES,
+    Flow,
     SimResult,
-    _aggregate,
-    _class_stats,
-    _empirical_objective,
-    _Flow,
-    _reduce_run,
-    _RunStats,
+    aggregate_runs,
     assign_vms,
+    group_objectives,
     merged_arrivals,
     network_start_times,
+    reduce_run,
     service_times,
 )
 
@@ -336,35 +333,15 @@ def _replay(
     start1 = _kernels.fcfs_start(tr.times, vm_idx, s1, config.num_vms)
     dep1 = start1 + s1
     start2 = network_start_times(dep1, tr.cls, keys, s2, J, "priority")
-    flow = _Flow(tr.times, tr.cls, vm_idx, s1, s2, start1, dep1, start2)
-
-    # One reduction over (window, class) cells: _class_stats groups by
-    # flow.cls, so handing it win * J + cls sums each cell's jobs in job
-    # order, exactly as a per-window mask would.
-    cells = _class_stats(
-        replace(flow, cls=tr.win * J + tr.cls), n_windows * J, np.ones(n, bool)
-    )
-    grid = {
-        f: getattr(cells, f).reshape(n_windows, J)
-        for f in ("counts", *CLASS_QUANTITIES, "staleness")
-    }
-    window_objectives = np.array(
-        [
-            _empirical_objective(
-                config, _RunStats(**{f: v[k] for f, v in grid.items()})
-            )
-            for k in range(n_windows)
-        ]
-    )
+    flow = Flow(tr.times, tr.cls, vm_idx, s1, s2, start1, dep1, start2)
     horizon = n_windows * tr.window_length
-    stats = _reduce_run(flow, J, config.num_vms, tr.win >= 1, horizon)
-    stats.objective = _empirical_objective(config, stats)
+    run = reduce_run(flow, J, config.num_vms, tr.win >= 1, horizon, config)
     return OnlineResult(
         windows=tr.windows,
         schedules=schedules,
         sources=sources,
-        window_objectives=window_objectives,
-        result=_aggregate([stats], np.arange(1, J + 1), horizon),
+        window_objectives=group_objectives(flow, config, tr.win, n_windows),
+        result=aggregate_runs([run], np.arange(1, J + 1), horizon),
         class_map=tr.mapping,
         window_length=tr.window_length,
     )
@@ -393,34 +370,27 @@ def online_driver(
     J, V = config.num_classes, config.num_vms
     e_sizes = config.output_sizes()
 
-    schedules = np.empty((n_windows, J, V))
-    sources: list[str] = []
+    schedules = np.full((n_windows, J, V), 1.0 / V)
     key_rows = np.empty((n_windows, J))
-    schedules[0] = np.full((J, V), 1.0 / V)
-    sources.append("uniform")
     key_rows[0] = wsept_keys(np.ones(J), e_sizes)  # no estimates yet: uniform
+    sources = ["uniform"]
     for k in range(1, n_windows):
         est = tr.windows[k - 1].rates
+        # Window k keeps window k-1's schedule and keys until a solve replaces them.
+        schedules[k], key_rows[k] = schedules[k - 1], key_rows[k - 1]
         if est.sum() <= 0.0:
-            schedules[k] = schedules[k - 1]
-            key_rows[k] = key_rows[k - 1]
             sources.append("fallback")
             continue
         key_rows[k] = wsept_keys(est, e_sizes)
         try:
-            trace_cfg = config.with_rates(est)
             sched = optimize_pps(
-                trace_cfg, settings, initial=schedules[k - 1]
+                config.with_rates(est), settings, initial=schedules[k - 1]
             ).schedule
-            unseen = est <= 0.0
-            if np.any(unseen):
-                sched = sched.copy()
-                sched[unseen] = 1.0 / V
-            schedules[k] = sched
-            sources.append("optimized")
         except InfeasibleError:
-            schedules[k] = schedules[k - 1]
             sources.append("fallback")
+            continue
+        schedules[k] = np.where((est <= 0.0)[:, None], 1.0 / V, sched)
+        sources.append("optimized")
     return _replay(config, tr, schedules, sources, key_rows[tr.win, tr.cls], seed)
 
 

@@ -163,10 +163,20 @@ def _project(
     u = np.sort(m, axis=1)[:, ::-1]
     css = u.cumsum(axis=1)
     cond = u - (css - 1.0) / ks > 0.0
-    # rho: last index where cond holds; cond[:, 0] is always true.
+    # rho: last index where cond holds; cond[:, 0] holds in exact arithmetic.
     rho = vm1 - cond[:, ::-1].argmax(axis=1)
     tau = (css[rows, rho] - 1.0) / (rho + 1.0)
-    return np.maximum(m - tau[:, None], 0.0)
+    out = np.maximum(m - tau[:, None], 0.0)
+    # Entries near 1e16 or beyond lose the 1 to cancellation, and the row
+    # leaves the simplex; it is redone shifted by its maximum, which does not
+    # move the projection. While every row maximum lies within 1e4 of 0,
+    # rounding moves a row sum by a few ulps of 1e4 at most, so ordinary
+    # input pays only for one dot product.
+    if u[:, 0] @ u[:, 0] > 1e8:
+        off = np.abs(out.sum(axis=1) - 1.0) > 1e-9
+        if off.any():
+            out[off] = project_simplex_rows(m[off] - m[off].max(axis=1, keepdims=True))
+    return out
 
 
 def _require_network_stable(config: SystemConfig, margin: float) -> None:

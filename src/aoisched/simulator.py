@@ -28,6 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,15 +37,6 @@ from .model import ConfigError, SystemConfig, validate_config, write_table
 from .analytics import check_schedule, wsept_keys
 
 NETWORKING_DISCIPLINES = ("priority", "fcfs")
-# Per-class means a run reports, each with a standard error across runs.
-CLASS_QUANTITIES = (
-    "wait_compute",
-    "service_compute",
-    "wait_network",
-    "service_network",
-    "aoi",
-    "completion",
-)
 # Per-class float columns of simulation.csv and of the JSON report.
 CLASS_COLUMNS = (
     "mean_wait_compute",
@@ -80,6 +72,20 @@ class SimConfig:
     networking: str = "priority"
     simulate_updates: bool = False
     collect_event_log: bool = False
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ConfigError(
+                f"horizon must be positive and finite, got {self.horizon}"
+            )
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise ConfigError(
+                f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}"
+            )
+        if self.replications < 1:
+            raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        if self.networking not in NETWORKING_DISCIPLINES:
+            raise ConfigError(f"unknown networking discipline {self.networking!r}")
 
 
 @dataclass(frozen=True)
@@ -347,8 +353,8 @@ def service_times(
     return s1, e * (config.network.shift + e2 / config.network.rate)
 
 
-@dataclass
-class _Flow:
+@dataclass(frozen=True)
+class Flow:
     """Per-job times of one run, jobs in arrival order."""
 
     t: np.ndarray  # arrival
@@ -366,9 +372,18 @@ class _Flow:
         return np.rec.fromarrays([serial, class_ids, *times], names=EVENT_LOG_COLUMNS)
 
 
-@dataclass
-class _RunStats:
-    """Per-class means over one run's kept jobs, plus run-level checks."""
+def _flow(t, cls, vm_idx, s1, s2, num_vms: int, key, networking: str) -> Flow:
+    """Both phases for jobs in arrival order: FCFS at each VM, then the link,
+    which serves class j's jobs by priority key[j]."""
+    start1 = _kernels.fcfs_start(t, vm_idx, s1, num_vms)
+    dep1 = start1 + s1
+    start2 = network_start_times(dep1, cls, key[cls], s2, len(key), networking)
+    return Flow(t, cls, vm_idx, s1, s2, start1, dep1, start2)
+
+
+class ClassMeans(NamedTuple):
+    """Kept-job count and per-job means in each group of jobs (a class, or a
+    (window, class) cell); nan for a group with no kept job."""
 
     counts: np.ndarray
     wait_compute: np.ndarray
@@ -378,30 +393,63 @@ class _RunStats:
     aoi: np.ndarray
     completion: np.ndarray
     staleness: np.ndarray
-    objective: float = float("nan")
-    vm_util: np.ndarray | None = None
-    unstable_vms: np.ndarray | None = None
-    unstable_net: bool = False
-    dep_mean: float = float("nan")
-    dep_cv: float = float("nan")
+
+    def objective(self, config: SystemConfig) -> float:
+        """The configured objective on these class means.
+
+        Classes are weighted by their empirical frequencies; under
+        "paper_theorem1" the network terms are scaled by them as well. nan
+        when no job was kept.
+        """
+        total = self.counts.sum()
+        if total == 0:
+            return float("nan")
+        nz = self.counts > 0
+        freq = self.counts / total
+        if config.aoi_network_weighting == "paper_theorem1":
+            net = self.wait_network + self.service_network
+            aoi = self.service_compute + self.staleness + freq * net
+        else:
+            aoi = self.aoi
+        theta = config.theta
+        return float(
+            np.sum(freq[nz] * (theta * self.completion[nz] + (1.0 - theta) * aoi[nz]))
+        )
 
 
-def _class_stats(
-    flow: _Flow, n_classes: int, keep: np.ndarray, y: np.ndarray | None = None
-) -> _RunStats:
-    """Per-class means of the kept jobs; y is the per-job source staleness.
+# Per-class means a run reports, each with a standard error across runs.
+CLASS_QUANTITIES = tuple(
+    f for f in ClassMeans._fields if f not in ("counts", "staleness")
+)
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One run reduced: its class means, the configured objective on them,
+    and run-level checks."""
+
+    means: ClassMeans  # per class, over the kept jobs
+    objective: float  # nan without a config, or when no job was kept
+    vm_util: np.ndarray
+    unstable_vms: np.ndarray
+    unstable_net: bool
+    dep_mean: float
+    dep_cv: float
+
+
+def _class_means(flow: Flow, group, n_groups: int, keep, y=None) -> ClassMeans:
+    """Means of the kept jobs in each group; y is the per-job source staleness.
 
     Each per-job quantity is derived, reduced and dropped in turn rather than
-    held all at once, which bounds peak memory on million-job runs. Classes
-    with no kept job get nan.
+    held all at once, which bounds peak memory on million-job runs.
     """
-    kc = flow.cls[keep]
-    counts = np.bincount(kc, minlength=n_classes)
+    kc = group[keep]
+    counts = np.bincount(kc, minlength=n_groups)
     nz = counts > 0
 
     def mean(values):
-        sums = np.bincount(kc, weights=values[keep], minlength=n_classes)
-        out = np.full(n_classes, np.nan)
+        sums = np.bincount(kc, weights=values[keep], minlength=n_groups)
+        out = np.full(n_groups, np.nan)
         out[nz] = sums[nz] / counts[nz]
         return out
 
@@ -409,7 +457,7 @@ def _class_stats(
     if y is not None:
         age += y
     age = mean(age)
-    return _RunStats(
+    return ClassMeans(
         counts=counts,
         wait_compute=mean(flow.start1 - flow.t),
         service_compute=mean(flow.s1),
@@ -417,48 +465,44 @@ def _class_stats(
         service_network=mean(flow.s2),
         aoi=age,
         completion=mean(flow.start2 + flow.s2 - flow.t),
-        staleness=np.zeros(n_classes) if y is None else mean(y),
+        staleness=np.zeros(n_groups) if y is None else mean(y),
     )
 
 
-def _reduce_run(
-    flow: _Flow, n_classes: int, n_vms: int, keep: np.ndarray, horizon: float, y=None
-) -> _RunStats:
-    """Class means plus utilization, backlog growth and departure statistics."""
-    stats = _class_stats(flow, n_classes, keep, y)
+def reduce_run(
+    flow: Flow, n_classes: int, n_vms: int, keep, horizon: float, config=None, y=None
+) -> RunRecord:
+    """The record of one run: class means of the kept jobs (y is the per-job
+    source staleness), the objective of `config` on them (nan without one),
+    VM utilization, backlog growth and departure statistics."""
+    means = _class_means(flow, flow.cls, n_classes, keep, y)
     span = max(horizon, float(flow.dep1.max()))
-    stats.vm_util = np.bincount(flow.vm_idx, weights=flow.s1, minlength=n_vms) / span
-    stats.unstable_vms = _backlog_growing(
-        flow.t, flow.start1, horizon, flow.vm_idx, n_vms
+    unstable_net = _backlog_growing(flow.dep1, flow.start2, horizon, None, 1)[0]
+    dep_mean, dep_cv = interdeparture_stats(flow.dep1[keep])
+    return RunRecord(
+        means=means,
+        objective=float("nan") if config is None else means.objective(config),
+        vm_util=np.bincount(flow.vm_idx, weights=flow.s1, minlength=n_vms) / span,
+        unstable_vms=_backlog_growing(flow.t, flow.start1, horizon, flow.vm_idx, n_vms),
+        unstable_net=bool(unstable_net),
+        dep_mean=dep_mean,
+        dep_cv=dep_cv,
     )
-    stats.unstable_net = bool(
-        _backlog_growing(flow.dep1, flow.start2, horizon, None, 1)[0]
-    )
-    stats.dep_mean, stats.dep_cv = interdeparture_stats(flow.dep1[keep])
-    return stats
 
 
-def _empirical_objective(config: SystemConfig, stats: _RunStats) -> float:
-    """The configured objective on one run's class means.
+def group_objectives(
+    flow: Flow, config: SystemConfig, group: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """The objective of each group of jobs, every job kept.
 
-    Classes are weighted by their empirical frequencies; under
-    "paper_theorem1" the network terms are scaled by them as well. nan when
-    the run kept no job.
+    One reduction over (group, class) cells sums each cell's jobs in job
+    order, exactly as reduce_run with that group as its keep mask would.
     """
-    total = stats.counts.sum()
-    if total == 0:
-        return float("nan")
-    nz = stats.counts > 0
-    freq = stats.counts / total
-    if config.aoi_network_weighting == "paper_theorem1":
-        net = stats.wait_network + stats.service_network
-        aoi = stats.service_compute + stats.staleness + freq * net
-    else:
-        aoi = stats.aoi
-    theta = config.theta
-    return float(
-        np.sum(freq[nz] * (theta * stats.completion[nz] + (1.0 - theta) * aoi[nz]))
-    )
+    J, every = config.num_classes, np.ones(len(flow.t), bool)
+    cells = _class_means(flow, group * J + flow.cls, n_groups * J, every)
+    grid = [v.reshape(n_groups, J) for v in cells]
+    rows = (ClassMeans(*(v[k] for v in grid)) for k in range(n_groups))
+    return np.array([row.objective(config) for row in rows])
 
 
 def _replication(
@@ -467,10 +511,9 @@ def _replication(
     sim: SimConfig,
     seed_seq: np.random.SeedSequence,
     want_log: bool,
-) -> tuple[_RunStats, np.ndarray | None]:
+) -> tuple[RunRecord, np.ndarray | None]:
     rng = np.random.Generator(np.random.PCG64DXSM(seed_seq))
     lam = config.arrival_rates()
-    n_classes = config.num_classes
     t, cls = merged_arrivals(rng, lam, sim.horizon)
     n = len(t)
     if n == 0:
@@ -482,19 +525,12 @@ def _replication(
     draws = rng.exponential(1.0, (2, n))
     s1, s2 = service_times(config, cls, vm_idx, *draws)
     del draws  # every job-length array alive here counts toward peak memory
-    start1 = _kernels.fcfs_start(t, vm_idx, s1, config.num_vms)
-    dep1 = start1 + s1
-
     class_key = wsept_keys(lam, config.output_sizes())
-    start2 = network_start_times(
-        dep1, cls, class_key[cls], s2, n_classes, sim.networking
-    )
-    flow = _Flow(t, cls, vm_idx, s1, s2, start1, dep1, start2)
-    y = _staleness(rng, config, cls, start1) if sim.simulate_updates else None
+    flow = _flow(t, cls, vm_idx, s1, s2, config.num_vms, class_key, sim.networking)
+    y = _staleness(rng, config, cls, flow.start1) if sim.simulate_updates else None
     keep = t >= sim.warmup_fraction * sim.horizon
-    stats = _reduce_run(flow, n_classes, config.num_vms, keep, sim.horizon, y)
-    stats.objective = _empirical_objective(config, stats)
-    return stats, flow.event_log(cls + 1) if want_log else None
+    run = reduce_run(flow, len(lam), config.num_vms, keep, sim.horizon, config, y)
+    return run, flow.event_log(cls + 1) if want_log else None
 
 
 def _mean_se_ci(rep_values: np.ndarray):
@@ -530,19 +566,19 @@ def _mean_se_ci(rep_values: np.ndarray):
     return mean, se, ci
 
 
-def _aggregate(
-    reps: list[_RunStats], class_ids, horizon, event_log=None
+def aggregate_runs(
+    reps: list[RunRecord], class_ids, horizon, event_log=None
 ) -> SimResult:
     """Across-run means, standard errors and intervals as a SimResult."""
     column = lambda attr: np.array([getattr(s, attr) for s in reps])[:, None]
     per_class = {}
     for name in CLASS_QUANTITIES:
-        mean, se, ci = _mean_se_ci(np.vstack([getattr(s, name) for s in reps]))
+        mean, se, ci = _mean_se_ci(np.vstack([getattr(s.means, name) for s in reps]))
         per_class.update({f"mean_{name}": mean, f"se_{name}": se})
         if f"ci_{name}" in CLASS_COLUMNS:
             per_class[f"ci_{name}"] = ci
     obj_m, _, obj_ci = _mean_se_ci(column("objective"))
-    counts = np.sum([s.counts for s in reps], axis=0)
+    counts = np.sum([s.means.counts for s in reps], axis=0)
     freq = counts / max(counts.sum(), 1)
     return SimResult(
         class_ids=class_ids,
@@ -569,37 +605,20 @@ def run_simulation(
 ) -> SimResult:
     """Simulate the configured system under schedule p."""
     sim = sim or SimConfig()
-    problems = validate_config(config)
+    problems = validate_config(config) + check_schedule(p, config)
     if problems:
         raise ConfigError("; ".join(problems))
-    sched_problems = check_schedule(p, config)
-    if sched_problems:
-        raise ConfigError("; ".join(sched_problems))
-    if not (np.isfinite(sim.horizon) and sim.horizon > 0.0):
-        raise ConfigError(f"horizon must be positive and finite, got {sim.horizon}")
-    if not 0.0 <= sim.warmup_fraction < 1.0:
-        raise ConfigError(
-            f"warmup_fraction must lie in [0, 1), got {sim.warmup_fraction}"
-        )
-    if sim.replications < 1:
-        raise ConfigError(f"replications must be >= 1, got {sim.replications}")
-    if sim.networking not in NETWORKING_DISCIPLINES:
-        raise ConfigError(f"unknown networking discipline {sim.networking!r}")
 
     p = np.asarray(p, dtype=np.float64)
     children = np.random.SeedSequence(sim.seed).spawn(sim.replications)
-    reps: list[_RunStats] = []
-    event_log = None
-    for r, child in enumerate(children):
-        stats, log = _replication(
-            config, p, sim, child, want_log=(sim.collect_event_log and r == 0)
+    runs, logs = zip(
+        *(
+            _replication(config, p, sim, child, sim.collect_event_log and r == 0)
+            for r, child in enumerate(children)
         )
-        if log is not None:
-            event_log = log
-        reps.append(stats)
-    return _aggregate(
-        reps, np.arange(1, config.num_classes + 1), sim.horizon, event_log
     )
+    ids = np.arange(1, config.num_classes + 1)
+    return aggregate_runs(list(runs), ids, sim.horizon, logs[0])
 
 
 def scripted_arrivals(
@@ -631,15 +650,12 @@ def scripted_arrivals(
     cls = np.searchsorted(distinct, ids)
     n_classes = len(distinct)
 
-    start1 = _kernels.fcfs_start(t, vm_idx, s1, num_vms)
-    dep1 = start1 + s1
-    start2 = network_start_times(dep1, cls, np.zeros(len(t)), s2, n_classes, "fcfs")
-    flow = _Flow(t, cls, vm_idx, s1, s2, start1, dep1, start2)
-    stats = _reduce_run(flow, n_classes, num_vms, np.ones(len(t), dtype=bool), 0.0)
-    return _aggregate(
-        [stats],
+    flow = _flow(t, cls, vm_idx, s1, s2, num_vms, np.zeros(n_classes), "fcfs")
+    run = reduce_run(flow, n_classes, num_vms, np.ones(len(t), dtype=bool), 0.0)
+    return aggregate_runs(
+        [run],
         distinct,
-        float((start2 + s2).max()),
+        float((flow.start2 + s2).max()),
         event_log=flow.event_log(ids),
     )
 

@@ -75,3 +75,39 @@ def test_writer_checker_finds_both_forms():
 )
 def test_artifact_writers_live_in_model(path):
     assert _writer_references(path.read_text()) == []
+
+
+def _private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names imported from another module of the package.
+
+    `from . import _kernels` binds a module, which stays allowed; a name such
+    as `from .simulator import _Flow` reaches into another module's internals.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module:
+            found += [
+                f"line {node.lineno}: {node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    return found
+
+
+def test_private_import_checker():
+    source = (
+        "from . import _kernels\n"
+        "from ._kernels import fcfs_start\n"
+        "from .simulator import Flow, _reduce\n"
+        "def f():\n"
+        "    from .model import _positive\n"
+    )
+    assert _private_imports(source) == [
+        "line 3: simulator._reduce",
+        "line 5: model._positive",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_cross_modules(path):
+    assert _private_imports(path.read_text()) == []

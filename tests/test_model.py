@@ -273,6 +273,48 @@ def test_config_from_dict_errors():
         )
 
 
+def _sized_classes():
+    """A config dict whose first class omits its sizes, drawn from pareto."""
+    return {
+        "theta": 0.3,
+        "network": {"rate": 112.0, "shift": 18.0},
+        "vms": [{"rate": 82.0, "shift": 10.0}],
+        "pareto": {"shape": 2.0, "scale": 0.5},
+        "classes": [
+            {"arrival_rate": 0.01},
+            {"arrival_rate": 0.02, "compute_size": 3.0, "output_size": 2.0},
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", ["compute_size", "output_size"])
+def test_explicit_nan_size_is_an_error_not_a_draw(name):
+    data = _sized_classes()
+    data["classes"][1][name] = float("nan")
+    with pytest.raises(ConfigError, match=rf"classes\[1\]\.{name}"):
+        config_from_dict(data)
+    del data["classes"][1][name]  # absent: drawn from the pareto section
+    assert getattr(config_from_dict(data).classes[1], name) >= 0.5
+
+
+@pytest.mark.parametrize("seed", [1.7, -1, float("nan"), "3", None, True])
+def test_seed_must_be_a_non_negative_integer(seed):
+    data = {**_sized_classes(), "seed": seed}
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict(data)
+
+
+def test_integral_seeds_load():
+    assert config_from_dict({**_sized_classes(), "seed": 4}).seed == 4
+    assert config_from_dict({**_sized_classes(), "seed": 4.0}).seed == 4
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_theta_must_be_a_json_number(value):
+    with pytest.raises(ConfigError, match="theta must be a number"):
+        config_from_dict({**_sized_classes(), "theta": value})
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "missing.json")

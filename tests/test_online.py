@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aoisched.analytics import wsept_keys
 from aoisched.model import ConfigError
 from aoisched.online import (
     Trace,
@@ -368,19 +369,17 @@ def test_window_objectives_match_per_window_masks(num_classes, window, jobs, see
     schedules = rng.dirichlet(np.ones(2), (K, J))
     keys = rng.integers(0, 3, len(tr.times)).astype(float)
     flows = []
-    real = online._reduce_run
+    real = online.reduce_run
 
     def spy(flow, *args):
         flows.append(flow)
         return real(flow, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(online, "_reduce_run", spy)
+        mp.setattr(online, "reduce_run", spy)
         res = online._replay(config, tr, schedules, ["x"] * K, keys, seed % 100)
     expected = [
-        simulator._empirical_objective(
-            config, simulator._class_stats(flows[0], J, tr.win == k)
-        )
+        simulator.reduce_run(flows[0], J, 2, tr.win == k, 1.0, config).objective
         for k in range(K)
     ]
     # Exact equality; nan (an empty window) must meet nan.
@@ -410,6 +409,33 @@ def test_driver_windows_and_sources(driver_pair, online_config):
     # Cold-start window is excluded from the aggregate statistics.
     kept = sum(int(w.counts.sum()) for w in on.windows[1:])
     assert int(on.result.counts.sum()) == kept
+
+
+def test_empty_estimation_window_falls_back(online_config):
+    # Window 1 holds no job, so window 2 has no estimate to solve from: it
+    # keeps window 1's schedule and priority keys.
+    full = synthesize_poisson_trace(online_config, 3.9e3, seed=4)
+    gap = (full.times >= 1.0e3) & (full.times < 2.0e3)
+    trace = Trace(full.times[~gap], full.keys, full.codes[~gap])
+    keys = []
+    real = online.network_start_times
+
+    def spy(dep1, cls, key, *args):
+        keys.append(key)
+        return real(dep1, cls, key, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(online, "network_start_times", spy)
+        on = online_driver(trace, online_config, window_length=1.0e3)
+    assert on.sources == ["uniform", "optimized", "fallback"]
+    assert not on.windows[1].counts.any()
+    np.testing.assert_array_equal(on.schedules[2], on.schedules[1])
+    assert not np.array_equal(on.schedules[1], on.schedules[0])
+    tr = _prepare_trace(trace, online_config, 1.0e3, None)
+    window1_keys = wsept_keys(on.windows[0].rates, online_config.output_sizes())
+    late = tr.win == 2
+    assert late.any()
+    np.testing.assert_array_equal(keys[0][late], window1_keys[tr.cls[late]])
 
 
 def test_offline_reference_is_paired(driver_pair):

@@ -58,6 +58,18 @@ def test_projection_hand_values():
     )
 
 
+def test_projection_keeps_huge_rows_on_the_simplex():
+    # Entries near 1e16 and beyond once cancelled against the threshold, so
+    # the row projected to all zeros or summed far past 1.
+    np.testing.assert_array_equal(
+        project_simplex_rows(np.array([[1e17], [-3e17], [5.0]])), [[1.0]] * 3
+    )
+    np.testing.assert_array_equal(
+        project_simplex_rows(np.array([[1e17, 0.0], [3e16, -3e16]])),
+        [[1.0, 0.0], [1.0, 0.0]],
+    )
+
+
 def test_projection_idempotent_and_feasible():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(50, 6))
@@ -307,9 +319,9 @@ def test_zero_margin_excludes_a_saturated_vm(monkeypatch):
 def test_near_limit_vm_solutions_pass_stability_report():
     # Rates put the uniform schedule's busiest VM within 4 ulps of the
     # margin limit, where a utilization computed in two ways once made the
-    # optimizer accept schedules that stability_report called unstable, and
-    # at margin 0 baselines whose load analytic_report's own sum rounded
-    # to 1.
+    # optimizer accept schedules that stability_report called unstable, at
+    # margin 0 baselines whose load analytic_report's own sum rounded to 1,
+    # and PGD steps so long that the projection lost the row sum.
     rng = np.random.default_rng(17)
     margins = (0.0, 1e-3, 0.05, 0.2)
     for i in range(160):
@@ -338,7 +350,7 @@ def test_near_limit_vm_solutions_pass_stability_report():
             continue
         for p in solved:
             assert stability_report(p, cfg, margin=margin).stable
-        analytic_report(solved[0], cfg)
+            analytic_report(p, cfg)
 
 
 def test_near_limit_link_verdicts_agree():

@@ -389,16 +389,15 @@ def test_staleness_requires_update_rate(small_system):
 
 
 def test_sim_config_validation(small_system):
-    p = np.full((2, 2), 0.5)
     cases = [
-        (SimConfig(horizon=0.0), "horizon"),
-        (SimConfig(warmup_fraction=1.0), "warmup_fraction"),
-        (SimConfig(replications=0), "replications"),
-        (SimConfig(networking="lifo"), "networking"),
+        ({"horizon": 0.0}, "horizon"),
+        ({"warmup_fraction": 1.0}, "warmup_fraction"),
+        ({"replications": 0}, "replications"),
+        ({"networking": "lifo"}, "networking"),
     ]
-    for sim, frag in cases:
+    for fields, frag in cases:
         with pytest.raises(ConfigError, match=frag):
-            run_simulation(small_system, p, sim)
+            SimConfig(**fields)
     with pytest.raises(ConfigError, match="sum to 1"):
         run_simulation(small_system, np.full((2, 2), 0.3), SimConfig())
     with pytest.raises(ConfigError, match="shape"):
