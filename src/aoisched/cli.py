@@ -290,10 +290,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not all(np.isfinite(values)):
         raise ConfigError(f"sweep values must be finite, got {raw!r}")
 
-    # Every value is checked before anything is solved. Every point's cold
-    # starts then descend together, in lockstep batches per schedule shape,
-    # and the warm chain runs in point order.
+    # Every value, and the simulation settings, are checked before anything
+    # is solved. Every point's cold starts then descend together, in
+    # lockstep batches per schedule shape, and the warm chain runs in point
+    # order.
     points = [(v, _sweep_point_config(config, args.axis, v)) for v in values]
+    sim = None
+    if args.simulate:
+        sim = SimConfig(
+            horizon=args.horizon, replications=args.replications, seed=seed
+        )
     rows: list[tuple] = []
     prev_schedule: np.ndarray | None = None
     for (value, point_cfg), cold in zip(
@@ -333,14 +339,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             except StabilityError:
                 rows.append((value, policy, "infeasible", 1.0))
                 continue
-            if args.simulate:
-                sim = SimConfig(
-                    horizon=args.horizon,
-                    replications=args.replications,
-                    seed=seed,
-                    networking=networking,
+            if sim is not None:
+                res = run_simulation(
+                    point_cfg, p, dataclasses.replace(sim, networking=networking)
                 )
-                res = run_simulation(point_cfg, p, sim)
                 rows.append(
                     (value, policy, "sim_weighted_objective", res.weighted_objective)
                 )

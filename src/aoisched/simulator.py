@@ -251,9 +251,12 @@ def group_by_class(cls: np.ndarray, order: np.ndarray, n_classes: int):
     """Job indices grouped per class, each group in `order` order.
 
     Returns (grouped, offsets) in the layout the priority kernel expects.
+    The class codes sort as the smallest unsigned type that holds them, so
+    up to 65,536 classes numpy's stable sort is a radix sort; the
+    permutation is the same.
     """
-    cls_sorted = cls[order]
-    grouped = order[np.argsort(cls_sorted, kind="stable")]
+    codes = cls[order].astype(np.min_scalar_type(n_classes - 1))
+    grouped = order[np.argsort(codes, kind="stable")]
     counts = np.bincount(cls, minlength=n_classes)
     offsets = np.zeros(n_classes + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -263,12 +266,15 @@ def group_by_class(cls: np.ndarray, order: np.ndarray, n_classes: int):
 def network_start_times(
     dep1: np.ndarray,
     cls: np.ndarray,
-    key: np.ndarray,
+    key: np.ndarray | None,
     s2: np.ndarray,
     n_classes: int,
     networking: str,
 ) -> np.ndarray:
-    """Service start time at the shared link for every job."""
+    """Service start time at the shared link for every job.
+
+    key holds each job's priority key; the FCFS link never reads it.
+    """
     order = np.argsort(dep1, kind="stable")
     if networking == "fcfs":
         start_sorted = _kernels.fcfs_start(dep1[order], None, s2[order], 1)
@@ -279,7 +285,7 @@ def network_start_times(
         raise ValueError(f"unknown networking discipline {networking!r}")
     grouped, offsets = group_by_class(cls, order, n_classes)
     return _kernels.priority_start(
-        dep1, grouped, offsets, key.astype(np.float64), s2
+        dep1, grouped, offsets, np.asarray(key, dtype=np.float64), s2
     )
 
 
@@ -377,7 +383,9 @@ def _flow(t, cls, vm_idx, s1, s2, num_vms: int, key, networking: str) -> Flow:
     which serves class j's jobs by priority key[j]."""
     start1 = _kernels.fcfs_start(t, vm_idx, s1, num_vms)
     dep1 = start1 + s1
-    start2 = network_start_times(dep1, cls, key[cls], s2, len(key), networking)
+    # Only the priority link reads per-job keys.
+    job_key = key[cls] if networking == "priority" else None
+    start2 = network_start_times(dep1, cls, job_key, s2, len(key), networking)
     return Flow(t, cls, vm_idx, s1, s2, start1, dep1, start2)
 
 

@@ -331,6 +331,24 @@ def test_sweep_checks_every_value_before_solving(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+def test_sweep_checks_simulation_settings_before_solving(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    def solve(*args, **kwargs):
+        raise AssertionError("a point was solved before --horizon was checked")
+
+    monkeypatch.setattr("aoisched.cli.optimize_many", solve)
+    out = tmp_path / "sweep"
+    argv = [
+        "sweep", config_path, "--axis", "theta", "--simulate", "--horizon", "-1",
+        "--out-dir", str(out),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "horizon must be positive" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_with_simulation_rows(tmp_path, config_path):
     out = tmp_path / "sweep-sim"
     rc = main(

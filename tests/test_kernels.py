@@ -59,11 +59,79 @@ def _priority_inputs(draw):
     return dep1, grouped, offsets, key, s2
 
 
+@st.composite
+def _priority_edge_inputs(draw):
+    # The corners of the successor links: up to 500 classes with most of
+    # them empty, or every job in a class of its own; every job arriving at
+    # one instant; zero services. The oracle scans every class per job, so
+    # runs stay short.
+    n_classes = draw(st.integers(1, 500))
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()) and n <= n_classes:
+        cls = rng.choice(n_classes, n, replace=False)  # single-job classes
+    else:
+        cls = rng.choice(rng.choice(n_classes, min(n_classes, 5)), n)
+    if draw(st.booleans()):
+        dep1 = np.full(n, float(draw(st.integers(0, 5))))
+    else:
+        dep1 = rng.integers(0, 3 * n + 1, n).astype(np.float64)
+    if draw(st.booleans()):
+        s2 = np.zeros(n)
+    else:
+        s2 = rng.integers(0, 4, n, endpoint=True).astype(np.float64)
+    key = rng.choice(_keys, n)
+    order = np.argsort(dep1, kind="stable")
+    grouped, offsets = group_by_class(cls.astype(np.int64), order, n_classes)
+    return dep1, grouped, offsets, key, s2
+
+
 @settings(max_examples=300)
 @given(_priority_inputs())
 def test_priority_start_matches_scan(inputs):
     np.testing.assert_array_equal(
         _kernels.priority_start(*inputs), priority_scan(*inputs)
+    )
+
+
+@settings(max_examples=150)
+@given(_priority_edge_inputs())
+def test_priority_start_matches_scan_at_the_edges(inputs):
+    np.testing.assert_array_equal(
+        _kernels.priority_start(*inputs), priority_scan(*inputs)
+    )
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([3.0, 1.0, 2.0, 0.5]),
+        np.array([2.0, 1.0, 2.0, 1.0, 0.0]),
+        np.array([0.0, -0.0, 1.0, -0.0]),
+        np.array([np.inf, -np.inf, 1.0, np.inf]),
+        np.repeat(np.arange(50.0), 3)[::-1].copy(),
+    ],
+)
+def test_stable_argsort_orders_ties_by_position(x):
+    np.testing.assert_array_equal(
+        _kernels._stable_argsort(x), np.argsort(x, kind="stable")
+    )
+
+
+@pytest.mark.parametrize("n_classes", [1, 256, 257, 70_000])
+def test_group_by_class_matches_an_int64_stable_sort(n_classes):
+    rng = np.random.default_rng(n_classes)
+    n = 3000
+    cls = rng.integers(0, n_classes, n)
+    cls[rng.choice(n, 2, replace=False)] = n_classes - 1  # sets the code dtype
+    order = np.argsort(rng.integers(0, 50, n), kind="stable")
+    grouped, offsets = group_by_class(cls, order, n_classes)
+    np.testing.assert_array_equal(
+        grouped, order[np.argsort(cls[order].astype(np.int64), kind="stable")]
+    )
+    assert grouped.dtype == np.int64
+    np.testing.assert_array_equal(
+        offsets, np.concatenate([[0], np.cumsum(np.bincount(cls, minlength=n_classes))])
     )
 
 
@@ -238,6 +306,10 @@ def test_network_start_times_matches_oracles():
     fcfs[order] = fcfs_scan(dep1[order], np.zeros(n, dtype=np.int64), s2[order], 1)
     np.testing.assert_array_equal(
         network_start_times(dep1, cls, key, s2, 3, "fcfs"), fcfs
+    )
+    # The FCFS link reads no keys.
+    np.testing.assert_array_equal(
+        network_start_times(dep1, cls, None, s2, 3, "fcfs"), fcfs
     )
     with pytest.raises(ValueError, match="discipline"):
         network_start_times(dep1, cls, key, s2, 3, "lifo")
