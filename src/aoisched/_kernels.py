@@ -14,7 +14,8 @@ it is cheaper there. Either way the result is bit-identical to the loop.
 
 The priority scan loops over Python lists (``.tolist()``) in plain float
 arithmetic, the same IEEE double arithmetic numpy's scalars do. It walks
-the jobs in arrival order. numpy lays out each job's arrival, service,
+the jobs in the arrival order its caller sorted, and checks that order
+rather than sorting again. numpy lays out each job's arrival, service,
 negated key and class by walk position, and links each job to the next job
 of its class, its successor, so the class FIFO costs one list read per job.
 A heap holds only the heads of classes that have a job waiting. Serving a
@@ -193,51 +194,43 @@ def _busy_periods(a, d, first, free):
     return start, after[np.array(first[1:] + [m]) - 1].tolist()
 
 
-def _stable_argsort(x):
-    """np.argsort(x, kind="stable"), in a quarter of the time without ties.
-
-    Distinct values have one sorted order, so numpy's faster unstable sort
-    finds the same permutation; only a tie needs the stable sort.
-    """
-    perm = np.argsort(x)
-    xs = x[perm]
-    if (xs[1:] == xs[:-1]).any():
-        return np.argsort(x, kind="stable")
-    return perm
-
-
-def priority_start(arrivals, grouped, offsets, key, service):
+def priority_start(arrivals, order, grouped, offsets, key, service):
     """Start times at one non-preemptive priority server.
 
-    grouped[offsets[c]:offsets[c+1]] lists class c's job indices in arrival
-    order, which enforces FIFO within a class. Whenever the server frees, it
-    picks the waiting head with the largest key (ties: earlier arrival, then
-    lower class index); an idle server waits for the next head to arrive.
+    The loop walks the jobs in `order`, which must sort arrivals, and a
+    job's walk position is its place there. grouped[offsets[c]:offsets[c+1]]
+    lists class c's walk positions in ascending order, which enforces FIFO
+    within a class, tied arrivals in walk order. Whenever the server frees,
+    it picks the waiting head with the largest key (ties: earlier arrival,
+    then lower class index); an idle server waits for the next head to
+    arrive. Every job that arrives by the next pick is walked before it, so
+    how `order` ranks tied arrivals of different classes changes no start.
 
-    The loop reads jobs by walk position w, their place in arrival order
-    (ties by grouped position). succ[w] is the walk position of the next job
-    of w's class, or n after its last job, and queued[c] says whether class
-    c has a head in the heap.
+    succ[w] is the walk position of the next job of w's class, or n after
+    its last job, and queued[c] says whether class c has a head in the heap.
     """
     _require_finite(arrivals=arrivals, service=service)
     if np.isnan(key).any():
         raise ValueError("key must not be NaN")
     n = arrivals.shape[0]
-    perm = _stable_argsort(arrivals[grouped])
-    # The stable sort keeps every class's grouped order, so the job after
-    # grouped position g in its class walks at inv[g + 1]. A class's first
-    # position follows no job of its own class; inv there reads n.
-    inv = np.empty(n + 1, dtype=np.intp)
-    inv[perm] = np.arange(n)
-    inv[offsets[1:]] = n
-    job = grouped[perm]
-    succ = inv[perm + 1].tolist()
-    del inv
-    cw = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))[perm].tolist()
-    del perm
-    aw = arrivals[job].tolist()
-    sw = service[job].tolist()
-    nk = (-key[job]).tolist()
+    aw = arrivals[order]
+    if (aw[1:] < aw[:-1]).any():
+        raise ValueError("order must sort arrivals")
+    # Within a class, grouped[g + 1] walks after grouped[g], unless g + 1
+    # starts a class or ends the list; nxt reads n there.
+    nxt = np.empty(n + 1, dtype=np.intp)
+    nxt[:n] = grouped
+    nxt[offsets[1:]] = n
+    succ = np.empty(n, dtype=np.intp)
+    succ[grouped] = nxt[1:]
+    del nxt
+    cw = np.empty(n, dtype=np.intp)
+    cw[grouped] = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+    aw = aw.tolist()
+    succ = succ.tolist()
+    cw = cw.tolist()
+    sw = service[order].tolist()
+    nk = (-key[order]).tolist()
     queued = [False] * (offsets.shape[0] - 1)
     start = [0.0] * n
     # Heads that have arrived as (-key, arrival, class, walk position); the
@@ -282,7 +275,7 @@ def priority_start(arrivals, grouped, offsets, key, service):
     # the end of a long run would be the kernel's memory peak.
     del aw, sw, nk, succ, cw
     out = np.empty(n, dtype=np.float64)
-    out[job] = start
+    out[order] = start
     return out
 
 

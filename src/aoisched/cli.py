@@ -60,7 +60,9 @@ from .optimizer import (
 )
 from .simulator import SimConfig, policy_tradeoff_example, run_simulation
 
-POLICIES = ("pps", "rca", "pca", "ocafcfs")
+# Policy name -> link discipline. pps and ocafcfs serve the optimized
+# schedule; rca and pca are the optimizer's uniform and proportional starts.
+POLICIES = {"pps": "priority", "rca": "priority", "pca": "priority", "ocafcfs": "fcfs"}
 SWEEP_AXES = ("theta", "vms", "lambda-scale", "weights")
 DEFAULT_SWEEP_VALUES = {
     "theta": "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
@@ -70,59 +72,56 @@ DEFAULT_SWEEP_VALUES = {
 }
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _manifest(args: argparse.Namespace, command: str, **extra) -> dict:
+def _manifest(
+    args: argparse.Namespace,
+    command: str,
+    config: SystemConfig | None = None,
+    settings: OptimizerSettings | None = None,
+    **extra,
+) -> dict:
     man = {
         "command": command,
         "version": __version__,
-        "created": _utc_now(),
-        "seed": extra.pop("seed", getattr(args, "seed", None)),
+        "created": datetime.now(timezone.utc).isoformat(),
+        "seed": getattr(args, "seed", None),
         "moment_mode": getattr(args, "moment_mode", None),
         "margin": getattr(args, "margin", None),
     }
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        man["config_path"] = str(cfg_path)
-        man["config_sha256"] = _sha256_file(Path(cfg_path))
+    if config is not None:
+        path = Path(args.config)
+        man["config_path"] = str(path)
+        man["config_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        man["config_hash"] = config_hash(config)
+    if settings is not None:
+        man["seed"] = settings.seed
+        man["settings"] = dataclasses.asdict(settings)
     man.update(extra)
     return man
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(getattr(args, "out_dir", ".") or ".")
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load(args: argparse.Namespace) -> SystemConfig:
+def _setup(args: argparse.Namespace) -> tuple[SystemConfig, OptimizerSettings]:
+    """The validated config and the optimizer settings from the flags; the
+    settings carry the run's seed, --seed or else the config's."""
     config = load_config(args.config)
-    if getattr(args, "moment_mode", None):
+    if args.moment_mode:
         config = dataclasses.replace(config, moment_mode=args.moment_mode)
     problems = validate_config(config)
     if problems:
         raise ConfigError("; ".join(problems))
-    return config
-
-
-def _resolved_seed(args: argparse.Namespace, config: SystemConfig) -> int:
-    return config.seed if args.seed is None else args.seed
-
-
-def _settings(args: argparse.Namespace, seed: int) -> OptimizerSettings:
-    return OptimizerSettings(
+    settings = OptimizerSettings(
         max_iters=args.max_iters,
         rel_tol=args.rel_tol,
         initial_step=args.step,
         stability_margin=args.margin,
-        seed=seed,
+        seed=config.seed if args.seed is None else args.seed,
     )
+    return config, settings
 
 
 def write_schedule(path: str | Path, p: np.ndarray) -> None:
@@ -154,17 +153,9 @@ def read_schedule(path: str | Path) -> np.ndarray:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    config = _load(args)
-    seed = _resolved_seed(args, config)
-    settings = _settings(args, seed)
+    config, settings = _setup(args)
     trace = optimize_pps(config, settings)
-    man = _manifest(
-        args,
-        "optimize",
-        seed=seed,
-        settings=dataclasses.asdict(settings),
-        config_hash=config_hash(config),
-    )
+    man = _manifest(args, "optimize", config, settings)
     report = analytic_report(trace.schedule, config)
     out = _out_dir(args)
     trace.write_csv(out / "convergence.csv")
@@ -188,49 +179,33 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_schedule(
-    policy: str, config: SystemConfig, settings: OptimizerSettings, pca_mode: str
-) -> tuple[np.ndarray, str]:
-    """Schedule plus networking discipline implied by the policy name."""
-    if policy in ("pps", "ocafcfs"):
-        optimized = optimize_pps(config, settings).schedule
-        return optimized, "priority" if policy == "pps" else "fcfs"
-    if policy == "rca":
-        return baseline_rca(config, settings.stability_margin), "priority"
-    if policy == "pca":
-        return baseline_pca(config, pca_mode, settings.stability_margin), "priority"
-    raise ConfigError(f"unknown policy {policy!r}")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load(args)
-    seed = _resolved_seed(args, config)
-    settings = _settings(args, seed)
+    config, settings = _setup(args)
     if args.schedule:
         p = read_schedule(args.schedule)
-        networking = "priority"
         policy = f"schedule:{args.schedule}"
+        networking = "priority"
     else:
-        p, networking = _policy_schedule(args.policy, config, settings, args.pca_mode)
         policy = args.policy
+        networking = POLICIES[policy]
+        if policy == "rca":
+            p = baseline_rca(config, args.margin)
+        elif policy == "pca":
+            p = baseline_pca(config, args.pca_mode, args.margin)
+        else:
+            p = optimize_pps(config, settings).schedule
     sim = SimConfig(
         horizon=args.horizon,
         replications=args.replications,
         warmup_fraction=args.warmup,
-        seed=seed,
+        seed=settings.seed,
         networking=networking,
         simulate_updates=args.simulate_updates,
         collect_event_log=args.event_log,
     )
     result = run_simulation(config, p, sim)
-    man = _manifest(
-        args,
-        "simulate",
-        seed=seed,
-        policy=policy,
-        sim=dataclasses.asdict(sim),
-        config_hash=config_hash(config),
-    )
+    man = _manifest(args, "simulate", config, seed=sim.seed, policy=policy)
+    man["sim"] = dataclasses.asdict(sim)
     out = _out_dir(args)
     result.write_csv(out / "simulation.csv")
     write_json(out / "simulation.json", {**result.to_dict(), "manifest": man})
@@ -277,9 +252,7 @@ def _sweep_point_config(config: SystemConfig, axis: str, value: float) -> System
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load(args)
-    seed = _resolved_seed(args, config)
-    settings = _settings(args, seed)
+    config, settings = _setup(args)
     raw = args.values or DEFAULT_SWEEP_VALUES[args.axis]
     try:
         values = [float(x) for x in raw.split(",") if x.strip()]
@@ -298,7 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sim = None
     if args.simulate:
         sim = SimConfig(
-            horizon=args.horizon, replications=args.replications, seed=seed
+            horizon=args.horizon, replications=args.replications, seed=settings.seed
         )
     rows: list[tuple] = []
     prev_schedule: np.ndarray | None = None
@@ -321,35 +294,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append((value, "all", "infeasible", 1.0))
             print(f"sweep point {value}: infeasible ({exc})", file=sys.stderr)
             continue
-        # The rca and pca baselines are the uniform and pca starts.
         starts = {rec.label: rec.initial for rec in cold.starts}
-        per_policy = {
-            "pps": (best.schedule, "priority"),
-            "rca": (starts["uniform"], "priority"),
-            "pca": (starts[PCA_STARTS[args.pca_mode]], "priority"),
-            "ocafcfs": (best.schedule, "fcfs"),
-        }
-        for policy, (p, networking) in per_policy.items():
+        baselines = {"rca": starts["uniform"], "pca": starts[PCA_STARTS[args.pca_mode]]}
+        for policy, networking in POLICIES.items():
+            p = baselines.get(policy, best.schedule)
             try:
                 wc, wa = weighted_metrics(p, point_cfg, networking)
-                obj = point_cfg.theta * wc + (1.0 - point_cfg.theta) * wa
-                rows.append((value, policy, "objective", obj))
-                rows.append((value, policy, "weighted_completion", wc))
-                rows.append((value, policy, "weighted_aoi", wa))
             except StabilityError:
                 rows.append((value, policy, "infeasible", 1.0))
                 continue
+            obj = point_cfg.theta * wc + (1.0 - point_cfg.theta) * wa
+            metrics = {"objective": obj, "weighted_completion": wc, "weighted_aoi": wa}
             if sim is not None:
                 res = run_simulation(
                     point_cfg, p, dataclasses.replace(sim, networking=networking)
                 )
-                rows.append(
-                    (value, policy, "sim_weighted_objective", res.weighted_objective)
-                )
-                rows.append(
-                    (value, policy, "sim_weighted_completion", res.weighted_completion)
-                )
-                rows.append((value, policy, "sim_weighted_aoi", res.weighted_aoi))
+                metrics["sim_weighted_objective"] = res.weighted_objective
+                metrics["sim_weighted_completion"] = res.weighted_completion
+                metrics["sim_weighted_aoi"] = res.weighted_aoi
+            rows.extend((value, policy, *item) for item in metrics.items())
 
     out = _out_dir(args)
     write_table(
@@ -360,12 +323,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     man = _manifest(
         args,
         "sweep",
-        seed=seed,
+        config,
+        settings,
         axis=args.axis,
         values=values,
         simulate=bool(args.simulate),
-        settings=dataclasses.asdict(settings),
-        config_hash=config_hash(config),
     )
     write_json(out / "sweep_manifest.json", man)
     print(f"sweep[{args.axis}]: {len(values)} points, {len(rows)} rows -> {out}")
@@ -373,9 +335,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_online(args: argparse.Namespace) -> int:
-    config = _load(args)
-    seed = _resolved_seed(args, config)
-    settings = _settings(args, seed)
+    config, settings = _setup(args)
+    seed = settings.seed
     window = default_window(config) if args.window is None else args.window
     # Checked before the synthetic horizon (windows + 1) * window is built,
     # so a bad flag is reported as itself rather than as a bad horizon.
@@ -415,12 +376,11 @@ def cmd_online(args: argparse.Namespace) -> int:
     man = _manifest(
         args,
         "online",
-        seed=seed,
+        config,
+        settings,
         trace_source=source,
         window_length=window,
         class_mapping=mapping_mode,
-        settings=dataclasses.asdict(settings),
-        config_hash=config_hash(config),
     )
     write_json(
         out / "online_report.json",
@@ -447,9 +407,10 @@ def cmd_example_fig3(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    out_flag = argparse.ArgumentParser(add_help=False)
+    out_flag.add_argument("--out-dir", default=".", help="directory for output files")
+    common = argparse.ArgumentParser(add_help=False, parents=[out_flag])
     common.add_argument("--seed", type=int, default=None, help="master seed (default: config's)")
-    common.add_argument("--out-dir", default=".", help="directory for output files")
     common.add_argument(
         "--moment-mode",
         choices=("exact", "paper_literal"),
@@ -555,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser(
         "example-fig3",
-        parents=[common],
+        parents=[out_flag],
         help="deterministic two-policy tradeoff example (prints JSON)",
     )
     p_fig.set_defaults(func=cmd_example_fig3)

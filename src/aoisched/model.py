@@ -78,6 +78,11 @@ class ParetoSpec:
                     f"pareto {name} must be positive and finite, "
                     f"got {getattr(self, name)}"
                 )
+        if not math.isfinite(self.cap):
+            raise ConfigError(
+                "pareto size cap cap_multiplier * shape * scale / (shape - 1) "
+                f"overflows: scale {self.scale}, cap_multiplier {self.cap_multiplier}"
+            )
 
     @property
     def raw_mean(self) -> float:
@@ -260,11 +265,29 @@ def validate_config(config: SystemConfig) -> list[str]:
         problems.append("network shift must be non-negative and finite")
 
     if not problems:
+        # Imported here: analytics imports this module.
+        from .analytics import (
+            link_utilization,
+            net_service_moments,
+            service_moment_matrices,
+        )
+
+        # Finite inputs can still overflow the service moments (a size near
+        # 1e308 times a shift), and no queue formula holds with one of them
+        # infinite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            compute_ok = np.isfinite(service_moment_matrices(config)).all(axis=0)
+            network_ok = np.isfinite(net_service_moments(config)).all(axis=0)
+        moments = "service moments are not finite"
+        for c, row, net_ok in zip(config.classes, compute_ok.tolist(), network_ok):
+            bad = [v.id for v, ok in zip(config.vms, row) if not ok]
+            if bad:
+                problems.append(f"class {c.id}: compute {moments} on vms {bad}")
+            if not net_ok:
+                problems.append(f"class {c.id}: network {moments}")
+    if not problems:
         # Networking load does not depend on the schedule, so an overloaded
         # link makes every schedule infeasible and is worth flagging here.
-        # Imported here: analytics imports this module.
-        from .analytics import link_utilization
-
         rho_net = float(link_utilization(config)[1][-1])
         if rho_net >= 1.0:
             problems.append(
@@ -320,6 +343,27 @@ def config_to_dict(config: SystemConfig) -> dict:
     return out
 
 
+def _integer(value, name: str, low: int, high: float = math.inf) -> int:
+    """value as an int in [low, high]: a JSON integer or an integral float
+    such as 4.0, never a bool. Anything else raises a ConfigError naming it."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if (
+        isinstance(number, bool)
+        or not isinstance(number, numbers.Integral)
+        or not low <= number <= high
+    ):
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(number)
+
+
+def _class_ids(value, name: str) -> tuple[int, ...]:
+    """A JSON list of class ids; validate_config checks that the classes exist."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of class ids, got {value!r}")
+    return tuple(_integer(x, f"{name}[{k}]", 1) for k, x in enumerate(value))
+
+
 def _numbers(d: dict, where: str, *keys: str) -> list[float]:
     """d[key] for each key as a float; KeyError if one is absent. A value that
     is not a JSON number (a bool, a string, null or NaN) raises a ConfigError
@@ -350,12 +394,7 @@ def config_from_dict(data: dict) -> SystemConfig:
     except KeyError as exc:
         raise ConfigError(f"config missing required key: {exc}") from exc
 
-    seed = data.get("seed", 0)
-    if isinstance(seed, float) and seed.is_integer():
-        seed = int(seed)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    seed = int(seed)
+    seed = _integer(data.get("seed", 0), "seed", 0)
     pareto = None
     if "pareto" in data:
         p = {"shape": 2.0, "scale": 300.0, "cap_multiplier": 5.0, **data["pareto"]}
@@ -402,7 +441,7 @@ def config_from_dict(data: dict) -> SystemConfig:
                         else None
                     ),
                     info_set=(
-                        tuple(int(x) for x in c["info_set"])
+                        _class_ids(c["info_set"], f"{where}info_set")
                         if "info_set" in c
                         else None
                     ),
@@ -410,7 +449,9 @@ def config_from_dict(data: dict) -> SystemConfig:
             )
         classes = tuple(classes)
     elif "num_classes" in data:
-        count = int(data["num_classes"])
+        # One number becomes that many classes; the cap keeps a value such
+        # as 1e308 from exhausting memory.
+        count = _integer(data["num_classes"], "num_classes", 1, 100_000)
         (total,) = _numbers(
             {"total_arrival_rate": 0.035, **data}, "", "total_arrival_rate"
         )

@@ -247,20 +247,20 @@ def assign_vms(u: np.ndarray, p: np.ndarray, cls: np.ndarray) -> np.ndarray:
     return np.minimum(vm_idx, p.shape[1] - 1)
 
 
-def group_by_class(cls: np.ndarray, order: np.ndarray, n_classes: int):
-    """Job indices grouped per class, each group in `order` order.
+def group_by_class(cls: np.ndarray, n_classes: int):
+    """Positions in `cls` grouped per class, each group in ascending order.
 
     Returns (grouped, offsets) in the layout the priority kernel expects.
     The class codes sort as the smallest unsigned type that holds them, so
     up to 65,536 classes numpy's stable sort is a radix sort; the
     permutation is the same.
     """
-    codes = cls[order].astype(np.min_scalar_type(n_classes - 1))
-    grouped = order[np.argsort(codes, kind="stable")]
+    codes = cls.astype(np.min_scalar_type(n_classes - 1))
+    grouped = np.argsort(codes, kind="stable")
     counts = np.bincount(cls, minlength=n_classes)
     offsets = np.zeros(n_classes + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return grouped.astype(np.int64), offsets
+    return grouped, offsets
 
 
 def network_start_times(
@@ -283,9 +283,9 @@ def network_start_times(
         return start2
     if networking != "priority":
         raise ValueError(f"unknown networking discipline {networking!r}")
-    grouped, offsets = group_by_class(cls, order, n_classes)
+    grouped, offsets = group_by_class(cls[order], n_classes)
     return _kernels.priority_start(
-        dep1, grouped, offsets, np.asarray(key, dtype=np.float64), s2
+        dep1, order, grouped, offsets, np.asarray(key, dtype=np.float64), s2
     )
 
 

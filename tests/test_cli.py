@@ -13,6 +13,7 @@ from aoisched.model import (
     NetworkProfile,
     SystemConfig,
     VmProfile,
+    config_to_dict,
     default_config,
     load_config,
     reference_vms,
@@ -544,6 +545,45 @@ def test_example_fig3_prints_and_writes(tmp_path, config_path, capsys):
     assert printed["manifest"]["command"] == "example-fig3"
 
 
+@pytest.mark.parametrize(
+    "flag", [["--seed", "3"], ["--moment-mode", "exact"], ["--margin", "0.1"]]
+)
+def test_example_fig3_takes_only_out_dir(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["example-fig3", *flag, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+_MANIFEST = {"command", "version", "created", "seed", "moment_mode", "margin"}
+_CONFIG_KEYS = {"config_path", "config_sha256", "config_hash"}
+
+
+def test_manifest_keys_per_command(tmp_path, config_path):
+    sched = tmp_path / "opt" / "schedule.csv"
+    short_sim = ["--horizon", "2e4", "--replications", "1"]
+    runs = [
+        (["optimize", config_path], "opt/report.json", {"settings"}),
+        (["simulate", config_path, "--policy", "rca", *short_sim],
+         "sim/simulation.json", {"policy", "sim"}),
+        (["simulate", config_path, "--schedule", str(sched), *short_sim],
+         "sched/simulation.json", {"policy", "sim"}),
+        (["sweep", config_path, "--axis", "theta", "--values", "0.5"],
+         "sweep/sweep_manifest.json", {"settings", "axis", "values", "simulate"}),
+        (["online", config_path, "--windows", "2", "--window", "20000"],
+         "online/online_report.json",
+         {"settings", "trace_source", "window_length", "class_mapping"}),
+    ]
+    for argv, report, extra in runs:
+        assert main([*argv, "--out-dir", str(tmp_path / Path(report).parent)]) == 0
+        payload = json.loads((tmp_path / report).read_text())
+        man = payload if report.endswith("sweep_manifest.json") else payload["manifest"]
+        assert set(man) == _MANIFEST | _CONFIG_KEYS | extra, argv
+    assert main(["example-fig3", "--out-dir", str(tmp_path / "fig")]) == 0
+    fig = json.loads((tmp_path / "fig" / "example_fig3.json").read_text())
+    assert set(fig["manifest"]) == _MANIFEST
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-finite JSON token {token}")
@@ -617,6 +657,34 @@ def test_error_exit_codes(tmp_path, config_path, capsys):
 
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "command, field, value, named",
+    [
+        ("optimize", ("num_classes",), True, "num_classes"),
+        ("simulate", ("num_classes",), 1e308, "num_classes"),
+        ("optimize", ("classes", 0, "info_set"), "12", "classes[0].info_set"),
+        ("simulate", ("classes", 0, "info_set"), [None], "classes[0].info_set"),
+        ("optimize", ("classes", 0, "compute_size"), 1e308, "class 1: compute"),
+        ("simulate", ("vms", 0, "shift"), 1e308, "class 1: compute"),
+    ],
+)
+def test_bad_config_fields_exit_2(tmp_path, capsys, command, field, value, named):
+    data = config_to_dict(default_config(4))
+    if field == ("num_classes",):
+        del data["classes"]
+        data["pareto"] = {"shape": 2.0, "scale": 0.5}
+    *parents, name = field
+    node = data
+    for key in parents:
+        node = node[key]
+    node[name] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main([command, str(path), "--max-iters", "5", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
 
 
 def test_optimize_reports_stop_reason_and_rejects_bad_settings(

@@ -54,9 +54,7 @@ def _priority_inputs(draw):
     # Per-job keys change within a class, as they do across online windows.
     key = rng.choice(_keys, n)
     s2 = rng.integers(0, 4, n, endpoint=True).astype(np.float64)
-    order = np.argsort(dep1, kind="stable")
-    grouped, offsets = group_by_class(cls, order, n_classes)
-    return dep1, grouped, offsets, key, s2
+    return _kernel_inputs(dep1, cls, n_classes, key, s2, rng)
 
 
 @st.composite
@@ -81,41 +79,40 @@ def _priority_edge_inputs(draw):
     else:
         s2 = rng.integers(0, 4, n, endpoint=True).astype(np.float64)
     key = rng.choice(_keys, n)
-    order = np.argsort(dep1, kind="stable")
-    grouped, offsets = group_by_class(cls.astype(np.int64), order, n_classes)
-    return dep1, grouped, offsets, key, s2
+    return _kernel_inputs(dep1, cls.astype(np.int64), n_classes, key, s2, rng)
+
+
+def _kernel_inputs(dep1, cls, n_classes, key, s2, rng):
+    """The kernel's arguments, walking tied arrivals in a random order."""
+    order = np.lexsort((rng.permutation(len(dep1)), dep1))
+    grouped, offsets = group_by_class(cls[order], n_classes)
+    return dep1, order, grouped, offsets, key, s2
+
+
+def _scan(dep1, order, grouped, offsets, key, s2):
+    """The oracle on the kernel's arguments: grouped job indices, each class
+    in walk order."""
+    return priority_scan(dep1, order[grouped], offsets, key, s2)
 
 
 @settings(max_examples=300)
 @given(_priority_inputs())
 def test_priority_start_matches_scan(inputs):
-    np.testing.assert_array_equal(
-        _kernels.priority_start(*inputs), priority_scan(*inputs)
-    )
+    np.testing.assert_array_equal(_kernels.priority_start(*inputs), _scan(*inputs))
 
 
 @settings(max_examples=150)
 @given(_priority_edge_inputs())
 def test_priority_start_matches_scan_at_the_edges(inputs):
-    np.testing.assert_array_equal(
-        _kernels.priority_start(*inputs), priority_scan(*inputs)
-    )
+    np.testing.assert_array_equal(_kernels.priority_start(*inputs), _scan(*inputs))
 
 
-@pytest.mark.parametrize(
-    "x",
-    [
-        np.array([3.0, 1.0, 2.0, 0.5]),
-        np.array([2.0, 1.0, 2.0, 1.0, 0.0]),
-        np.array([0.0, -0.0, 1.0, -0.0]),
-        np.array([np.inf, -np.inf, 1.0, np.inf]),
-        np.repeat(np.arange(50.0), 3)[::-1].copy(),
-    ],
-)
-def test_stable_argsort_orders_ties_by_position(x):
-    np.testing.assert_array_equal(
-        _kernels._stable_argsort(x), np.argsort(x, kind="stable")
-    )
+def test_priority_start_rejects_an_order_that_does_not_sort_arrivals():
+    dep1 = np.array([0.0, 2.0, 1.0])
+    grouped, offsets = group_by_class(np.zeros(3, dtype=np.int64), 1)
+    s2 = np.ones(3)
+    with pytest.raises(ValueError, match="order must sort arrivals"):
+        _kernels.priority_start(dep1, np.arange(3), grouped, offsets, s2, s2)
 
 
 @pytest.mark.parametrize("n_classes", [1, 256, 257, 70_000])
@@ -124,10 +121,9 @@ def test_group_by_class_matches_an_int64_stable_sort(n_classes):
     n = 3000
     cls = rng.integers(0, n_classes, n)
     cls[rng.choice(n, 2, replace=False)] = n_classes - 1  # sets the code dtype
-    order = np.argsort(rng.integers(0, 50, n), kind="stable")
-    grouped, offsets = group_by_class(cls, order, n_classes)
+    grouped, offsets = group_by_class(cls, n_classes)
     np.testing.assert_array_equal(
-        grouped, order[np.argsort(cls[order].astype(np.int64), kind="stable")]
+        grouped, np.argsort(cls.astype(np.int64), kind="stable")
     )
     assert grouped.dtype == np.int64
     np.testing.assert_array_equal(
@@ -297,10 +293,10 @@ def test_network_start_times_matches_oracles():
     cls = rng.integers(0, 3, n)
     key = np.array([0.3, 0.1, 0.9])[cls]
     s2 = rng.exponential(0.5, n)
-    order = np.argsort(dep1, kind="stable")
+    order = np.arange(n)
     np.testing.assert_array_equal(
         network_start_times(dep1, cls, key, s2, 3, "priority"),
-        priority_scan(dep1, *group_by_class(cls, order, 3), key, s2),
+        _scan(dep1, order, *group_by_class(cls, 3), key, s2),
     )
     fcfs = np.empty(n)
     fcfs[order] = fcfs_scan(dep1[order], np.zeros(n, dtype=np.int64), s2[order], 1)
@@ -315,21 +311,38 @@ def test_network_start_times_matches_oracles():
         network_start_times(dep1, cls, key, s2, 3, "lifo")
 
 
+def test_priority_link_takes_unsorted_departures_with_ties_across_classes():
+    # Small integer departures in no particular order: many jobs of different
+    # classes leave their VMs at the same instant. The oracle gets each
+    # class's jobs in arrival order, ties by job index.
+    rng = np.random.default_rng(11)
+    n, n_classes = 600, 7
+    dep1 = rng.integers(0, 150, n).astype(np.float64)
+    cls = rng.integers(0, n_classes, n)
+    key = rng.choice(_keys, n_classes)[cls]
+    s2 = rng.integers(0, 3, n, endpoint=True).astype(np.float64)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(cls, minlength=n_classes))])
+    np.testing.assert_array_equal(
+        network_start_times(dep1, cls, key, s2, n_classes, "priority"),
+        priority_scan(dep1, np.lexsort((dep1, cls)), offsets, key, s2),
+    )
+
+
 _NAN_SCRIPT = """
 import numpy as np
 from aoisched import _kernels
 
 t = np.array([0.0, 1.0, 2.0])
 s = np.array([1.0, 1.0, 1.0])
-grouped, offsets = np.array([0, 1, 2]), np.array([0, 2, 3])
+order, grouped, offsets = np.arange(3), np.array([0, 1, 2]), np.array([0, 2, 3])
 key = np.array([1.0, 1.0, 2.0])
 srv = np.zeros(3, dtype=np.int64)
 nan_at_1 = lambda a, bad=np.nan: np.where(np.arange(3) == 1, bad, a)
 calls = [
-    lambda: _kernels.priority_start(nan_at_1(t), grouped, offsets, key, s),
-    lambda: _kernels.priority_start(t, grouped, offsets, key, nan_at_1(s)),
-    lambda: _kernels.priority_start(t, grouped, offsets, key, nan_at_1(s, np.inf)),
-    lambda: _kernels.priority_start(t, grouped, offsets, nan_at_1(key), s),
+    lambda: _kernels.priority_start(nan_at_1(t), order, grouped, offsets, key, s),
+    lambda: _kernels.priority_start(t, order, grouped, offsets, key, nan_at_1(s)),
+    lambda: _kernels.priority_start(t, order, grouped, offsets, key, nan_at_1(s, np.inf)),
+    lambda: _kernels.priority_start(t, order, grouped, offsets, nan_at_1(key), s),
     lambda: _kernels.fcfs_start(nan_at_1(t), srv, s, 1),
     lambda: _kernels.fcfs_start(t, srv, nan_at_1(s), 1),
 ]

@@ -309,6 +309,52 @@ def test_integral_seeds_load():
     assert config_from_dict({**_sized_classes(), "seed": 4.0}).seed == 4
 
 
+def _generated_classes(num_classes):
+    data = {k: v for k, v in _sized_classes().items() if k != "classes"}
+    return {**data, "num_classes": num_classes}
+
+
+def _set(path, value):
+    """_sized_classes() with the field at path, a tuple of keys, set."""
+    data = _sized_classes()
+    *parents, name = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[name] = value
+    return data
+
+
+_BAD_FIELDS = [
+    *[(_generated_classes(v), "num_classes")
+      for v in (True, 2.5, 0, -3, float("nan"), "x", None, [], {}, 1e308)],
+    *[(_set(("classes", 1, "info_set"), v), r"classes\[1\]\.info_set")
+      for v in ("12", [1.5], ["a"], 3, [None], None, [True], [0])],
+    # Finite inputs whose service moments overflow, named by class and VM.
+    (_set(("classes", 1, "compute_size"), 1e308), r"class 2: compute .* vms \[1\]"),
+    (_set(("vms", 0, "shift"), 1e308), r"class 1: compute .* vms \[1\]"),
+    (_set(("classes", 1, "output_size"), 1e308), "class 2: network service moments"),
+    (_set(("pareto", "scale"), 1e307), r"class 1: compute .* vms \[1\]"),
+    (_set(("pareto", "scale"), 1e308), "pareto size cap"),
+]
+
+
+@pytest.mark.parametrize("data, field", _BAD_FIELDS)
+def test_bad_counts_ids_and_overflowing_moments_name_their_field(data, field):
+    with pytest.raises(ConfigError, match=field):
+        config = config_from_dict(data)
+        problems = validate_config(config)
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+
+def test_integral_counts_and_ids_load():
+    assert config_from_dict(_generated_classes(4.0)).num_classes == 4
+    config = config_from_dict(_set(("classes", 1, "info_set"), [1, 2.0]))
+    assert config.classes[1].info_set == (1, 2)
+    assert validate_config(config) == []
+
+
 @pytest.mark.parametrize("value", [True, "0.5", None])
 def test_theta_must_be_a_json_number(value):
     with pytest.raises(ConfigError, match="theta must be a number"):

@@ -129,11 +129,10 @@ def test_merged_arrivals_fallback_matches_per_class_draws(case, data):
 
 
 def test_group_by_class_layout():
-    cls = np.array([0, 1, 0, 1])
-    order = np.array([3, 2, 1, 0])  # pretend dep1 sorts jobs in reverse
-    grouped, offsets = group_by_class(cls, order, 2)
-    np.testing.assert_array_equal(grouped, [2, 0, 3, 1])
-    np.testing.assert_array_equal(offsets, [0, 2, 4])
+    cls = np.array([1, 0, 1, 0, 1])
+    grouped, offsets = group_by_class(cls, 3)
+    np.testing.assert_array_equal(grouped, [1, 3, 0, 2, 4])
+    np.testing.assert_array_equal(offsets, [0, 2, 5, 5])
 
 
 def test_fcfs_kernel_hand_example():
