@@ -34,7 +34,9 @@ from .model import (
     SystemConfig,
     config_hash,
     dumps_json,
+    integer,
     load_config,
+    positive,
     read_json_object,
     reference_vms,
     validate_config,
@@ -119,7 +121,7 @@ def _setup(args: argparse.Namespace) -> tuple[SystemConfig, OptimizerSettings]:
         rel_tol=args.rel_tol,
         initial_step=args.step,
         stability_margin=args.margin,
-        seed=config.seed if args.seed is None else args.seed,
+        seed=config.seed if args.seed is None else integer(args.seed, "--seed", 0),
     )
     return config, settings
 
@@ -141,12 +143,15 @@ def read_schedule(path: str | Path) -> np.ndarray:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            where = f"{path}: line {lineno}"
+            if row[0].strip() != str(len(rows) + 1):
+                raise ConfigError(f"{where}: class_id must be {len(rows) + 1}")
+            if len(row) != len(header):
+                raise ConfigError(f"{where}: wrong number of probabilities")
             try:
                 rows.append([float(x) for x in row[1:]])
             except ValueError:
-                raise ConfigError(f"{path}: line {lineno}: bad probability") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise ConfigError(f"{path}: line {lineno}: wrong number of probabilities")
+                raise ConfigError(f"{where}: bad probability") from None
     if not rows:
         raise ConfigError(f"{path}: schedule file has no rows")
     return np.array(rows, dtype=np.float64)
@@ -181,6 +186,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config, settings = _setup(args)
+    solved_with = None  # the settings of the optimizer, if it ran
     if args.schedule:
         p = read_schedule(args.schedule)
         policy = f"schedule:{args.schedule}"
@@ -194,6 +200,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             p = baseline_pca(config, args.pca_mode, args.margin)
         else:
             p = optimize_pps(config, settings).schedule
+            solved_with = settings
     sim = SimConfig(
         horizon=args.horizon,
         replications=args.replications,
@@ -204,7 +211,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         collect_event_log=args.event_log,
     )
     result = run_simulation(config, p, sim)
-    man = _manifest(args, "simulate", config, seed=sim.seed, policy=policy)
+    man = _manifest(args, "simulate", config, solved_with, seed=sim.seed, policy=policy)
     man["sim"] = dataclasses.asdict(sim)
     out = _out_dir(args)
     result.write_csv(out / "simulation.csv")
@@ -226,13 +233,12 @@ def _sweep_point_config(config: SystemConfig, axis: str, value: float) -> System
             raise ConfigError(f"theta sweep value {value} outside [0, 1]")
         return dataclasses.replace(config, theta=float(value))
     if axis == "vms":
-        if value < 1 or value != int(value):
-            raise ConfigError(f"vms sweep value must be an integer >= 1, got {value}")
-        return dataclasses.replace(config, vms=reference_vms(int(value)))
+        # Capped as num_classes is, so that 1e308 cannot exhaust memory.
+        vms = reference_vms(integer(value, "vms sweep value", 1, 100_000))
+        return dataclasses.replace(config, vms=vms)
     if axis == "lambda-scale":
-        if value <= 0.0:
-            raise ConfigError(f"lambda-scale must be positive, got {value}")
-        return config.with_rates(config.arrival_rates() * float(value))
+        scale = positive(value, "lambda-scale")
+        return config.with_rates(config.arrival_rates() * scale)
     if axis == "weights":
         # Reapportion total load: the first half of the classes carries the
         # given fraction of it, rates staying proportional within each half.
@@ -340,10 +346,7 @@ def cmd_online(args: argparse.Namespace) -> int:
     window = default_window(config) if args.window is None else args.window
     # Checked before the synthetic horizon (windows + 1) * window is built,
     # so a bad flag is reported as itself rather than as a bad horizon.
-    if not (np.isfinite(window) and window > 0.0):
-        raise ConfigError(
-            f"--window: window_length must be positive and finite, got {window}"
-        )
+    positive(window, "--window: window_length")
     if not args.trace and args.windows < 2:
         raise ConfigError(f"--windows must be at least 2, got {args.windows}")
     if args.trace:

@@ -24,7 +24,8 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,11 +74,7 @@ class ParetoSpec:
                 f"pareto shape must be finite and exceed 1, got {self.shape}"
             )
         for name in ("scale", "cap_multiplier"):
-            if not _positive(getattr(self, name)):
-                raise ConfigError(
-                    f"pareto {name} must be positive and finite, "
-                    f"got {getattr(self, name)}"
-                )
+            positive(getattr(self, name), f"pareto {name}")
         if not math.isfinite(self.cap):
             raise ConfigError(
                 "pareto size cap cap_multiplier * shape * scale / (shape - 1) "
@@ -183,12 +180,20 @@ class SystemConfig:
 
 
 # Both checks fail for NaN, which passes every "x <= 0" style test.
-def _positive(x: float) -> bool:
+def _is_positive(x: float) -> bool:
     return bool(np.isfinite(x) and x > 0.0)
 
 
-def _non_negative(x: float) -> bool:
+def _is_non_negative(x: float) -> bool:
     return bool(np.isfinite(x) and x >= 0.0)
+
+
+def positive(value: float, name: str) -> float:
+    """value if it is positive and finite, otherwise a ConfigError: the one
+    rule for a length of time or a size parameter checked where it enters."""
+    if not _is_positive(value):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def validate_config(config: SystemConfig) -> list[str]:
@@ -255,13 +260,13 @@ def validate_config(config: SystemConfig) -> list[str]:
                     f"class {c.id}: info_set references unknown class ids {missing}"
                 )
     for v in config.vms:
-        if not _positive(v.rate):
+        if not _is_positive(v.rate):
             problems.append(f"vm {v.id}: rate must be positive and finite")
-        if not _non_negative(v.shift):
+        if not _is_non_negative(v.shift):
             problems.append(f"vm {v.id}: shift must be non-negative and finite")
-    if not _positive(config.network.rate):
+    if not _is_positive(config.network.rate):
         problems.append("network rate must be positive and finite")
-    if not _non_negative(config.network.shift):
+    if not _is_non_negative(config.network.shift):
         problems.append("network shift must be non-negative and finite")
 
     if not problems:
@@ -273,12 +278,15 @@ def validate_config(config: SystemConfig) -> list[str]:
         )
 
         # Finite inputs can still overflow the service moments (a size near
-        # 1e308 times a shift), and no queue formula holds with one of them
-        # infinite.
+        # 1e308 times a shift) or a class's offered load (a rate near 1e308
+        # times a mean), and no queue formula holds with one of them infinite.
+        lam = config.arrival_rates()
         with np.errstate(over="ignore", invalid="ignore"):
-            compute_ok = np.isfinite(service_moment_matrices(config)).all(axis=0)
-            network_ok = np.isfinite(net_service_moments(config)).all(axis=0)
-        moments = "service moments are not finite"
+            m1, m2 = service_moment_matrices(config)
+            n1, n2 = net_service_moments(config)
+            compute_ok = np.isfinite([m1, m2, lam[:, None] * m1]).all(axis=0)
+            network_ok = np.isfinite([n1, n2, lam * n1]).all(axis=0)
+        moments = "service moments or offered load are not finite"
         for c, row, net_ok in zip(config.classes, compute_ok.tolist(), network_ok):
             bad = [v.id for v, ok in zip(config.vms, row) if not ok]
             if bad:
@@ -288,7 +296,8 @@ def validate_config(config: SystemConfig) -> list[str]:
     if not problems:
         # Networking load does not depend on the schedule, so an overloaded
         # link makes every schedule infeasible and is worth flagging here.
-        rho_net = float(link_utilization(config)[1][-1])
+        with np.errstate(over="ignore"):  # a sum that overflows reads inf
+            rho_net = float(link_utilization(config)[1][-1])
         if rho_net >= 1.0:
             problems.append(
                 f"networking queue unstable: utilization {rho_net:.4f} >= 1"
@@ -304,8 +313,7 @@ def sample_class_sizes(
     Draws above the cap are clipped to it (clipping, not rejection, keeps the
     draw count deterministic). Every returned value lies in [scale, cap].
     """
-    if count < 0:
-        raise ConfigError(f"count must be non-negative, got {count}")
+    integer(count, "count", 0)
     rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
     raw = spec.scale * (1.0 + rng.pareto(spec.shape, size=count))
     return np.minimum(raw, spec.cap)
@@ -335,17 +343,14 @@ def config_to_dict(config: SystemConfig) -> dict:
         "classes": [_class_to_dict(c) for c in config.classes],
     }
     if config.pareto is not None:
-        out["pareto"] = {
-            "shape": config.pareto.shape,
-            "scale": config.pareto.scale,
-            "cap_multiplier": config.pareto.cap_multiplier,
-        }
+        out["pareto"] = asdict(config.pareto)
     return out
 
 
-def _integer(value, name: str, low: int, high: float = math.inf) -> int:
+def integer(value, name: str, low: int, high: float = math.inf) -> int:
     """value as an int in [low, high]: a JSON integer or an integral float
-    such as 4.0, never a bool. Anything else raises a ConfigError naming it."""
+    such as 4.0, never a bool or a string; else a ConfigError naming it.
+    The one integer rule, for config files, class maps and flags alike."""
     number = int(value) if isinstance(value, float) and value.is_integer() else value
     if (
         isinstance(number, bool)
@@ -357,22 +362,35 @@ def _integer(value, name: str, low: int, high: float = math.inf) -> int:
     return int(number)
 
 
-def _class_ids(value, name: str) -> tuple[int, ...]:
-    """A JSON list of class ids; validate_config checks that the classes exist."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of class ids, got {value!r}")
-    return tuple(_integer(x, f"{name}[{k}]", 1) for k, x in enumerate(value))
+_REQUIRED = object()
+_KINDS = {float: "a number", str: "a string", dict: "an object", list: "a list"}
 
 
-def _numbers(d: dict, where: str, *keys: str) -> list[float]:
-    """d[key] for each key as a float; KeyError if one is absent. A value that
-    is not a JSON number (a bool, a string, null or NaN) raises a ConfigError
-    naming its JSON path, where + key, for example classes[3].compute_size."""
-    values = [d[key] for key in keys]
-    for key, v in zip(keys, values):
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or v != v:
-            raise ConfigError(f"{where}{key} must be a number, got {v!r}")
-    return [float(v) for v in values]
+def _json_field(container, key, where: str = "", kind: type = float, default=_REQUIRED):
+    """container[key] as a JSON number (returned as a float), string, object
+    or list; a key absent from an object gives `default`. A missing required
+    key, a value of another JSON type (a bool, a string, null or NaN where a
+    number belongs) or an integer beyond any float raises a ConfigError
+    naming the value's JSON path, where + key: theta, vms[0], pareto.scale."""
+    path = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}".lstrip(".")
+    if isinstance(container, dict) and key not in container:
+        if default is _REQUIRED:
+            raise ConfigError(f"config missing required key: {path}")
+        return default
+    value = container[key]
+    # A bool is no number here, and NaN is the one value unequal to itself.
+    types = numbers.Real if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, types) or value != value:
+        raise ConfigError(f"{path} must be {_KINDS[kind]}, got {value!r}")
+    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got an integer past 1e308")
+    return float(value) if kind is float else value
+
+
+def _objects(data: dict, key: str) -> list[dict]:
+    """data[key] as a JSON list of objects, each checked with its path."""
+    items = _json_field(data, key, kind=list)
+    return [_json_field(items, i, key, dict) for i in range(len(items))]
 
 
 def config_from_dict(data: dict) -> SystemConfig:
@@ -383,25 +401,28 @@ def config_from_dict(data: dict) -> SystemConfig:
     total_arrival_rate (default 0.035/ms); missing sizes are drawn from the
     pareto section using the config seed. seed must be a non-negative integer.
     """
-    try:
-        (theta,) = _numbers(data, "", "theta")
-        net = data["network"]
-        network = NetworkProfile(*_numbers(net, "network.", "rate", "shift"))
-        vms = tuple(
-            VmProfile(i + 1, *_numbers(v, f"vms[{i}].", "rate", "shift"))
-            for i, v in enumerate(data["vms"])
+    theta = _json_field(data, "theta")
+    net = _json_field(data, "network", kind=dict)
+    network = NetworkProfile(
+        *(_json_field(net, k, "network") for k in ("rate", "shift"))
+    )
+    vms = tuple(
+        VmProfile(i + 1, *(_json_field(v, k, f"vms[{i}]") for k in ("rate", "shift")))
+        for i, v in enumerate(_objects(data, "vms"))
+    )
+    seed = integer(data.get("seed", 0), "seed", 0)
+    pareto = _json_field(data, "pareto", kind=dict, default=None)
+    if pareto is not None:
+        # A parameter the section omits takes ParetoSpec's own default.
+        spec = fields(ParetoSpec)
+        pareto = ParetoSpec(
+            *(_json_field(pareto, f.name, "pareto", float, f.default) for f in spec)
         )
-    except KeyError as exc:
-        raise ConfigError(f"config missing required key: {exc}") from exc
-
-    seed = _integer(data.get("seed", 0), "seed", 0)
-    pareto = None
-    if "pareto" in data:
-        p = {"shape": 2.0, "scale": 300.0, "cap_multiplier": 5.0, **data["pareto"]}
-        pareto = ParetoSpec(*_numbers(p, "pareto.", "shape", "scale", "cap_multiplier"))
 
     if "classes" in data:
-        raw_classes = data["classes"]
+        raw_classes = _objects(data, "classes")
+        # Without draws, every class must give both sizes.
+        drawn = [[_REQUIRED] * len(raw_classes)] * 2
         if any("compute_size" not in c or "output_size" not in c for c in raw_classes):
             if pareto is None:
                 raise ConfigError(
@@ -410,51 +431,34 @@ def config_from_dict(data: dict) -> SystemConfig:
             # Compute sizes are drawn first, then output sizes, so adding or
             # removing one kind of override does not shift the other stream.
             # A size the class gives overrides its draw.
-            drawn = zip(
-                sample_class_sizes(pareto, len(raw_classes), seed),
-                sample_class_sizes(pareto, len(raw_classes), seed + 1),
-            )
-            raw_classes = [
-                {"compute_size": d, "output_size": e, **c}
-                for (d, e), c in zip(drawn, raw_classes)
+            drawn = [
+                sample_class_sizes(pareto, len(raw_classes), seed + k).tolist()
+                for k in (0, 1)
             ]
         classes = []
-        for i, c in enumerate(raw_classes):
-            where = f"classes[{i}]."
-            try:
-                rate, compute, output = _numbers(
-                    c, where, "arrival_rate", "compute_size", "output_size"
+        for i, (c, d, e) in enumerate(zip(raw_classes, *drawn)):
+            where = f"classes[{i}]"
+            ids = _json_field(c, "info_set", where, list, None)
+            if ids is not None:
+                ids = tuple(
+                    integer(x, f"{where}.info_set[{k}]", 1) for k, x in enumerate(ids)
                 )
-            except KeyError as exc:
-                raise ConfigError(
-                    f"class {i + 1} missing required key: {exc}"
-                ) from exc
             classes.append(
                 JobClass(
                     id=i + 1,
-                    arrival_rate=rate,
-                    compute_size=compute,
-                    output_size=output,
-                    update_rate=(
-                        _numbers(c, where, "update_rate")[0]
-                        if "update_rate" in c
-                        else None
-                    ),
-                    info_set=(
-                        _class_ids(c["info_set"], f"{where}info_set")
-                        if "info_set" in c
-                        else None
-                    ),
+                    arrival_rate=_json_field(c, "arrival_rate", where),
+                    compute_size=_json_field(c, "compute_size", where, default=d),
+                    output_size=_json_field(c, "output_size", where, default=e),
+                    update_rate=_json_field(c, "update_rate", where, default=None),
+                    info_set=ids,
                 )
             )
         classes = tuple(classes)
     elif "num_classes" in data:
         # One number becomes that many classes; the cap keeps a value such
         # as 1e308 from exhausting memory.
-        count = _integer(data["num_classes"], "num_classes", 1, 100_000)
-        (total,) = _numbers(
-            {"total_arrival_rate": 0.035, **data}, "", "total_arrival_rate"
-        )
+        count = integer(data["num_classes"], "num_classes", 1, 100_000)
+        total = _json_field(data, "total_arrival_rate", default=0.035)
         if pareto is None:
             raise ConfigError("num_classes requires a pareto section for sizes")
         classes = generate_classes(count, total, pareto, seed)
@@ -466,9 +470,9 @@ def config_from_dict(data: dict) -> SystemConfig:
         vms=vms,
         network=network,
         theta=theta,
-        moment_mode=str(data.get("moment_mode", "exact")),
-        aoi_network_weighting=str(
-            data.get("aoi_network_weighting", "paper_theorem1")
+        moment_mode=_json_field(data, "moment_mode", kind=str, default="exact"),
+        aoi_network_weighting=_json_field(
+            data, "aoi_network_weighting", kind=str, default="paper_theorem1"
         ),
         seed=seed,
         pareto=pareto,
@@ -479,8 +483,7 @@ def generate_classes(
     count: int, total_arrival_rate: float, pareto: ParetoSpec, seed: int
 ) -> tuple[JobClass, ...]:
     """Classes with rates proportional to 1/(j+1) and Pareto-drawn sizes."""
-    if count <= 0:
-        raise ConfigError(f"num_classes must be positive, got {count}")
+    integer(count, "num_classes", 1)
     weights = 1.0 / (np.arange(1, count + 1) + 1.0)
     rates = total_arrival_rate * weights / weights.sum()
     compute = sample_class_sizes(pareto, count, seed)
@@ -502,7 +505,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge integers
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} {path} is not a JSON object")

@@ -29,7 +29,14 @@ import numpy as np
 
 from . import _kernels
 from .analytics import wsept_keys
-from .model import ConfigError, SystemConfig, validate_config, write_table
+from .model import (
+    ConfigError,
+    SystemConfig,
+    integer,
+    positive,
+    validate_config,
+    write_table,
+)
 from .optimizer import InfeasibleError, OptimizerSettings, optimize_pps
 from .simulator import (
     Flow,
@@ -158,20 +165,13 @@ def resolve_classes(
     counts = np.bincount(trace.codes, minlength=len(trace.keys)).tolist()
     present = [(key, n) for key, n in zip(trace.keys, counts) if n]
     if class_map is not None:
-        for key, cid in class_map.items():
-            try:
-                ok = float(cid).is_integer() and 1 <= float(cid) <= num_classes
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ConfigError(
-                    f"class_map sends {key!r} to class {cid!r}, "
-                    f"not an integer or outside 1..{num_classes}"
-                )
-        missing = sorted(k for k, _ in present if k not in class_map)
+        mapping = {
+            key: integer(cid, f"class_map[{key!r}]", 1, num_classes)
+            for key, cid in class_map.items()
+        }
+        missing = sorted(k for k, _ in present if k not in mapping)
         if missing:
             raise ConfigError(f"trace keys not in class_map: {missing[:5]}")
-        mapping = {k: int(float(v)) for k, v in class_map.items()}
     else:
         ranked = sorted(present, key=lambda kv: (-kv[1], kv[0]))
         mapping = {
@@ -186,8 +186,7 @@ def synthesize_poisson_trace(
     config: SystemConfig, horizon: float, seed: int = 0
 ) -> Trace:
     """Stationary Poisson trace at the config's rates; keys are class ids."""
-    if not (np.isfinite(horizon) and horizon > 0.0):
-        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
+    positive(horizon, "horizon")
     rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
     times, cls = merged_arrivals(rng, config.arrival_rates(), horizon)
     return Trace(times, tuple(str(j + 1) for j in range(config.num_classes)), cls)
@@ -273,10 +272,7 @@ def _prepare_trace(trace, config, window_length, class_map) -> _Trace:
         raise ConfigError("; ".join(problems))
     if window_length is None:
         window_length = default_window(config)
-    if not (np.isfinite(window_length) and window_length > 0.0):
-        raise ConfigError(
-            f"window_length must be positive and finite, got {window_length}"
-        )
+    positive(window_length, "window_length")
     times, cls, mapping = resolve_classes(trace, config.num_classes, class_map)
     n_windows = int(np.floor(float(times[-1]) / window_length))
     if n_windows < 2:

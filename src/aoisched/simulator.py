@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .model import ConfigError, SystemConfig, validate_config, write_table
+from .model import ConfigError, SystemConfig, positive, validate_config, write_table
 from .analytics import check_schedule, wsept_keys
 
 NETWORKING_DISCIPLINES = ("priority", "fcfs")
@@ -74,10 +74,7 @@ class SimConfig:
     collect_event_log: bool = False
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ConfigError(
-                f"horizon must be positive and finite, got {self.horizon}"
-            )
+        positive(self.horizon, "horizon")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError(
                 f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}"
@@ -563,12 +560,12 @@ def _mean_se_ci(rep_values: np.ndarray):
             warnings.filterwarnings("ignore", "Degrees of freedom", RuntimeWarning)
             sd = np.nanstd(vals, axis=0, ddof=1)
         se = np.where(multi, sd / np.sqrt(np.maximum(n, 1)), np.nan)
-        # Imported here so that `import aoisched` does not load scipy.stats.
-        from scipy.stats import t as student_t
+        # Imported here so that `import aoisched` does not load scipy.
+        from scipy.special import stdtrit
 
         # Two-sided 95 percent Student t on the replication means; dof
         # varies if classes miss reps.
-        tq = student_t.ppf(0.975, np.maximum(n - 1, 1))
+        tq = stdtrit(np.maximum(n - 1, 1), 0.975)
         tq = np.where(multi, tq, np.nan)
         ci = tq * se
     return mean, se, ci

@@ -9,6 +9,7 @@ import pytest
 from aoisched.analytics import InfeasibleError, StabilityError, weighted_metrics
 from aoisched.cli import _sweep_point_config, main, read_schedule
 from aoisched.model import (
+    ConfigError,
     JobClass,
     NetworkProfile,
     SystemConfig,
@@ -332,6 +333,15 @@ def test_sweep_checks_every_value_before_solving(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+def test_vms_sweep_values_follow_the_integer_rule(config_path):
+    # 1e308 is integral; without the cap it would ask for that many VMs.
+    config = load_config(config_path)
+    assert _sweep_point_config(config, "vms", 3.0).num_vms == 3
+    for bad in (2.5, 0.0, 1e308):
+        with pytest.raises(ConfigError, match=r"must be an integer in \[1, 100000\]"):
+            _sweep_point_config(config, "vms", bad)
+
+
 def test_sweep_checks_simulation_settings_before_solving(
     tmp_path, config_path, capsys, monkeypatch
 ):
@@ -460,13 +470,15 @@ def test_online_rejects_bad_window_and_class_map(tmp_path, config_path, capsys):
         assert rc == 2
         assert "window_length must be positive" in capsys.readouterr().err
     cmap = tmp_path / "map.json"
-    cmap.write_text(json.dumps({"k0": 1, "k1": 1.5}))
-    rc = main(
-        ["online", config_path, "--trace", str(trace), "--class-map", str(cmap),
-         "--window", "10000", "--out-dir", str(tmp_path)]
-    )
-    assert rc == 2
-    assert "not an integer" in capsys.readouterr().err
+    for bad in (1.5, float("nan"), "one", 4, True, "2"):
+        cmap.write_text(json.dumps({"k0": 1, "k1": bad}))
+        rc = main(
+            ["online", config_path, "--trace", str(trace), "--class-map", str(cmap),
+             "--window", "10000", "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "class_map['k1'] must be an integer in [1, 3]" in err, bad
     for content in ("[1, 2]", "null", '"k0"'):
         cmap.write_text(content)
         rc = main(
@@ -507,6 +519,15 @@ def test_online_synthetic_rejects_too_few_windows(tmp_path, config_path, capsys,
     assert capsys.readouterr().err == (
         f"error: --windows must be at least 2, got {windows}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["optimize", "simulate", "online"])
+def test_negative_seed_flag_exits_2(tmp_path, config_path, capsys, command):
+    # --seed follows the config's seed rule; numpy's seeding would refuse it
+    # later with a ValueError.
+    rc = main([command, config_path, "--seed", "-1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
 
 
 def test_online_trace_with_empty_full_windows_exits_2(tmp_path, config_path, capsys):
@@ -566,6 +587,8 @@ def test_manifest_keys_per_command(tmp_path, config_path):
         (["optimize", config_path], "opt/report.json", {"settings"}),
         (["simulate", config_path, "--policy", "rca", *short_sim],
          "sim/simulation.json", {"policy", "sim"}),
+        (["simulate", config_path, "--policy", "pps", *short_sim],
+         "pps/simulation.json", {"policy", "sim", "settings"}),
         (["simulate", config_path, "--schedule", str(sched), *short_sim],
          "sched/simulation.json", {"policy", "sim"}),
         (["sweep", config_path, "--axis", "theta", "--values", "0.5"],
@@ -618,6 +641,26 @@ def test_every_report_is_strict_json(tmp_path, config_path, capsys):
             _strict_json(text)
     report = _strict_json((tmp_path / "run4" / "online_report.json").read_text())
     assert report["objective_gap_percent"] is None
+
+
+def test_read_schedule_checks_class_ids_and_row_width(tmp_path):
+    # Row j is class j's row: ids out of file order would silently swap rows.
+    path = tmp_path / "schedule.csv"
+    path.write_text("class_id,p_1,p_2\n1,0.5,0.5\n2,1.0,0.0\n")
+    assert read_schedule(path).tolist() == [[0.5, 0.5], [1.0, 0.0]]
+    header = "class_id,p_1,p_2\n"
+    bad = {
+        header + "2,1.0,0.0\n1,0.5,0.5\n": "line 2: class_id must be 1",
+        header + "1,0.5,0.5\n1,1.0,0.0\n": "line 3: class_id must be 2",
+        header + "1,0.5,0.5\n\n3,1.0,0.0\n": "line 4: class_id must be 2",
+        # The id's text is compared, as optimize writes it.
+        header + "1.0,0.5,0.5\n": "line 2: class_id must be 1",
+        "class_id,p_1\n1,0.5,0.5\n2,1.0,0.0\n": "line 2: wrong number of probabilities",
+    }
+    for text, message in bad.items():
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            read_schedule(path)
 
 
 def test_error_exit_codes(tmp_path, config_path, capsys):

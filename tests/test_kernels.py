@@ -375,3 +375,13 @@ def test_import_leaves_scipy_solvers_unloaded():
         "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))"
     )
     assert _run_python(script).strip() == "[]"
+    # The replications' confidence intervals need one Student t quantile,
+    # which scipy.special gives without loading scipy.stats.
+    script = (
+        "import sys, numpy as np; "
+        "from aoisched import SimConfig, default_config, run_simulation; "
+        "r = run_simulation(default_config(3, 2), np.full((3, 2), 0.5), "
+        "SimConfig(horizon=2e4, replications=2)); "
+        "print(np.isfinite(r.ci_weighted_objective), 'scipy.stats' in sys.modules)"
+    )
+    assert _run_python(script).strip() == "True False"

@@ -368,6 +368,12 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
+    # Python refuses to parse an integer of over 4,300 digits, and bytes
+    # that are not UTF-8 are no JSON text.
+    for text in (b'{"theta": ' + b"9" * 5000 + b"}", b'{"theta": "\xff"}'):
+        bad.write_bytes(text)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(bad)
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):

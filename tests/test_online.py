@@ -89,10 +89,11 @@ def test_resolve_classes_explicit_map():
     assert mapping == {"svc-a": 1, "svc-b": 2}
     with pytest.raises(ConfigError, match="not in class_map"):
         resolve_classes(records, 2, {"svc-a": 1})
-    with pytest.raises(ConfigError, match="outside 1..2"):
-        resolve_classes(records, 2, {"svc-a": 1, "svc-b": 3})
-    for bad in (1.5, float("nan"), "one"):
-        with pytest.raises(ConfigError, match="not an integer"):
+    # Class ids follow the config's integer rule: no bool, no string.
+    for bad in (3, 1.5, float("nan"), "one", True, "2", "1e0"):
+        with pytest.raises(
+            ConfigError, match=r"class_map\['svc-b'\] must be an integer in \[1, 2\]"
+        ):
             resolve_classes(records, 2, {"svc-a": 1, "svc-b": bad})
     # An integral float is an integer class id.
     assert resolve_classes(records, 2, {"svc-a": 1, "svc-b": 2.0})[2]["svc-b"] == 2
