@@ -51,21 +51,28 @@ def _require_finite(**arrays: np.ndarray) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def fcfs_start(arrivals, server_idx, service, n_servers):
+def fcfs_start(arrivals, server_idx, service, n_servers, order=None):
     """Start times of jobs served FCFS by `n_servers` parallel queues.
 
-    Jobs must already be ordered by arrival time (ties by position); job k
-    waits for server_idx[k] to finish the jobs sent to it before. With one
-    server, server_idx is never read and may be None.
+    Jobs are served in `order`, which must sort arrivals, or without one in
+    position order, which must then sort them; tied arrivals are served in
+    that order. Job k waits for server server_idx[k] to finish the jobs sent
+    to it before. With one server, server_idx is never read and may be None.
+
+    With `order`, each block of jobs is gathered through it and its start
+    times scattered back to the jobs' positions, so no full-length sorted
+    copy of the inputs is made.
     """
     _require_finite(arrivals=arrivals, service=service)
     n = arrivals.shape[0]
     start = np.empty(n, dtype=np.float64)
     free = [0.0] * n_servers
     for lo in range(0, n, FCFS_BLOCK):
-        hi = lo + FCFS_BLOCK
-        srv = None if n_servers == 1 else server_idx[lo:hi]
-        start[lo:hi] = _fcfs_block(arrivals[lo:hi], srv, service[lo:hi], free)
+        jobs = slice(lo, lo + FCFS_BLOCK)
+        if order is not None:
+            jobs = order[jobs]
+        srv = None if n_servers == 1 else server_idx[jobs]
+        start[jobs] = _fcfs_block(arrivals[jobs], srv, service[jobs], free)
     return start
 
 

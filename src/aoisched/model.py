@@ -96,7 +96,7 @@ class JobClass:
 
     update_rate and info_set only matter when the simulator measures source
     staleness: info_set lists the class ids whose update processes feed this
-    class's jobs (defaults to the class itself).
+    class's jobs (at least one; defaults to the class itself).
     """
 
     id: int
@@ -254,6 +254,8 @@ def validate_config(config: SystemConfig) -> list[str]:
         if bad_update:
             problems.append(f"class {c.id}: update_rate must be positive and finite when set")
         if c.info_set is not None:
+            if not c.info_set:
+                problems.append(f"class {c.id}: info_set must name at least one class")
             missing = [i for i in c.info_set if i not in known]
             if missing:
                 problems.append(

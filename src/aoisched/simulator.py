@@ -164,12 +164,21 @@ class SimResult:
         write_table(path, SIM_COLUMNS, self._class_rows())
 
 
-def interdeparture_stats(departures: np.ndarray) -> tuple[float, float]:
-    """Mean and coefficient of variation of sorted inter-departure gaps."""
-    d = np.sort(np.asarray(departures, dtype=np.float64))
+def interdeparture_stats(departures: np.ndarray, keep=None) -> tuple[float, float]:
+    """Mean and coefficient of variation of sorted inter-departure gaps,
+    over the departures `keep` selects (all of them by default).
+
+    The selection is the one copy made: it is sorted in place and dropped
+    before the gaps' deviation is taken, which bounds a long run's peak
+    memory.
+    """
+    d = np.asarray(departures, dtype=np.float64)
+    d = d.copy() if keep is None else d[keep]
+    d.sort()
     if d.size < 3:
         return float("nan"), float("nan")
     gaps = np.diff(d)
+    del d
     mean = float(gaps.mean())
     if mean <= 0.0:
         return mean, float("nan")
@@ -199,7 +208,8 @@ def merged_arrivals(
     rng: np.random.Generator, rates: np.ndarray, horizon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class Poisson arrivals on [0, horizon), drawn in class order and
-    merged: sorted times plus each job's zero-based class (ties by class).
+    merged: sorted times plus each job's zero-based class (ties by class),
+    coded in the smallest unsigned type that holds the last class index.
 
     Every class's first block comes from one standard-exponential draw, scaled
     and summed per class: exponential(scale, n) is scale times
@@ -223,7 +233,8 @@ def merged_arrivals(
         inside = t < horizon
         kept = np.add.reduceat(inside, ends - sizes, dtype=np.int64)
         t = t[inside]
-    cls = np.repeat(np.arange(len(rates)), kept)
+    codes = np.arange(len(rates), dtype=np.min_scalar_type(len(rates) - 1))
+    cls = np.repeat(codes, kept)
     order = np.argsort(t, kind="stable")
     return t[order], cls[order]
 
@@ -233,10 +244,11 @@ def assign_vms(u: np.ndarray, p: np.ndarray, cls: np.ndarray) -> np.ndarray:
 
     A job's VM is the number of its row's cumulative entries that are <= u,
     which is searchsorted(side="right") on a non-decreasing row, capped at
-    the last VM.
+    the last VM. The count is kept in the smallest unsigned type that holds
+    the number of VMs.
     """
     pcum = np.cumsum(np.asarray(p, dtype=np.float64), axis=1).T.copy()
-    vm_idx = np.zeros(len(u), dtype=np.int64)
+    vm_idx = np.zeros(len(u), dtype=np.min_scalar_type(p.shape[1]))
     for column in pcum:
         vm_idx += column[cls] <= u
     # A new array on purpose: clipping in place (out=vm_idx) raised the peak
@@ -274,10 +286,7 @@ def network_start_times(
     """
     order = np.argsort(dep1, kind="stable")
     if networking == "fcfs":
-        start_sorted = _kernels.fcfs_start(dep1[order], None, s2[order], 1)
-        start2 = np.empty_like(dep1)
-        start2[order] = start_sorted
-        return start2
+        return _kernels.fcfs_start(dep1, None, s2, 1, order)
     if networking != "priority":
         raise ValueError(f"unknown networking discipline {networking!r}")
     grouped, offsets = group_by_class(cls[order], n_classes)
@@ -300,10 +309,18 @@ def _staleness(
     """
     horizon = float(compute_start.max()) + 1.0 if compute_start.size else 1.0
     updates: list[np.ndarray] = []
-    for c in config.classes:
+    for j, c in enumerate(config.classes):
         if c.update_rate is None:
             raise ConfigError(
                 f"class {c.id}: simulate_updates needs update_rate set"
+            )
+        # rate * horizon sizes the draw; past the longest array numpy can
+        # make (or at inf, where int() overflows) there is no draw to make.
+        if not c.update_rate * horizon < np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"classes[{j}].update_rate: {c.update_rate!r} per ms asks for "
+                f"more update times over the {horizon:.6g} ms run than an "
+                "array can hold"
             )
         updates.append(_poisson_arrivals(rng, c.update_rate, horizon))
     y = np.zeros(len(cls), dtype=np.float64)
@@ -347,13 +364,21 @@ def service_times(
     e1: np.ndarray,
     e2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Compute and network service time per job from unit exponential draws."""
-    d = config.compute_sizes()[cls]
-    e = config.output_sizes()[cls]
+    """Compute and network service time per job from unit exponential draws.
+
+    Uses up its draws: s1 and s2 are written into e1 and e2 and returned.
+    They equal d * (vm shift + e1 / vm rate) and e * (link shift + e2 / link
+    rate) bit for bit, as IEEE addition and multiplication commute.
+    """
     vshift = np.array([v.shift for v in config.vms])
     vrate = np.array([v.rate for v in config.vms])
-    s1 = d * (vshift[vm_idx] + e1 / vrate[vm_idx])
-    return s1, e * (config.network.shift + e2 / config.network.rate)
+    e1 /= vrate[vm_idx]
+    e1 += vshift[vm_idx]
+    e1 *= config.compute_sizes()[cls]
+    e2 /= config.network.rate
+    e2 += config.network.shift
+    e2 *= config.output_sizes()[cls]
+    return e1, e2
 
 
 @dataclass(frozen=True)
@@ -446,30 +471,42 @@ def _class_means(flow: Flow, group, n_groups: int, keep, y=None) -> ClassMeans:
     """Means of the kept jobs in each group; y is the per-job source staleness.
 
     Each per-job quantity is derived, reduced and dropped in turn rather than
-    held all at once, which bounds peak memory on million-job runs.
+    held all at once, which bounds peak memory on million-job runs. Jobs not
+    kept are counted in one extra group, so no quantity is gathered: each
+    group still sums its kept jobs in job order.
     """
-    kc = group[keep]
-    counts = np.bincount(kc, minlength=n_groups)
+    codes = group.astype(np.intp)
+    codes[~keep] = n_groups
+    counts = np.bincount(codes, minlength=n_groups + 1)[:n_groups]
     nz = counts > 0
 
     def mean(values):
-        sums = np.bincount(kc, weights=values[keep], minlength=n_groups)
+        sums = np.bincount(codes, weights=values, minlength=n_groups + 1)
         out = np.full(n_groups, np.nan)
-        out[nz] = sums[nz] / counts[nz]
+        out[nz] = sums[:n_groups][nz] / counts[nz]
         return out
 
-    age = flow.s1 + (flow.start2 - flow.dep1) + flow.s2
+    wait = flow.start2 - flow.dep1
+    wait_network = mean(wait)
+    age = wait  # s1 + network wait + s2 (+ y), summed in that order in place
+    age += flow.s1
+    age += flow.s2
     if y is not None:
         age += y
-    age = mean(age)
+    aoi = mean(age)
+    del wait, age
+    sojourn = flow.start2 + flow.s2
+    sojourn -= flow.t
+    completion = mean(sojourn)
+    del sojourn
     return ClassMeans(
         counts=counts,
         wait_compute=mean(flow.start1 - flow.t),
         service_compute=mean(flow.s1),
-        wait_network=mean(flow.start2 - flow.dep1),
+        wait_network=wait_network,
         service_network=mean(flow.s2),
-        aoi=age,
-        completion=mean(flow.start2 + flow.s2 - flow.t),
+        aoi=aoi,
+        completion=completion,
         staleness=np.zeros(n_groups) if y is None else mean(y),
     )
 
@@ -483,7 +520,7 @@ def reduce_run(
     means = _class_means(flow, flow.cls, n_classes, keep, y)
     span = max(horizon, float(flow.dep1.max()))
     unstable_net = _backlog_growing(flow.dep1, flow.start2, horizon, None, 1)[0]
-    dep_mean, dep_cv = interdeparture_stats(flow.dep1[keep])
+    dep_mean, dep_cv = interdeparture_stats(flow.dep1, keep)
     return RunRecord(
         means=means,
         objective=float("nan") if config is None else means.objective(config),
@@ -527,15 +564,16 @@ def _replication(
     # Draw order is fixed: VM-choice uniforms, then n compute and n network
     # exponentials (one (2, n) draw takes the same stream as two of n).
     vm_idx = assign_vms(rng.random(n), p, cls)
-    draws = rng.exponential(1.0, (2, n))
-    s1, s2 = service_times(config, cls, vm_idx, *draws)
-    del draws  # every job-length array alive here counts toward peak memory
+    s1, s2 = service_times(config, cls, vm_idx, *rng.exponential(1.0, (2, n)))
     class_key = wsept_keys(lam, config.output_sizes())
     flow = _flow(t, cls, vm_idx, s1, s2, config.num_vms, class_key, sim.networking)
     y = _staleness(rng, config, cls, flow.start1) if sim.simulate_updates else None
     keep = t >= sim.warmup_fraction * sim.horizon
     run = reduce_run(flow, len(lam), config.num_vms, keep, sim.horizon, config, y)
-    return run, flow.event_log(cls + 1) if want_log else None
+    if not want_log:
+        return run, None
+    # Widened first: a narrow class code would wrap at the last class id.
+    return run, flow.event_log(np.add(cls, 1, dtype=np.int64))
 
 
 def _mean_se_ci(rep_values: np.ndarray):

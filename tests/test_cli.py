@@ -711,6 +711,7 @@ def test_error_exit_codes(tmp_path, config_path, capsys):
         ("simulate", ("classes", 0, "info_set"), [None], "classes[0].info_set"),
         ("optimize", ("classes", 0, "compute_size"), 1e308, "class 1: compute"),
         ("simulate", ("vms", 0, "shift"), 1e308, "class 1: compute"),
+        ("simulate", ("classes", 0, "info_set"), [], "class 1: info_set must name"),
     ],
 )
 def test_bad_config_fields_exit_2(tmp_path, capsys, command, field, value, named):
@@ -728,6 +729,24 @@ def test_bad_config_fields_exit_2(tmp_path, capsys, command, field, value, named
     rc = main([command, str(path), "--max-iters", "5", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert named in capsys.readouterr().err
+
+
+def test_simulate_updates_with_an_overflowing_update_rate_exits_2(tmp_path, capsys):
+    # update_rate * horizon overflows to inf, which sized no draw.
+    data = config_to_dict(default_config(4))
+    for c in data["classes"]:
+        c["update_rate"] = 0.05
+    data["classes"][1]["update_rate"] = 1e308
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(data))
+    rc = main(
+        [
+            "simulate", str(path), "--policy", "rca", "--horizon", "5e4",
+            "--simulate-updates", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert "classes[1].update_rate: 1e+308 per ms" in capsys.readouterr().err
 
 
 def test_optimize_reports_stop_reason_and_rejects_bad_settings(

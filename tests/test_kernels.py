@@ -172,6 +172,29 @@ def test_fcfs_start_across_chunk_boundaries(n):
     )
 
 
+@pytest.mark.parametrize("n_servers", [1, 3])
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+def test_fcfs_start_through_an_order_matches_gather_scan_scatter(n, n_servers):
+    # Arrivals out of order with many ties, as compute departures reach the
+    # link; the order sorts them stably, and queues carry across blocks.
+    rng = np.random.default_rng(n + n_servers)
+    t = np.round(rng.uniform(0.0, n, n), 1)
+    srv = rng.integers(0, n_servers, n)
+    s = rng.exponential(0.95 * n_servers, n)
+    s[::7] = 0.0
+    order = np.argsort(t, kind="stable")
+    expected = np.empty(n)
+    expected[order] = fcfs_scan(t[order], srv[order], s[order], n_servers)
+    np.testing.assert_array_equal(
+        _kernels.fcfs_start(t, srv, s, n_servers, order), expected
+    )
+    if n_servers == 1:
+        cls = rng.integers(0, 3, n)
+        np.testing.assert_array_equal(
+            network_start_times(t, cls, None, s, 3, "fcfs"), expected
+        )
+
+
 @st.composite
 def _fcfs_runs(draw):
     # Sizes up to several blocks, one to five servers with uneven shares:

@@ -92,7 +92,12 @@ def test_validate_info_set_references():
         network=NetworkProfile(rate=112.0, shift=18.0),
         theta=0.5,
     )
-    assert any("unknown class ids [9]" in p for p in validate_config(cfg))
+    assert validate_config(cfg) == ["class 1: info_set references unknown class ids [9]"]
+    # No source at all: the class's staleness would grow with the horizon.
+    empty = dataclasses.replace(cfg.classes[0], info_set=())
+    assert validate_config(dataclasses.replace(cfg, classes=(empty,))) == [
+        "class 1: info_set must name at least one class"
+    ]
 
 
 def test_validate_messages_exact_text_and_order():
