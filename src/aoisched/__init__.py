@@ -30,10 +30,9 @@ from .model import (
     REFERENCE_VM_PARAMS,
     ConfigError,
     JobClass,
-    NetworkProfile,
     ParetoSpec,
+    ServiceProfile,
     SystemConfig,
-    VmProfile,
     config_from_dict,
     config_to_dict,
     default_config,

@@ -57,7 +57,10 @@ def margin_limit(margin: float) -> float:
 def check_schedule(p: np.ndarray, config: SystemConfig | None = None) -> list[str]:
     """Rule violations for a schedule matrix; empty list means valid."""
     problems: list[str] = []
-    p = np.asarray(p, dtype=np.float64)
+    try:
+        p = np.asarray(p, dtype=np.float64)
+    except (TypeError, ValueError):  # text, None entries or ragged rows
+        return ["schedule must be an array of numbers"]
     if p.ndim != 2:
         return [f"schedule must be 2-D, got shape {p.shape}"]
     if config is not None and p.shape != (config.num_classes, config.num_vms):
@@ -72,9 +75,18 @@ def check_schedule(p: np.ndarray, config: SystemConfig | None = None) -> list[st
     bad_rows = np.where(np.abs(p.sum(axis=1) - 1.0) > 1e-9)[0]
     if bad_rows.size:
         problems.append(
-            f"schedule rows {list(bad_rows + 1)} do not sum to 1 within 1e-9"
+            f"schedule rows {(bad_rows + 1).tolist()} do not sum to 1 within 1e-9"
         )
     return problems
+
+
+def require_schedule(p: np.ndarray, config: SystemConfig, name: str) -> np.ndarray:
+    """p as a float array, or a ConfigError naming the argument `name` with
+    every problem check_schedule finds in it."""
+    problems = check_schedule(p, config)
+    if problems:
+        raise ConfigError(f"{name}: " + "; ".join(problems))
+    return np.asarray(p, dtype=np.float64)
 
 
 def _shifted_exp_moments(b, inv_rate, moment_mode: str):
@@ -335,7 +347,7 @@ def weighted_metrics(
 ) -> tuple[float, float]:
     """(weighted completion, weighted age), both share-weighted over classes."""
     ev = Evaluator(config, networking)
-    *_, aoi, completion = ev.classes(p)
+    *_, aoi, completion = ev.classes(require_schedule(p, config, "p"))
     return ev.weighted(aoi, completion)
 
 
@@ -354,10 +366,11 @@ def stability_report(
 ) -> StabilityReport:
     """Utilizations of every queue plus a margin-aware stability verdict."""
     check_margin(margin)
+    p = require_schedule(p, config, "p")
     # The VM utilizations are EvaluatorStack.loads', bit for bit.
     lam = config.arrival_rates()
     m1, _ = service_moment_matrices(config)
-    rho_vm = ((lam[:, None] * np.asarray(p, dtype=np.float64)) * m1).sum(axis=0)
+    rho_vm = ((lam[:, None] * p) * m1).sum(axis=0)
     order, cum = link_utilization(config)
     network = float(cum[-1]) if cum.size else 0.0
     limit = margin_limit(margin)
@@ -438,10 +451,7 @@ def analytic_report(
     networking: str = "priority",
 ) -> AnalyticReport:
     """Evaluate every closed-form quantity for one schedule."""
-    p = np.asarray(p, dtype=np.float64)
-    problems = check_schedule(p, config)
-    if problems:
-        raise ValueError("; ".join(problems))
+    p = require_schedule(p, config, "p")
     ev = Evaluator(config, networking)
     w1, s1, w2, mean_s2, aoi, completion = ev.classes(p)
     wc, wa = ev.weighted(aoi, completion)

@@ -27,6 +27,7 @@ from .analytics import (
     STABILITY_MARGIN,
     StabilityError,
     analytic_report,
+    require_schedule,
     weighted_metrics,
 )
 from .model import (
@@ -188,7 +189,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config, settings = _setup(args)
     solved_with = None  # the settings of the optimizer, if it ran
     if args.schedule:
-        p = read_schedule(args.schedule)
+        p = require_schedule(read_schedule(args.schedule), config, args.schedule)
         policy = f"schedule:{args.schedule}"
         networking = "priority"
     else:

@@ -1,4 +1,4 @@
-"""System model: job classes, VM profiles, the shared network link, and size sampling.
+"""System model: job classes, the VMs and the shared network link, and size sampling.
 
 The system serves jobs from J Poisson classes. A job of class j carries a compute
 size (units of work for the compute phase) and an output size (units of data for
@@ -6,8 +6,11 @@ the networking phase). Each VM v serves its queue FCFS with shifted-exponential
 service: for a class-j job the exponential rate is vm.rate / compute_size and the
 deterministic shift is vm.shift * compute_size, so the mean compute time is
 compute_size * (shift + 1/rate). The single network link behaves the same way in
-the job's output size. Rates are per millisecond and shifts are milliseconds per
-unit size throughout.
+the job's output size, so a VM and the link share one type, ServiceProfile.
+Rates are per millisecond and shifts are milliseconds per unit size throughout.
+
+A class or a VM is its place in the config, class j being classes[j-1], and
+every config problem names the JSON path of the value at fault.
 
 Class sizes may be drawn from a bounded Pareto distribution (heavy-tailed sizes
 clipped at a multiple of the unclipped mean) instead of being listed explicitly.
@@ -71,14 +74,15 @@ class ParetoSpec:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.shape) and self.shape > 1.0):
             raise ConfigError(
-                f"pareto shape must be finite and exceed 1, got {self.shape}"
+                f"pareto.shape must be finite and exceed 1, got {self.shape}"
             )
         for name in ("scale", "cap_multiplier"):
-            positive(getattr(self, name), f"pareto {name}")
+            positive(getattr(self, name), f"pareto.{name}")
         if not math.isfinite(self.cap):
             raise ConfigError(
                 "pareto size cap cap_multiplier * shape * scale / (shape - 1) "
-                f"overflows: scale {self.scale}, cap_multiplier {self.cap_multiplier}"
+                f"overflows: pareto.shape {self.shape}, pareto.scale {self.scale}, "
+                f"pareto.cap_multiplier {self.cap_multiplier}"
             )
 
     @property
@@ -92,14 +96,15 @@ class ParetoSpec:
 
 @dataclass(frozen=True)
 class JobClass:
-    """One Poisson arrival class.
+    """One Poisson arrival class; its number is its place in the config, so
+    SystemConfig.classes[j - 1] is class j.
 
     update_rate and info_set only matter when the simulator measures source
-    staleness: info_set lists the class ids whose update processes feed this
-    class's jobs (at least one; defaults to the class itself).
+    staleness: info_set lists the numbers of the classes whose update
+    processes feed this class's jobs (at least one; defaults to the class
+    itself).
     """
 
-    id: int
     arrival_rate: float
     compute_size: float
     output_size: float
@@ -108,17 +113,9 @@ class JobClass:
 
 
 @dataclass(frozen=True)
-class VmProfile:
-    """Shifted-exponential compute service parameters, per unit compute size."""
-
-    id: int
-    rate: float
-    shift: float
-
-
-@dataclass(frozen=True)
-class NetworkProfile:
-    """Shifted-exponential network service parameters, per unit output size."""
+class ServiceProfile:
+    """Shifted-exponential service parameters of a VM or of the link, per
+    unit compute size or unit output size of the job served."""
 
     rate: float
     shift: float
@@ -138,8 +135,8 @@ class SystemConfig:
     """
 
     classes: tuple[JobClass, ...]
-    vms: tuple[VmProfile, ...]
-    network: NetworkProfile
+    vms: tuple[ServiceProfile, ...]
+    network: ServiceProfile
     theta: float
     moment_mode: str = "exact"
     aoi_network_weighting: str = "paper_theorem1"
@@ -179,19 +176,11 @@ class SystemConfig:
         return replace(self, classes=new_classes)
 
 
-# Both checks fail for NaN, which passes every "x <= 0" style test.
-def _is_positive(x: float) -> bool:
-    return bool(np.isfinite(x) and x > 0.0)
-
-
-def _is_non_negative(x: float) -> bool:
-    return bool(np.isfinite(x) and x >= 0.0)
-
-
 def positive(value: float, name: str) -> float:
     """value if it is positive and finite, otherwise a ConfigError: the one
     rule for a length of time or a size parameter checked where it enters."""
-    if not _is_positive(value):
+    # Written to fail for NaN, which passes every "x <= 0" style test.
+    if not (np.isfinite(value) and value > 0.0):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
     return value
 
@@ -204,9 +193,9 @@ def validate_config(config: SystemConfig) -> list[str]:
     """
     problems: list[str] = []
     if not config.classes:
-        problems.append("config has no job classes")
+        problems.append("classes must list at least one job class")
     if not config.vms:
-        problems.append("config has no VMs")
+        problems.append("vms must list at least one VM")
     if not 0.0 <= config.theta <= 1.0:
         problems.append(f"theta must lie in [0, 1], got {config.theta}")
     if config.moment_mode not in MOMENT_MODES:
@@ -219,14 +208,7 @@ def validate_config(config: SystemConfig) -> list[str]:
             f"{AOI_WEIGHTINGS}, got {config.aoi_network_weighting!r}"
         )
 
-    class_ids = [c.id for c in config.classes]
-    if class_ids != list(range(1, len(class_ids) + 1)):
-        problems.append(f"class ids must be 1..J contiguous, got {class_ids}")
-    vm_ids = [v.id for v in config.vms]
-    if vm_ids != list(range(1, len(vm_ids) + 1)):
-        problems.append(f"vm ids must be 1..V contiguous, got {vm_ids}")
-
-    known = set(class_ids)
+    num_classes = config.num_classes
     # The per-class numeric checks run over one array; an unset update_rate
     # reads as 1.0, which passes.
     fields = np.array(
@@ -242,34 +224,27 @@ def validate_config(config: SystemConfig) -> list[str]:
         dtype=np.float64,
     ).reshape(-1, 4)
     bad_fields = (~(np.isfinite(fields) & (fields > 0.0))).tolist()
-    for c, (bad_rate, bad_compute, bad_output, bad_update) in zip(
-        config.classes, bad_fields
-    ):
-        if bad_rate:
-            problems.append(f"class {c.id}: arrival_rate must be positive and finite")
-        if bad_compute:
-            problems.append(f"class {c.id}: compute_size must be positive and finite")
-        if bad_output:
-            problems.append(f"class {c.id}: output_size must be positive and finite")
-        if bad_update:
-            problems.append(f"class {c.id}: update_rate must be positive and finite when set")
+    names = ("arrival_rate", "compute_size", "output_size", "update_rate")
+    for j, (c, bad) in enumerate(zip(config.classes, bad_fields)):
+        where = f"classes[{j}]"
+        for name, is_bad in zip(names, bad):
+            if is_bad:
+                when = " when set" if name == "update_rate" else ""
+                problems.append(f"{where}.{name} must be positive and finite{when}")
         if c.info_set is not None:
             if not c.info_set:
-                problems.append(f"class {c.id}: info_set must name at least one class")
-            missing = [i for i in c.info_set if i not in known]
+                problems.append(f"{where}.info_set must name at least one class")
+            missing = [i for i in c.info_set if not 1 <= i <= num_classes]
             if missing:
                 problems.append(
-                    f"class {c.id}: info_set references unknown class ids {missing}"
+                    f"{where}.info_set names classes {missing} outside 1..{num_classes}"
                 )
-    for v in config.vms:
-        if not _is_positive(v.rate):
-            problems.append(f"vm {v.id}: rate must be positive and finite")
-        if not _is_non_negative(v.shift):
-            problems.append(f"vm {v.id}: shift must be non-negative and finite")
-    if not _is_positive(config.network.rate):
-        problems.append("network rate must be positive and finite")
-    if not _is_non_negative(config.network.shift):
-        problems.append("network shift must be non-negative and finite")
+    services = [(f"vms[{k}]", v) for k, v in enumerate(config.vms)]
+    for where, service in [*services, ("network", config.network)]:
+        if not (np.isfinite(service.rate) and service.rate > 0.0):
+            problems.append(f"{where}.rate must be positive and finite")
+        if not (np.isfinite(service.shift) and service.shift >= 0.0):
+            problems.append(f"{where}.shift must be non-negative and finite")
 
     if not problems:
         # Imported here: analytics imports this module.
@@ -289,12 +264,12 @@ def validate_config(config: SystemConfig) -> list[str]:
             compute_ok = np.isfinite([m1, m2, lam[:, None] * m1]).all(axis=0)
             network_ok = np.isfinite([n1, n2, lam * n1]).all(axis=0)
         moments = "service moments or offered load are not finite"
-        for c, row, net_ok in zip(config.classes, compute_ok.tolist(), network_ok):
-            bad = [v.id for v, ok in zip(config.vms, row) if not ok]
+        for j, (row, net_ok) in enumerate(zip(compute_ok.tolist(), network_ok)):
+            bad = ", ".join(f"vms[{k}]" for k, ok in enumerate(row) if not ok)
             if bad:
-                problems.append(f"class {c.id}: compute {moments} on vms {bad}")
+                problems.append(f"classes[{j}]: compute {moments} on {bad}")
             if not net_ok:
-                problems.append(f"class {c.id}: network {moments}")
+                problems.append(f"classes[{j}]: network {moments}")
     if not problems:
         # Networking load does not depend on the schedule, so an overloaded
         # link makes every schedule infeasible and is worth flagging here.
@@ -302,7 +277,7 @@ def validate_config(config: SystemConfig) -> list[str]:
             rho_net = float(link_utilization(config)[1][-1])
         if rho_net >= 1.0:
             problems.append(
-                f"networking queue unstable: utilization {rho_net:.4f} >= 1"
+                f"network: networking queue unstable: utilization {rho_net:.4f} >= 1"
             )
     return problems
 
@@ -389,6 +364,11 @@ def _json_field(container, key, where: str = "", kind: type = float, default=_RE
     return float(value) if kind is float else value
 
 
+def _service(obj: dict, where: str) -> ServiceProfile:
+    """The ServiceProfile of a VM or of the link at JSON path `where`."""
+    return ServiceProfile(*(_json_field(obj, k, where) for k in ("rate", "shift")))
+
+
 def _objects(data: dict, key: str) -> list[dict]:
     """data[key] as a JSON list of objects, each checked with its path."""
     items = _json_field(data, key, kind=list)
@@ -404,14 +384,8 @@ def config_from_dict(data: dict) -> SystemConfig:
     pareto section using the config seed. seed must be a non-negative integer.
     """
     theta = _json_field(data, "theta")
-    net = _json_field(data, "network", kind=dict)
-    network = NetworkProfile(
-        *(_json_field(net, k, "network") for k in ("rate", "shift"))
-    )
-    vms = tuple(
-        VmProfile(i + 1, *(_json_field(v, k, f"vms[{i}]") for k in ("rate", "shift")))
-        for i, v in enumerate(_objects(data, "vms"))
-    )
+    network = _service(_json_field(data, "network", kind=dict), "network")
+    vms = tuple(_service(v, f"vms[{i}]") for i, v in enumerate(_objects(data, "vms")))
     seed = integer(data.get("seed", 0), "seed", 0)
     pareto = _json_field(data, "pareto", kind=dict, default=None)
     if pareto is not None:
@@ -440,19 +414,18 @@ def config_from_dict(data: dict) -> SystemConfig:
         classes = []
         for i, (c, d, e) in enumerate(zip(raw_classes, *drawn)):
             where = f"classes[{i}]"
-            ids = _json_field(c, "info_set", where, list, None)
-            if ids is not None:
-                ids = tuple(
-                    integer(x, f"{where}.info_set[{k}]", 1) for k, x in enumerate(ids)
+            sources = _json_field(c, "info_set", where, list, None)
+            if sources is not None:
+                sources = tuple(
+                    integer(x, f"{where}.info_set[{k}]", 1) for k, x in enumerate(sources)
                 )
             classes.append(
                 JobClass(
-                    id=i + 1,
                     arrival_rate=_json_field(c, "arrival_rate", where),
                     compute_size=_json_field(c, "compute_size", where, default=d),
                     output_size=_json_field(c, "output_size", where, default=e),
                     update_rate=_json_field(c, "update_rate", where, default=None),
-                    info_set=ids,
+                    info_set=sources,
                 )
             )
         classes = tuple(classes)
@@ -491,13 +464,7 @@ def generate_classes(
     compute = sample_class_sizes(pareto, count, seed)
     output = sample_class_sizes(pareto, count, seed + 1)
     return tuple(
-        JobClass(
-            id=j + 1,
-            arrival_rate=float(rates[j]),
-            compute_size=float(compute[j]),
-            output_size=float(output[j]),
-        )
-        for j in range(count)
+        JobClass(float(r), float(d), float(e)) for r, d, e in zip(rates, compute, output)
     )
 
 
@@ -562,10 +529,10 @@ def write_json(path: str | Path, payload) -> None:
     Path(path).write_text(dumps_json(payload) + "\n")
 
 
-def reference_vms(count: int) -> tuple[VmProfile, ...]:
-    """VMs with ids 1..count, cycling through REFERENCE_VM_PARAMS."""
+def reference_vms(count: int) -> tuple[ServiceProfile, ...]:
+    """`count` VMs, cycling through REFERENCE_VM_PARAMS."""
     n = len(REFERENCE_VM_PARAMS)
-    return tuple(VmProfile(v + 1, *REFERENCE_VM_PARAMS[v % n]) for v in range(count))
+    return tuple(ServiceProfile(*REFERENCE_VM_PARAMS[v % n]) for v in range(count))
 
 
 def default_config(
@@ -585,11 +552,10 @@ def default_config(
     """
     pareto = pareto or ParetoSpec(shape=2.0, scale=0.5, cap_multiplier=5.0)
     classes = generate_classes(num_classes, total_arrival_rate, pareto, seed)
-    network = NetworkProfile(*REFERENCE_NETWORK_PARAMS)
     return SystemConfig(
         classes=classes,
         vms=reference_vms(num_vms),
-        network=network,
+        network=ServiceProfile(*REFERENCE_NETWORK_PARAMS),
         theta=theta,
         moment_mode=moment_mode,
         seed=seed,

@@ -185,16 +185,17 @@ def resolve_classes(
 def synthesize_poisson_trace(
     config: SystemConfig, horizon: float, seed: int = 0
 ) -> Trace:
-    """Stationary Poisson trace at the config's rates; keys are class ids."""
+    """Stationary Poisson trace at the config's rates; keys are class numbers."""
     positive(horizon, "horizon")
+    seed = integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
     times, cls = merged_arrivals(rng, config.arrival_rates(), horizon)
     return Trace(times, tuple(str(j + 1) for j in range(config.num_classes)), cls)
 
 
 def template_class_map(config: SystemConfig) -> dict[str, int]:
-    """The identity mapping for traces keyed by class id strings."""
-    return {str(c.id): c.id for c in config.classes}
+    """The identity mapping for traces keyed by class numbers "1".."J"."""
+    return {str(j + 1): j + 1 for j in range(config.num_classes)}
 
 
 def default_window(config: SystemConfig) -> float:
@@ -360,6 +361,7 @@ def online_driver(
     window k's jobs come from the same estimates. Statistics cover windows
     1..K-1; the uniform cold-start window is treated as warmup.
     """
+    seed = integer(seed, "seed", 0)
     settings = settings or OptimizerSettings()
     tr = _prepare_trace(trace, config, window_length, class_map)
     n_windows = len(tr.windows)
@@ -404,6 +406,7 @@ def offline_reference(
     service randomness per job), so online minus offline is a paired
     comparison. Statistics cover the same windows (1..K-1).
     """
+    seed = integer(seed, "seed", 0)
     settings = settings or OptimizerSettings()
     tr = _prepare_trace(trace, config, window_length, class_map)
     n_windows = len(tr.windows)

@@ -44,9 +44,10 @@ from .analytics import (
     check_margin,
     link_utilization,
     margin_limit,
+    require_schedule,
     service_moment_matrices,
 )
-from .model import ConfigError, SystemConfig, write_table
+from .model import ConfigError, SystemConfig, integer, write_table
 
 
 # Schedule entries in one lockstep batch, summed over its descents. A round
@@ -74,9 +75,11 @@ class OptimizerSettings:
 
     def __post_init__(self):
         check_margin(self.stability_margin, "OptimizerSettings.stability_margin")
-        is_int = isinstance(self.max_iters, (int, np.integer))
+        for name in ("max_iters", "seed"):
+            # The frozen field keeps the int the rule returns: 20.0 runs as 20.
+            value = integer(getattr(self, name), f"OptimizerSettings.{name}", 0)
+            object.__setattr__(self, name, value)
         for name, ok, rule in (
-            ("max_iters", is_int and self.max_iters >= 0, "an integer >= 0"),
             ("rel_tol", self.rel_tol >= 0.0, ">= 0"),
             ("initial_step", self.initial_step > 0.0, "> 0"),
             ("min_step", self.min_step > 0.0, "> 0"),
@@ -468,7 +471,7 @@ def _starts(
     _require_network_stable(config, margin)
     ev = Evaluator(config)
     if initial is not None:
-        anchors = [("given", np.asarray(initial, float))]
+        anchors = [("given", require_schedule(initial, config, "initial"))]
     else:
         labels = ("uniform", *PCA_STARTS.values())
         anchors = [(label, _anchor(label, ev.m1)) for label in labels]

@@ -33,8 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .model import ConfigError, SystemConfig, positive, validate_config, write_table
-from .analytics import check_schedule, wsept_keys
+from .model import ConfigError, SystemConfig, integer, positive, validate_config
+from .model import write_table
+from .analytics import require_schedule, wsept_keys
 
 NETWORKING_DISCIPLINES = ("priority", "fcfs")
 # Per-class float columns of simulation.csv and of the JSON report.
@@ -79,8 +80,9 @@ class SimConfig:
             raise ConfigError(
                 f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}"
             )
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        for name, low in (("replications", 1), ("seed", 0)):
+            # The frozen field keeps the int the rule returns: 2.0 runs as 2.
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
         if self.networking not in NETWORKING_DISCIPLINES:
             raise ConfigError(f"unknown networking discipline {self.networking!r}")
 
@@ -312,7 +314,7 @@ def _staleness(
     for j, c in enumerate(config.classes):
         if c.update_rate is None:
             raise ConfigError(
-                f"class {c.id}: simulate_updates needs update_rate set"
+                f"classes[{j}].update_rate must be set to simulate updates"
             )
         # rate * horizon sizes the draw; past the longest array numpy can
         # make (or at inf, where int() overflows) there is no draw to make.
@@ -328,7 +330,7 @@ def _staleness(
         mask = cls == j
         if not np.any(mask):
             continue
-        sources = c.info_set if c.info_set is not None else (c.id,)
+        sources = c.info_set if c.info_set is not None else (j + 1,)
         starts = compute_start[mask]
         newest = np.zeros(len(starts), dtype=np.float64)
         for sid in sources:
@@ -648,11 +650,10 @@ def run_simulation(
 ) -> SimResult:
     """Simulate the configured system under schedule p."""
     sim = sim or SimConfig()
-    problems = validate_config(config) + check_schedule(p, config)
+    problems = validate_config(config)
     if problems:
         raise ConfigError("; ".join(problems))
-
-    p = np.asarray(p, dtype=np.float64)
+    p = require_schedule(p, config, "p")
     children = np.random.SeedSequence(sim.seed).spawn(sim.replications)
     runs, logs = zip(
         *(

@@ -14,9 +14,8 @@ from aoisched.analytics import (
     net_service_moments,
     service_moment_matrices,
     stability_report,
-    weighted_metrics,
 )
-from aoisched.model import JobClass, NetworkProfile, SystemConfig, VmProfile
+from aoisched.model import JobClass, ServiceProfile, SystemConfig
 
 # Property tests that run PGD take a variable time per example on a loaded
 # host, so no example has a deadline.
@@ -36,11 +35,11 @@ def make_system(
     """Build a SystemConfig from (rate, d_size, e_size) and (rate, shift) tuples."""
     return SystemConfig(
         classes=tuple(
-            JobClass(id=i + 1, arrival_rate=r, compute_size=d, output_size=e)
-            for i, (r, d, e) in enumerate(classes)
+            JobClass(arrival_rate=r, compute_size=d, output_size=e)
+            for r, d, e in classes
         ),
-        vms=tuple(VmProfile(id=i + 1, rate=a, shift=b) for i, (a, b) in enumerate(vms)),
-        network=NetworkProfile(rate=net[0], shift=net[1]),
+        vms=tuple(ServiceProfile(rate=a, shift=b) for a, b in vms),
+        network=ServiceProfile(rate=net[0], shift=net[1]),
         theta=theta,
         aoi_network_weighting=weighting,
         moment_mode=moment_mode,
@@ -49,8 +48,12 @@ def make_system(
 
 
 def objective(p, config, networking="priority"):
-    """The tradeoff objective theta * C + (1 - theta) * A of schedule p."""
-    wc, wa = weighted_metrics(p, config, networking)
+    """The tradeoff objective theta * C + (1 - theta) * A at p. It reads the
+    Evaluator that weighted_metrics wraps, as a central difference steps off
+    the schedule simplex that weighted_metrics requires."""
+    ev = Evaluator(config, networking)
+    *_, aoi, completion = ev.classes(np.asarray(p, dtype=np.float64))
+    wc, wa = ev.weighted(aoi, completion)
     return config.theta * wc + (1.0 - config.theta) * wa
 
 

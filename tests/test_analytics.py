@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from aoisched.analytics import (
     weighted_metrics,
     wsept_order,
 )
-from aoisched.model import ConfigError
+from aoisched.model import ConfigError, default_config
+from aoisched.optimizer import optimize_pps
+from aoisched.simulator import SimConfig, run_simulation
 
 from conftest import instances, make_system, objective, random_instance, schedules
 
@@ -271,6 +274,42 @@ def test_check_schedule_rejects_nan_entry():
     )
     p = np.array([[np.nan, 0.5], [0.5, 0.5]])
     assert check_schedule(p, cfg) == ["schedule entries must be finite"]
+
+
+# Every public entry that takes a schedule, by the name of that argument.
+_SCHEDULE_ENTRIES = {
+    "optimize_pps": ("initial", lambda p, cfg: optimize_pps(cfg, initial=p)),
+    "stability_report": ("p", stability_report),
+    "weighted_metrics": ("p", weighted_metrics),
+    "analytic_report": ("p", analytic_report),
+    "run_simulation": (
+        "p",
+        lambda p, cfg: run_simulation(cfg, p, SimConfig(horizon=1e3, replications=1)),
+    ),
+}
+_BAD_SCHEDULES = {
+    "negative": (
+        -np.ones((4, 5)),
+        "schedule entries must lie in [0, 1]; "
+        "schedule rows [1, 2, 3, 4] do not sum to 1 within 1e-9",
+    ),
+    "nan": (np.full((4, 5), np.nan), "schedule entries must be finite"),
+    "shape": (np.full((3, 5), 0.2), "schedule shape (3, 5) does not match (J=4, V=5)"),
+    "ragged": ([[1.0]] + [[0.2] * 5] * 3, "schedule must be an array of numbers"),
+    "text": ([["0.2"] * 5] * 3 + [["x"] * 5], "schedule must be an array of numbers"),
+}
+
+
+@pytest.mark.parametrize("entry", _SCHEDULE_ENTRIES)
+@pytest.mark.parametrize("case", _BAD_SCHEDULES)
+def test_entries_refuse_a_bad_schedule_naming_the_argument(entry, case):
+    name, call = _SCHEDULE_ENTRIES[entry]
+    p, problems = _BAD_SCHEDULES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic
+        with pytest.raises(ConfigError) as info:
+            call(p, default_config(4))
+    assert str(info.value) == f"{name}: {problems}"
 
 
 def test_reports_and_metrics_agree_bitwise():

@@ -11,9 +11,8 @@ from aoisched.cli import _sweep_point_config, main, read_schedule
 from aoisched.model import (
     ConfigError,
     JobClass,
-    NetworkProfile,
+    ServiceProfile,
     SystemConfig,
-    VmProfile,
     config_to_dict,
     default_config,
     load_config,
@@ -33,23 +32,23 @@ def config_path(tmp_path_factory):
     cfg = SystemConfig(
         classes=(
             JobClass(
-                id=1, arrival_rate=0.012, compute_size=1.0, output_size=1.0,
+                arrival_rate=0.012, compute_size=1.0, output_size=1.0,
                 update_rate=0.05,
             ),
             JobClass(
-                id=2, arrival_rate=0.010, compute_size=1.0, output_size=0.7,
+                arrival_rate=0.010, compute_size=1.0, output_size=0.7,
                 update_rate=0.05,
             ),
             JobClass(
-                id=3, arrival_rate=0.008, compute_size=1.0, output_size=1.3,
+                arrival_rate=0.008, compute_size=1.0, output_size=1.3,
                 update_rate=0.05,
             ),
         ),
         vms=(
-            VmProfile(id=1, rate=0.05, shift=0.0),
-            VmProfile(id=2, rate=0.04, shift=0.0),
+            ServiceProfile(rate=0.05, shift=0.0),
+            ServiceProfile(rate=0.04, shift=0.0),
         ),
-        network=NetworkProfile(rate=112.0, shift=18.0),
+        network=ServiceProfile(rate=112.0, shift=18.0),
         theta=0.3,
         seed=7,
     )
@@ -278,15 +277,15 @@ def _fast_link_config():
     # meets the margin, at x40 the link is overloaded too.
     return SystemConfig(
         classes=(
-            JobClass(id=1, arrival_rate=0.012, compute_size=1.0, output_size=1.0),
-            JobClass(id=2, arrival_rate=0.010, compute_size=1.6, output_size=0.7),
-            JobClass(id=3, arrival_rate=0.008, compute_size=0.7, output_size=1.3),
+            JobClass(arrival_rate=0.012, compute_size=1.0, output_size=1.0),
+            JobClass(arrival_rate=0.010, compute_size=1.6, output_size=0.7),
+            JobClass(arrival_rate=0.008, compute_size=0.7, output_size=1.3),
         ),
         vms=(
-            VmProfile(id=1, rate=0.05, shift=0.0),
-            VmProfile(id=2, rate=0.04, shift=1.0),
+            ServiceProfile(rate=0.05, shift=0.0),
+            ServiceProfile(rate=0.04, shift=1.0),
         ),
-        network=NetworkProfile(rate=112.0, shift=1.0),
+        network=ServiceProfile(rate=112.0, shift=1.0),
         theta=0.3,
     )
 
@@ -663,6 +662,19 @@ def test_read_schedule_checks_class_ids_and_row_width(tmp_path):
             read_schedule(path)
 
 
+def test_schedule_file_breaking_the_rules_is_named_on_stderr(
+    tmp_path, config_path, capsys
+):
+    # Rows 1 and 3 are off the simplex; row numbers print as plain ints.
+    path = tmp_path / "rows.csv"
+    path.write_text("class_id,p_1,p_2\n1,0.5,0.4\n2,1.0,0.0\n3,0.6,0.6\n")
+    argv = ["simulate", config_path, "--schedule", str(path), "--horizon", "2000"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: schedule rows [1, 3] do not sum to 1 within 1e-9\n"
+    )
+
+
 def test_error_exit_codes(tmp_path, config_path, capsys):
     assert main(["optimize", str(tmp_path / "missing.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -709,9 +721,9 @@ def test_error_exit_codes(tmp_path, config_path, capsys):
         ("simulate", ("num_classes",), 1e308, "num_classes"),
         ("optimize", ("classes", 0, "info_set"), "12", "classes[0].info_set"),
         ("simulate", ("classes", 0, "info_set"), [None], "classes[0].info_set"),
-        ("optimize", ("classes", 0, "compute_size"), 1e308, "class 1: compute"),
-        ("simulate", ("vms", 0, "shift"), 1e308, "class 1: compute"),
-        ("simulate", ("classes", 0, "info_set"), [], "class 1: info_set must name"),
+        ("optimize", ("classes", 0, "compute_size"), 1e308, "classes[0]: compute"),
+        ("simulate", ("vms", 0, "shift"), 1e308, "classes[0]: compute"),
+        ("simulate", ("classes", 0, "info_set"), [], "classes[0].info_set must name"),
     ],
 )
 def test_bad_config_fields_exit_2(tmp_path, capsys, command, field, value, named):

@@ -8,10 +8,9 @@ from aoisched.model import (
     REFERENCE_VM_PARAMS,
     ConfigError,
     JobClass,
-    NetworkProfile,
     ParetoSpec,
+    ServiceProfile,
     SystemConfig,
-    VmProfile,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -60,43 +59,43 @@ def test_validate_theta_out_of_range():
 def test_validate_collects_field_violations():
     cfg = SystemConfig(
         classes=(
-            JobClass(id=1, arrival_rate=-1.0, compute_size=0.0, output_size=1.0),
-            JobClass(id=3, arrival_rate=0.01, compute_size=1.0, output_size=1.0),
+            JobClass(arrival_rate=-1.0, compute_size=0.0, output_size=1.0),
+            JobClass(arrival_rate=0.01, compute_size=1.0, output_size=1.0),
         ),
-        vms=(VmProfile(id=1, rate=0.0, shift=-1.0),),
-        network=NetworkProfile(rate=112.0, shift=18.0),
+        vms=(ServiceProfile(rate=0.0, shift=-1.0),),
+        network=ServiceProfile(rate=112.0, shift=18.0),
         theta=0.5,
     )
-    problems = validate_config(cfg)
-    assert any("class ids must be 1..J contiguous" in p for p in problems)
-    assert any("arrival_rate must be positive" in p for p in problems)
-    assert any("compute_size must be positive" in p for p in problems)
-    assert any("rate must be positive" in p for p in problems)
-    assert any("shift must be non-negative" in p for p in problems)
+    assert validate_config(cfg) == [
+        "classes[0].arrival_rate must be positive and finite",
+        "classes[0].compute_size must be positive and finite",
+        "vms[0].rate must be positive and finite",
+        "vms[0].shift must be non-negative and finite",
+    ]
 
 
 def test_validate_rejects_nan_vm_rate():
     cfg = make_system([(0.01, 1.0, 1.0)], [(float("nan"), 0.0), (0.05, 0.0)])
-    assert any(p.startswith("vm 1: rate") for p in validate_config(cfg))
+    assert validate_config(cfg) == ["vms[0].rate must be positive and finite"]
 
 
 def test_validate_info_set_references():
     cfg = SystemConfig(
         classes=(
             JobClass(
-                id=1, arrival_rate=0.01, compute_size=1.0, output_size=1.0,
+                arrival_rate=0.01, compute_size=1.0, output_size=1.0,
                 info_set=(1, 9),
             ),
         ),
-        vms=(VmProfile(id=1, rate=0.05, shift=0.0),),
-        network=NetworkProfile(rate=112.0, shift=18.0),
+        vms=(ServiceProfile(rate=0.05, shift=0.0),),
+        network=ServiceProfile(rate=112.0, shift=18.0),
         theta=0.5,
     )
-    assert validate_config(cfg) == ["class 1: info_set references unknown class ids [9]"]
+    assert validate_config(cfg) == ["classes[0].info_set names classes [9] outside 1..1"]
     # No source at all: the class's staleness would grow with the horizon.
     empty = dataclasses.replace(cfg.classes[0], info_set=())
     assert validate_config(dataclasses.replace(cfg, classes=(empty,))) == [
-        "class 1: info_set must name at least one class"
+        "classes[0].info_set must name at least one class"
     ]
 
 
@@ -117,14 +116,14 @@ def test_validate_messages_exact_text_and_order():
     vms[1] = dataclasses.replace(vms[1], rate=float("nan"), shift=-1.0)
     cfg = dataclasses.replace(cfg, classes=tuple(classes), vms=tuple(vms))
     assert validate_config(cfg) == [
-        "class 3: arrival_rate must be positive and finite",
-        "class 4: update_rate must be positive and finite when set",
-        "class 4: info_set references unknown class ids [42, 9]",
-        "class 5: output_size must be positive and finite",
-        "class 7: arrival_rate must be positive and finite",
-        "class 7: compute_size must be positive and finite",
-        "vm 2: rate must be positive and finite",
-        "vm 2: shift must be non-negative and finite",
+        "classes[2].arrival_rate must be positive and finite",
+        "classes[3].update_rate must be positive and finite when set",
+        "classes[3].info_set names classes [42, 9] outside 1..8",
+        "classes[4].output_size must be positive and finite",
+        "classes[6].arrival_rate must be positive and finite",
+        "classes[6].compute_size must be positive and finite",
+        "vms[1].rate must be positive and finite",
+        "vms[1].shift must be non-negative and finite",
     ]
 
 
@@ -195,13 +194,12 @@ def test_pareto_bad_parameters_rejected():
 @pytest.mark.parametrize("field", ["shape", "scale", "cap_multiplier"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_pareto_non_finite_parameters_rejected(field, value):
-    with pytest.raises(ConfigError, match=f"pareto {field}"):
+    with pytest.raises(ConfigError, match=rf"pareto\.{field} must be"):
         ParetoSpec(**{field: value})
 
 
 def test_reference_vms_cycle_the_measured_profiles():
     vms = reference_vms(12)
-    assert [v.id for v in vms] == list(range(1, 13))
     assert [(v.rate, v.shift) for v in vms] == (
         REFERENCE_VM_PARAMS + REFERENCE_VM_PARAMS[:2]
     )
@@ -336,11 +334,11 @@ _BAD_FIELDS = [
     *[(_set(("classes", 1, "info_set"), v), r"classes\[1\]\.info_set")
       for v in ("12", [1.5], ["a"], 3, [None], None, [True], [0])],
     # Finite inputs whose service moments overflow, named by class and VM.
-    (_set(("classes", 1, "compute_size"), 1e308), r"class 2: compute .* vms \[1\]"),
-    (_set(("vms", 0, "shift"), 1e308), r"class 1: compute .* vms \[1\]"),
-    (_set(("classes", 1, "output_size"), 1e308), "class 2: network service moments"),
-    (_set(("pareto", "scale"), 1e307), r"class 1: compute .* vms \[1\]"),
-    (_set(("pareto", "scale"), 1e308), "pareto size cap"),
+    (_set(("classes", 1, "compute_size"), 1e308), r"classes\[1\]: compute .* vms\[0\]"),
+    (_set(("vms", 0, "shift"), 1e308), r"classes\[0\]: compute .* vms\[0\]"),
+    (_set(("classes", 1, "output_size"), 1e308), r"classes\[1\]: network service"),
+    (_set(("pareto", "scale"), 1e307), r"classes\[0\]: compute .* vms\[0\]"),
+    (_set(("pareto", "scale"), 1e308), r"pareto size cap .* pareto\.scale 1e\+308"),
 ]
 
 
@@ -389,12 +387,12 @@ def test_config_to_dict_optional_fields():
     cfg = SystemConfig(
         classes=(
             JobClass(
-                id=1, arrival_rate=0.01, compute_size=1.0, output_size=1.0,
+                arrival_rate=0.01, compute_size=1.0, output_size=1.0,
                 update_rate=0.02, info_set=(1,),
             ),
         ),
-        vms=(VmProfile(id=1, rate=0.05, shift=0.0),),
-        network=NetworkProfile(rate=112.0, shift=18.0),
+        vms=(ServiceProfile(rate=0.05, shift=0.0),),
+        network=ServiceProfile(rate=112.0, shift=18.0),
         theta=0.5,
     )
     d = config_to_dict(cfg)

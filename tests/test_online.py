@@ -245,11 +245,24 @@ def test_synthesize_trace_matches_rates(online_config):
     np.testing.assert_array_equal(trace.codes, again.codes)
     assert trace.keys == again.keys == ("1", "2", "3")
     counts = np.bincount(trace.codes, minlength=3)
-    for c, lam in zip(online_config.classes, (0.012, 0.010, 0.008)):
-        assert counts[c.id - 1] == pytest.approx(lam * 1.0e5, rel=0.12)
+    for j, lam in enumerate((0.012, 0.010, 0.008)):
+        assert counts[j] == pytest.approx(lam * 1.0e5, rel=0.12)
     for horizon in (0.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="horizon"):
             synthesize_poisson_trace(online_config, horizon)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+def test_trace_and_replay_seeds_follow_the_integer_rule(online_config, seed):
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ConfigError) as info:
+        synthesize_poisson_trace(online_config, 1.0e5, seed=seed)
+    assert str(info.value) == message
+    trace = synthesize_poisson_trace(online_config, 3.0e5, seed=2)
+    for run in (online_driver, offline_reference):
+        with pytest.raises(ConfigError) as info:
+            run(trace, online_config, 1.0e5, seed=seed)
+        assert str(info.value) == message
 
 
 def test_template_map_and_default_window(online_config):

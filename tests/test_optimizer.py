@@ -479,6 +479,19 @@ def test_out_of_range_settings_name_the_field(field, value):
         OptimizerSettings(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value", [("max_iters", True), ("max_iters", -1), ("seed", -1), ("seed", 0.5)]
+)
+def test_settings_counts_follow_the_integer_rule(field, value):
+    with pytest.raises(ConfigError) as info:
+        OptimizerSettings(**{field: value})
+    assert str(info.value) == (
+        f"OptimizerSettings.{field} must be an integer >= 0, got {value!r}"
+    )
+    settings = OptimizerSettings(**{field: 7.0})
+    assert getattr(settings, field) == 7 and type(getattr(settings, field)) is int
+
+
 def test_settings_range_edges_accepted():
     OptimizerSettings(stability_margin=0.0, max_iters=0, rel_tol=0.0)
 

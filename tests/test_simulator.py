@@ -495,11 +495,35 @@ def test_sim_config_validation(small_system):
         run_simulation(small_system, np.full((3, 2), 0.5), SimConfig())
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"replications": 2.5}, "replications must be an integer >= 1, got 2.5"),
+        ({"replications": True}, "replications must be an integer >= 1, got True"),
+        ({"replications": 0}, "replications must be an integer >= 1, got 0"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ],
+)
+def test_sim_config_counts_follow_the_integer_rule(fields, message):
+    with pytest.raises(ConfigError) as info:
+        SimConfig(**fields)
+    assert str(info.value) == message
+
+
+def test_sim_config_keeps_integral_floats_as_ints(small_system):
+    sim = SimConfig(horizon=2e3, replications=2.0, seed=3.0)
+    assert (sim.replications, sim.seed) == (2, 3)
+    assert type(sim.replications) is type(sim.seed) is int
+    result = run_simulation(small_system, np.full((2, 2), 0.5), sim)
+    assert result.replications == 2
+
+
 def test_nan_vm_rate_rejected(small_system):
     vms = (replace(small_system.vms[0], rate=float("nan")), small_system.vms[1])
     # FCFS link: were the rate let through, the priority scan would never
     # finish on NaN departure times.
-    with pytest.raises(ConfigError, match="vm 1: rate"):
+    with pytest.raises(ConfigError, match=r"vms\[0\]\.rate must be positive"):
         run_simulation(
             replace(small_system, vms=vms),
             np.full((2, 2), 0.5),
