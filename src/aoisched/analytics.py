@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig, write_table
+from .model import ConfigError, SystemConfig, fraction, write_table
 
 # A queue meets a stability margin m when its utilization is at most
 # margin_limit(m), in the optimizer and in stability_report alike; analytic
@@ -38,12 +38,6 @@ class StabilityError(RuntimeError):
 
 class InfeasibleError(RuntimeError):
     """No schedule can satisfy the stability margin."""
-
-
-def check_margin(margin: float, name: str = "margin") -> None:
-    """Reject a stability margin that is not a finite number in [0, 1)."""
-    if not (np.isfinite(margin) and 0.0 <= margin < 1.0):
-        raise ConfigError(f"{name} must be a finite number in [0, 1), got {margin!r}")
 
 
 def margin_limit(margin: float) -> float:
@@ -196,7 +190,6 @@ class Evaluator:
     """
 
     def __init__(self, config: SystemConfig, networking: str = "priority"):
-        self.config = config
         self.lam = config.arrival_rates()
         self.total = float(self.lam.sum())
         self.share = self.lam / self.total
@@ -225,7 +218,7 @@ class Evaluator:
         # Pollaczek-Khinchine wait per VM, Lambda_v E[Z^2] / (2 (1 - rho_v)),
         # with mixture moments weighted by the flow p[j,v] rate_j; a VM that
         # receives no traffic has zero moments. This rho_v only hard-fails
-        # at 1: margin verdicts read stability_report's utilization.
+        # at 1: margin verdicts read vm_utilization's.
         lam_v = p.T @ self.lam
         flow = p * self.lam[:, None]
         flow_v = flow.sum(axis=0)
@@ -301,10 +294,6 @@ class EvaluatorStack:
             (self.lam_col * P) * self.weights, axis=2, keepdims=True
         )
 
-    def utilization(self, P: np.ndarray) -> np.ndarray:
-        """Utilization of every VM, shape (B, V)."""
-        return self.loads(P)[1, :, 0]
-
     def objectives(
         self, P: np.ndarray, loads: np.ndarray, margin: float = 0.0
     ) -> tuple[list[float], list[float]]:
@@ -351,6 +340,13 @@ def weighted_metrics(
     return ev.weighted(aoi, completion)
 
 
+def vm_utilization(lam: np.ndarray, m1: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Utilization of each VM under schedule p, from the arrival rates lam
+    and the (J, V) mean compute times m1: EvaluatorStack.loads' utilization
+    row, bit for bit, and the one load every margin verdict reads."""
+    return ((lam[:, None] * p) * m1).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     vm_utilization: np.ndarray
@@ -365,12 +361,10 @@ def stability_report(
     p: np.ndarray, config: SystemConfig, margin: float = STABILITY_MARGIN
 ) -> StabilityReport:
     """Utilizations of every queue plus a margin-aware stability verdict."""
-    check_margin(margin)
+    fraction(margin, "margin")
     p = require_schedule(p, config, "p")
-    # The VM utilizations are EvaluatorStack.loads', bit for bit.
-    lam = config.arrival_rates()
     m1, _ = service_moment_matrices(config)
-    rho_vm = ((lam[:, None] * p) * m1).sum(axis=0)
+    rho_vm = vm_utilization(config.arrival_rates(), m1, p)
     order, cum = link_utilization(config)
     network = float(cum[-1]) if cum.size else 0.0
     limit = margin_limit(margin)

@@ -31,6 +31,7 @@ from .analytics import (
     weighted_metrics,
 )
 from .model import (
+    MOMENT_MODES,
     ConfigError,
     SystemConfig,
     config_hash,
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="master seed (default: config's)")
     common.add_argument(
         "--moment-mode",
-        choices=("exact", "paper_literal"),
+        choices=MOMENT_MODES,
         default=None,
         help="override the config's second-moment computation",
     )
@@ -473,9 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="pps",
         help="pps | rca | pca | ocafcfs (optimized schedule, FCFS networking)",
     )
-    p_sim.add_argument("--horizon", type=float, default=1.0e6, help="ms per replication")
-    p_sim.add_argument("--replications", type=int, default=10)
-    p_sim.add_argument("--warmup", type=float, default=0.2, help="warmup fraction")
+    sim = SimConfig()
+    p_sim.add_argument("--horizon", type=float, default=sim.horizon, help="ms per replication")
+    p_sim.add_argument("--replications", type=int, default=sim.replications)
+    p_sim.add_argument("--warmup", type=float, default=sim.warmup_fraction, help="warmup fraction")
     p_sim.add_argument("--simulate-updates", action="store_true")
     p_sim.add_argument("--event-log", action="store_true", help="write per-job event log")
     p_sim.set_defaults(func=cmd_simulate)

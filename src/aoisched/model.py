@@ -28,7 +28,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +185,14 @@ def positive(value: float, name: str) -> float:
     return value
 
 
+def fraction(value: float, name: str) -> float:
+    """value if it is a finite number in [0, 1), otherwise a ConfigError:
+    the one rule for a stability margin or a warmup fraction."""
+    if not (np.isfinite(value) and 0.0 <= value < 1.0):
+        raise ConfigError(f"{name} must be a finite number in [0, 1), got {value!r}")
+    return value
+
+
 def validate_config(config: SystemConfig) -> list[str]:
     """Collect rule violations as human-readable strings.
 
@@ -211,21 +219,13 @@ def validate_config(config: SystemConfig) -> list[str]:
     num_classes = config.num_classes
     # The per-class numeric checks run over one array; an unset update_rate
     # reads as 1.0, which passes.
-    fields = np.array(
-        [
-            (
-                c.arrival_rate,
-                c.compute_size,
-                c.output_size,
-                1.0 if c.update_rate is None else c.update_rate,
-            )
-            for c in config.classes
-        ],
-        dtype=np.float64,
-    ).reshape(-1, 4)
-    bad_fields = (~(np.isfinite(fields) & (fields > 0.0))).tolist()
     names = ("arrival_rate", "compute_size", "output_size", "update_rate")
-    for j, (c, bad) in enumerate(zip(config.classes, bad_fields)):
+    values = np.array(
+        [[getattr(c, name) for name in names] for c in config.classes], dtype=np.float64
+    ).reshape(-1, 4)
+    values[[c.update_rate is None for c in config.classes], 3] = 1.0
+    bad_values = (~(np.isfinite(values) & (values > 0.0))).tolist()
+    for j, (c, bad) in enumerate(zip(config.classes, bad_values)):
         where = f"classes[{j}]"
         for name, is_bad in zip(names, bad):
             if is_bad:
@@ -234,7 +234,13 @@ def validate_config(config: SystemConfig) -> list[str]:
         if c.info_set is not None:
             if not c.info_set:
                 problems.append(f"{where}.info_set must name at least one class")
-            missing = [i for i in c.info_set if not 1 <= i <= num_classes]
+            ids = []
+            for k, x in enumerate(c.info_set):
+                try:
+                    ids.append(integer(x, f"{where}.info_set[{k}]", 1))
+                except ConfigError as exc:
+                    problems.append(str(exc))
+            missing = [i for i in ids if i > num_classes]
             if missing:
                 problems.append(
                     f"{where}.info_set names classes {missing} outside 1..{num_classes}"
@@ -296,32 +302,20 @@ def sample_class_sizes(
     return np.minimum(raw, spec.cap)
 
 
-def _class_to_dict(c: JobClass) -> dict:
-    out: dict = {
-        "arrival_rate": c.arrival_rate,
-        "compute_size": c.compute_size,
-        "output_size": c.output_size,
-    }
-    if c.update_rate is not None:
-        out["update_rate"] = c.update_rate
-    if c.info_set is not None:
-        out["info_set"] = list(c.info_set)
-    return out
-
-
 def config_to_dict(config: SystemConfig) -> dict:
-    out = {
-        "theta": config.theta,
-        "seed": config.seed,
-        "moment_mode": config.moment_mode,
-        "aoi_network_weighting": config.aoi_network_weighting,
-        "network": {"rate": config.network.rate, "shift": config.network.shift},
-        "vms": [{"rate": v.rate, "shift": v.shift} for v in config.vms],
-        "classes": [_class_to_dict(c) for c in config.classes],
-    }
-    if config.pareto is not None:
-        out["pareto"] = asdict(config.pareto)
-    return out
+    """The config's JSON form, read off its dataclass fields in field order:
+    a nested dataclass becomes an object, a tuple a list, and a field that
+    is None is left out."""
+    return _json_form(config)
+
+
+def _json_form(value):
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {k: _json_form(v) for k, v in items if v is not None}
+    if isinstance(value, tuple):
+        return [_json_form(v) for v in value]
+    return value
 
 
 def integer(value, name: str, low: int, high: float = math.inf) -> int:

@@ -374,7 +374,8 @@ def online_driver(
     sources = ["uniform"]
     for k in range(1, n_windows):
         est = tr.windows[k - 1].rates
-        # Window k keeps window k-1's schedule and keys until a solve replaces them.
+        # Window k keeps window k-1's schedule until a solve replaces it, and
+        # its keys until there is an estimate, even one that fails to solve.
         schedules[k], key_rows[k] = schedules[k - 1], key_rows[k - 1]
         if est.sum() <= 0.0:
             sources.append("fallback")

@@ -41,13 +41,13 @@ from .analytics import (
     EvaluatorStack,
     InfeasibleError,
     StabilityError,
-    check_margin,
     link_utilization,
     margin_limit,
     require_schedule,
     service_moment_matrices,
+    vm_utilization,
 )
-from .model import ConfigError, SystemConfig, integer, write_table
+from .model import ConfigError, SystemConfig, fraction, integer, positive, write_table
 
 
 # Schedule entries in one lockstep batch, summed over its descents. A round
@@ -74,23 +74,18 @@ class OptimizerSettings:
     deterministic, so no optimizer code draws from it."""
 
     def __post_init__(self):
-        check_margin(self.stability_margin, "OptimizerSettings.stability_margin")
+        fraction(self.stability_margin, "OptimizerSettings.stability_margin")
         for name in ("max_iters", "seed"):
             # The frozen field keeps the int the rule returns: 20.0 runs as 20.
             value = integer(getattr(self, name), f"OptimizerSettings.{name}", 0)
             object.__setattr__(self, name, value)
-        for name, ok, rule in (
-            ("rel_tol", self.rel_tol >= 0.0, ">= 0"),
-            ("initial_step", self.initial_step > 0.0, "> 0"),
-            ("min_step", self.min_step > 0.0, "> 0"),
-        ):
-            value = getattr(self, name)
-            # NaN fails every comparison above; inf is caught here.
-            if not (ok and np.isfinite(value)):
-                raise ConfigError(
-                    f"OptimizerSettings.{name} must be finite and {rule}, "
-                    f"got {value!r}"
-                )
+        for name in ("initial_step", "min_step"):
+            positive(getattr(self, name), f"OptimizerSettings.{name}")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
+            raise ConfigError(
+                f"OptimizerSettings.rel_tol must be finite and >= 0, "
+                f"got {self.rel_tol!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,7 @@ def _project(
 def _require_network_stable(config: SystemConfig, margin: float) -> None:
     # Networking load ignores p entirely, so check it once up front, against
     # the same margin stability_report applies.
-    check_margin(margin)
+    fraction(margin, "margin")
     for name in ("classes", "vms"):
         if not getattr(config, name):
             raise ConfigError(f"config.{name} is empty: no schedule to solve for")
@@ -242,29 +237,26 @@ def _min_load_lp(config: SystemConfig) -> tuple[float, np.ndarray]:
 
 
 def _nearest_feasible(
-    anchor: np.ndarray, ev: Evaluator, margin: float
+    anchor: np.ndarray, config: SystemConfig, margin: float
 ) -> np.ndarray:
-    """Minimal-perturbation projection of anchor onto ev's feasible set.
+    """Minimal-perturbation projection of anchor onto config's feasible set.
 
     Dykstra's alternating projections between the product of row simplexes
     and each VM's stability halfspace; falls back to blending toward the LP
     minimizer to clear any residual overshoot.
     """
-    stack = EvaluatorStack([ev])
+    lam = config.arrival_rates()
+    m1, _ = service_moment_matrices(config)
     limit = margin_limit(margin)
-
-    def utilization(x: np.ndarray) -> np.ndarray:
-        return stack.utilization(x[None])[0]
-
-    if np.all(utilization(anchor) <= limit):
+    if np.all(vm_utilization(lam, m1, anchor) <= limit):
         return anchor.copy()
-    t_star, p_lp = _min_load_lp(ev.config)
+    t_star, p_lp = _min_load_lp(config)
     if t_star > limit:
         raise InfeasibleError(
             f"no schedule satisfies the stability margin: best achievable "
             f"max utilization {t_star:.6f} > {1.0 - margin:.6f}"
         )
-    coeff = ev.lam[:, None] * ev.m1  # halfspace normals, one column per VM
+    coeff = lam[:, None] * m1  # halfspace normals, one column per VM
     sqnorm = (coeff**2).sum(axis=0)
     bound = 1.0 - max(margin, 1e-9)  # the halfspaces' target, < margin_limit(margin)
 
@@ -285,22 +277,22 @@ def _nearest_feasible(
             increments[s] = z - proj
             p = proj
         if (
-            np.all(utilization(p) <= limit)
+            np.all(vm_utilization(lam, m1, p) <= limit)
             and np.all(p >= -1e-12)
             and np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         ):
             break
     p = project_simplex_rows(np.maximum(p, 0.0))
-    util = utilization(p)
+    util = vm_utilization(lam, m1, p)
     high = util > limit
     if high.any():
         # The Dykstra iterate can overshoot by float dust; blend toward the
         # strictly feasible LP point just enough to clear the margin.
-        gap = np.maximum(util[high] - utilization(p_lp)[high], 1e-300)
+        gap = np.maximum(util[high] - vm_utilization(lam, m1, p_lp)[high], 1e-300)
         s = float(np.clip(np.max((util[high] - bound) / gap), 0.0, 1.0))
         s = min(1.0, s * (1.0 + 1e-9) + 1e-12)
         p = project_simplex_rows((1.0 - s) * p + s * p_lp)
-        if np.any(utilization(p) > limit):
+        if np.any(vm_utilization(lam, m1, p) > limit):
             raise InfeasibleError("could not project anchor to the feasible set")
     return p
 
@@ -323,8 +315,8 @@ def baseline_rca(
 ) -> np.ndarray:
     """Rate-blind baseline: uniform rows (projected to feasibility if needed)."""
     _require_network_stable(config, margin)
-    ev = Evaluator(config)
-    return _nearest_feasible(_anchor("uniform", ev.m1), ev, margin)
+    m1, _ = service_moment_matrices(config)
+    return _nearest_feasible(_anchor("uniform", m1), config, margin)
 
 
 def baseline_pca(
@@ -341,8 +333,8 @@ def baseline_pca(
     _require_network_stable(config, margin)
     if mode not in PCA_STARTS:
         raise ConfigError(f"unknown pca mode {mode!r}")
-    ev = Evaluator(config)
-    return _nearest_feasible(_anchor(PCA_STARTS[mode], ev.m1), ev, margin)
+    m1, _ = service_moment_matrices(config)
+    return _nearest_feasible(_anchor(PCA_STARTS[mode], m1), config, margin)
 
 
 def _pgd(
@@ -475,7 +467,7 @@ def _starts(
     else:
         labels = ("uniform", *PCA_STARTS.values())
         anchors = [(label, _anchor(label, ev.m1)) for label in labels]
-    return ev, [(label, _nearest_feasible(a, ev, margin)) for label, a in anchors]
+    return ev, [(label, _nearest_feasible(a, config, margin)) for label, a in anchors]
 
 
 def _solve(

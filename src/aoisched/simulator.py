@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .model import ConfigError, SystemConfig, integer, positive, validate_config
-from .model import write_table
+from .model import ConfigError, SystemConfig, fraction, integer, positive
+from .model import validate_config, write_table
 from .analytics import require_schedule, wsept_keys
 
 NETWORKING_DISCIPLINES = ("priority", "fcfs")
@@ -76,10 +76,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         positive(self.horizon, "horizon")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigError(
-                f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}"
-            )
+        fraction(self.warmup_fraction, "warmup_fraction")
         for name, low in (("replications", 1), ("seed", 0)):
             # The frozen field keeps the int the rule returns: 2.0 runs as 2.
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
@@ -334,7 +331,7 @@ def _staleness(
         starts = compute_start[mask]
         newest = np.zeros(len(starts), dtype=np.float64)
         for sid in sources:
-            upd = updates[sid - 1]
+            upd = updates[int(sid) - 1]
             idx = np.searchsorted(upd, starts, side="right")
             last = np.where(idx > 0, upd[np.maximum(idx - 1, 0)], 0.0)
             newest = np.maximum(newest, last)

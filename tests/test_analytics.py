@@ -339,7 +339,7 @@ def test_stability_report_margin_verdict():
     assert rep.stable
     # The optimizer's loads, bit for bit.
     stack = EvaluatorStack([Evaluator(cfg)])
-    assert np.array_equal(rep.vm_utilization, stack.utilization(p[None])[0])
+    assert np.array_equal(rep.vm_utilization, stack.loads(p[None])[1][0, 0])
     assert rep.network_utilization < 1.0
     assert list(rep.priority_order) == list(wsept_order(cfg))
     # A load inside the margin band (0.9994 > 1 - 1e-3) flips the verdict

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aoisched.analytics import InfeasibleError, StabilityError, weighted_metrics
-from aoisched.cli import _sweep_point_config, main, read_schedule
+from aoisched.cli import _sweep_point_config, build_parser, main, read_schedule
 from aoisched.model import (
     ConfigError,
     JobClass,
@@ -25,6 +25,7 @@ from aoisched.optimizer import (
     baseline_rca,
     optimize_pps,
 )
+from aoisched.simulator import SimConfig
 
 
 @pytest.fixture(scope="module")
@@ -802,3 +803,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("aoisched ")
+
+
+def test_simulate_flag_defaults_are_sim_configs():
+    args = build_parser().parse_args(["simulate", "system.json"])
+    sim = SimConfig()
+    assert (args.horizon, args.replications, args.warmup) == (
+        sim.horizon,
+        sim.replications,
+        sim.warmup_fraction,
+    )

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoisched.analytics import stability_report
 from aoisched.model import (
@@ -12,6 +14,7 @@ from aoisched.model import (
     ServiceProfile,
     SystemConfig,
     config_from_dict,
+    config_hash,
     config_to_dict,
     default_config,
     generate_classes,
@@ -22,7 +25,7 @@ from aoisched.model import (
     validate_config,
 )
 
-from conftest import make_system, near_limit_link
+from conftest import instances, make_system, near_limit_link
 
 
 def test_validate_accepts_reference_network_load():
@@ -97,6 +100,22 @@ def test_validate_info_set_references():
     assert validate_config(dataclasses.replace(cfg, classes=(empty,))) == [
         "classes[0].info_set must name at least one class"
     ]
+
+
+def test_validate_holds_info_set_entries_to_the_integer_rule():
+    # The JSON reader's rule, for a config built in Python: no fraction, no
+    # bool read as class 1, and a string is a problem, not a TypeError.
+    cfg = default_config(num_classes=4)
+    for bad, got in ((1.5, "1.5"), (True, "True"), ("2", "'2'")):
+        classes = list(cfg.classes)
+        classes[2] = dataclasses.replace(classes[2], info_set=(1, bad))
+        assert validate_config(dataclasses.replace(cfg, classes=tuple(classes))) == [
+            f"classes[2].info_set[1] must be an integer >= 1, got {got}"
+        ]
+    # An integral float or a numpy integer meets the rule, as in the reader.
+    classes = list(cfg.classes)
+    classes[2] = dataclasses.replace(classes[2], info_set=(2.0, np.int64(3)))
+    assert validate_config(dataclasses.replace(cfg, classes=tuple(classes))) == []
 
 
 def test_validate_messages_exact_text_and_order():
@@ -399,6 +418,57 @@ def test_config_to_dict_optional_fields():
     assert d["classes"][0]["update_rate"] == 0.02
     assert d["classes"][0]["info_set"] == [1]
     assert config_from_dict(d) == cfg
+
+
+@pytest.mark.parametrize(
+    "num_classes, digest",
+    [
+        (4, "e51a6b84852559e583a5fb6cbe1face7f1679d8fb3b97734fcb4c8d5d25f295d"),
+        (20, "e3b55d6dc49b4965bf1df2ecf6313bb6b9e9264957d9361b2b9925a913403250"),
+        (100, "0566be6f8549ef927cd4d9636c15812dbc826301078f1b0a194f6b4514608efe"),
+    ],
+)
+def test_config_hash_is_pinned(num_classes, digest):
+    assert config_hash(default_config(num_classes)) == digest
+
+
+def _one_field_changed(obj):
+    """Copies of the dataclass obj, each with one leaf field changed: a
+    number plus 1, a string or a tuple of class numbers one item longer."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            for changed in _one_field_changed(value):
+                yield dataclasses.replace(obj, **{f.name: changed})
+        elif isinstance(value, tuple) and dataclasses.is_dataclass(value[0]):
+            for i, item in enumerate(value):
+                for changed in _one_field_changed(item):
+                    items = (*value[:i], changed, *value[i + 1 :])
+                    yield dataclasses.replace(obj, **{f.name: items})
+        else:
+            grown = {str: "x", tuple: (1,)}.get(type(value), 1)
+            yield dataclasses.replace(obj, **{f.name: value + grown})
+
+
+@settings(max_examples=25)
+@given(instances(), st.integers(0, 2**32))
+def test_every_config_field_reaches_the_json_and_the_hash(config, seed):
+    # Every optional field set, so each field of the four types is written.
+    classes = tuple(
+        dataclasses.replace(c, update_rate=0.01 * (j + 1), info_set=(1, j + 1))
+        for j, c in enumerate(config.classes)
+    )
+    config = dataclasses.replace(
+        config, classes=classes, seed=seed, pareto=ParetoSpec(2.5, 0.4, 6.0)
+    )
+    assert config_from_dict(config_to_dict(config)) == config
+    digest = config_hash(config)
+    changed = list(_one_field_changed(config))
+    # SystemConfig's 4 scalar fields, 5 per class, 2 per VM and the link,
+    # 3 in pareto.
+    assert len(changed) == 4 + 5 * config.num_classes + 2 * (config.num_vms + 1) + 3
+    for other in changed:
+        assert config_hash(other) != digest
 
 
 def test_generate_classes_rate_apportionment():

@@ -508,6 +508,65 @@ def test_driver_falls_back_on_infeasible_window(online_config):
     np.testing.assert_array_equal(res.schedules[1], res.schedules[0])
 
 
+def _served_keys(monkeypatch, *args, **kwargs):
+    """online_driver's result and the per-class priority key row each
+    window's jobs were served with at the link."""
+    seen = []
+
+    def spy(dep1, cls, key, *rest):
+        seen.append((cls, np.asarray(key)))
+        return simulator.network_start_times(dep1, cls, key, *rest)
+
+    monkeypatch.setattr(online, "network_start_times", spy)
+    res = online_driver(*args, **kwargs)
+    ((cls, key),) = seen
+    win = np.repeat(np.arange(res.num_windows), [w.counts.sum() for w in res.windows])
+    rows = np.full((res.num_windows, 3), np.nan)
+    rows[win, cls] = key
+    return res, rows
+
+
+def test_fallback_keys_depend_on_its_cause(monkeypatch, online_config):
+    # Both causes keep window k-1's schedule. After an infeasible solve the
+    # link takes the new estimate's keys; after an empty estimation window
+    # it keeps window k-1's keys, there being no estimate.
+    sizes = online_config.output_sizes()
+    rng = np.random.default_rng(0)
+    burst = sorted(rng.uniform(0.0, 1.0e4, 3000))
+    calm = sorted(rng.uniform(1.0e4, 2.0e4, 60))
+    jobs = [(float(t), "1") for t in burst]
+    jobs += [(float(t), str(1 + i % 3)) for i, t in enumerate(calm)]
+    jobs.append((2.05e4, "2"))
+    res, rows = _served_keys(
+        monkeypatch,
+        _trace(jobs),
+        online_config,
+        window_length=1.0e4,
+        class_map=template_class_map(online_config),
+    )
+    assert res.sources == ["uniform", "fallback"]
+    # Window 0 holds class 1 only, served with the cold-start key 1/3.
+    assert rows[0, 0] == wsept_keys(np.ones(3), sizes)[0] == 1.0 / 3.0
+    np.testing.assert_array_equal(rows[1], [1.0, 0.0, 0.0])
+
+    # Window 1 is empty, so window 2 falls back with window 1's keys.
+    jobs = [(100.0 * i + 50.0, str(1 + i % 3)) for i in range(100)]
+    jobs += [(2.0e4 + 100.0 * i + 50.0, str(1 + i % 3)) for i in range(100)]
+    jobs.append((3.05e4, "1"))
+    res, rows = _served_keys(
+        monkeypatch,
+        _trace(jobs),
+        online_config,
+        window_length=1.0e4,
+        class_map=template_class_map(online_config),
+    )
+    assert res.sources == ["uniform", "optimized", "fallback"]
+    np.testing.assert_array_equal(res.schedules[2], res.schedules[1])
+    np.testing.assert_array_equal(
+        rows[2], wsept_keys(res.windows[0].rates, sizes)
+    )
+
+
 def test_driver_tracks_rate_shift(online_config):
     # Class 1 only for 30k ms, then class 2 only; regular 50 ms spacing.
     seg1 = [(25.0 + 50.0 * i, "1") for i in range(600)]

@@ -147,7 +147,7 @@ def test_pgd_matches_oracle_exactly(instance):
     loads = stack.loads(p0[None])
     assert stack.objectives(p0[None], loads, margin)[0] == [oracle.value(p0, margin)]
     assert np.array_equal(stack.gradient(loads)[0], oracle.grad(p0))
-    assert np.array_equal(stack.utilization(p0[None])[0], oracle.utilization(p0))
+    assert np.array_equal(stack.loads(p0[None])[1][0, 0], oracle.utilization(p0))
     _assert_same_descents([ev], [p0], settings)
 
 
@@ -261,7 +261,7 @@ def test_single_vm_loads_match_oracle(num_classes):
         assert stack.objectives(P, loads)[0] == [oracle.value(p)] * size
         for b in range(size):
             assert np.array_equal(stack.gradient(loads)[b], oracle.grad(p))
-            assert np.array_equal(stack.utilization(P)[b], oracle.utilization(p))
+            assert np.array_equal(stack.loads(P)[1][b, 0], oracle.utilization(p))
 
 
 _entries = st.one_of(

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -414,6 +415,38 @@ def test_littles_law_holds_per_server(data):
             sojourn = float(np.sum(d - a))
             area = _area_under_number_in_system(a, d)
             assert area == pytest.approx(sojourn, rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_kleinrock_conservation_on_the_simulated_link(data):
+    # A replication's draws do not depend on the link discipline, so both
+    # links see the same arrivals (the compute ends) and the same services.
+    # Every non-preemptive work-conserving link then has the same integral
+    # of unfinished work, sum_i (W_i S_i + S_i^2 / 2) over a sample path
+    # that drains, so sum_i W_i S_i agrees between priority and FCFS.
+    config = data.draw(instances())
+    p = data.draw(schedules(config))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    logs = {}
+    for networking in ("priority", "fcfs"):
+        sim = SimConfig(
+            horizon=300 / config.total_rate,
+            replications=1,
+            seed=seed,
+            networking=networking,
+            collect_event_log=True,
+        )
+        logs[networking] = run_simulation(config, p, sim).event_log
+    prio, fcfs = logs["priority"], logs["fcfs"]
+    assert np.array_equal(prio.compute_end, fcfs.compute_end)
+
+    def work_in_queue(log):
+        return math.fsum(
+            (log.net_start - log.compute_end) * (log.net_end - log.net_start)
+        )
+
+    assert work_in_queue(prio) == pytest.approx(work_in_queue(fcfs), rel=1e-9, abs=0.0)
 
 
 def test_fcfs_replication_peak_memory_per_job():
