@@ -51,7 +51,7 @@ def _require_finite(**arrays: np.ndarray) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def fcfs_start(arrivals, server_idx, service, n_servers, order=None):
+def fcfs_start(arrivals, server_idx, service, n_servers, order=None, out=None):
     """Start times of jobs served FCFS by `n_servers` parallel queues.
 
     Jobs are served in `order`, which must sort arrivals, or without one in
@@ -61,11 +61,13 @@ def fcfs_start(arrivals, server_idx, service, n_servers, order=None):
 
     With `order`, each block of jobs is gathered through it and its start
     times scattered back to the jobs' positions, so no full-length sorted
-    copy of the inputs is made.
+    copy of the inputs is made. The starts go into `out` (a new array by
+    default), which may be arrivals itself: a block's arrivals are read
+    before its starts are written, and no later block reads those positions.
     """
     _require_finite(arrivals=arrivals, service=service)
     n = arrivals.shape[0]
-    start = np.empty(n, dtype=np.float64)
+    start = np.empty(n, dtype=np.float64) if out is None else out
     free = [0.0] * n_servers
     for lo in range(0, n, FCFS_BLOCK):
         jobs = slice(lo, lo + FCFS_BLOCK)
@@ -201,7 +203,7 @@ def _busy_periods(a, d, first, free):
     return start, after[np.array(first[1:] + [m]) - 1].tolist()
 
 
-def priority_start(arrivals, order, grouped, offsets, key, service):
+def priority_start(arrivals, order, grouped, offsets, key, service, out=None):
     """Start times at one non-preemptive priority server.
 
     The loop walks the jobs in `order`, which must sort arrivals, and a
@@ -215,6 +217,8 @@ def priority_start(arrivals, order, grouped, offsets, key, service):
 
     succ[w] is the walk position of the next job of w's class, or n after
     its last job, and queued[c] says whether class c has a head in the heap.
+    The starts go into `out` (a new array by default), which may be arrivals
+    itself: the walk reads its own copy of them.
     """
     _require_finite(arrivals=arrivals, service=service)
     if np.isnan(key).any():
@@ -281,7 +285,8 @@ def priority_start(arrivals, order, grouped, offsets, key, service):
     # The walk lists go before the result array is built; with them alive
     # the end of a long run would be the kernel's memory peak.
     del aw, sw, nk, succ, cw
-    out = np.empty(n, dtype=np.float64)
+    if out is None:
+        out = np.empty(n, dtype=np.float64)
     out[order] = start
     return out
 

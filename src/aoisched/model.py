@@ -29,6 +29,8 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +206,9 @@ def validate_config(config: SystemConfig) -> list[str]:
         problems.append("classes must list at least one job class")
     if not config.vms:
         problems.append("vms must list at least one VM")
-    if not 0.0 <= config.theta <= 1.0:
+    if problem := _number_problem(config.theta, "theta"):
+        problems.append(problem)
+    elif not 0.0 <= config.theta <= 1.0:
         problems.append(f"theta must lie in [0, 1], got {config.theta}")
     if config.moment_mode not in MOMENT_MODES:
         problems.append(
@@ -216,21 +220,31 @@ def validate_config(config: SystemConfig) -> list[str]:
             f"{AOI_WEIGHTINGS}, got {config.aoi_network_weighting!r}"
         )
 
+    # The per-class numeric checks run over one array, and only the classes
+    # with a flagged value or an info_set are visited. A value the number
+    # rule refuses reads as nan there, so it is flagged; an unset
+    # update_rate reads as 1.0, which passes.
     num_classes = config.num_classes
-    # The per-class numeric checks run over one array; an unset update_rate
-    # reads as 1.0, which passes.
     names = ("arrival_rate", "compute_size", "output_size", "update_rate")
-    values = np.array(
-        [[getattr(c, name) for name in names] for c in config.classes], dtype=np.float64
-    ).reshape(-1, 4)
+    raw = list(chain.from_iterable(map(attrgetter(*names), config.classes)))
+    kinds = set(map(type, raw))
+    floats = raw
+    if not all(issubclass(k, float) or k is type(None) for k in kinds):
+        floats = [math.nan if _number_problem(x, "") else float(x) for x in raw]
+    values = np.array(floats, dtype=np.float64).reshape(-1, 4)
     values[[c.update_rate is None for c in config.classes], 3] = 1.0
-    bad_values = (~(np.isfinite(values) & (values > 0.0))).tolist()
-    for j, (c, bad) in enumerate(zip(config.classes, bad_values)):
-        where = f"classes[{j}]"
-        for name, is_bad in zip(names, bad):
+    bad_values = ~(np.isfinite(values) & (values > 0.0))
+    has_info = np.array([c.info_set is not None for c in config.classes], dtype=bool)
+    for j in np.flatnonzero(bad_values.any(axis=1) | has_info).tolist():
+        c, where = config.classes[j], f"classes[{j}]"
+        given = raw[4 * j : 4 * j + 4]
+        for name, x, is_bad in zip(names, given, bad_values[j].tolist()):
             if is_bad:
                 when = " when set" if name == "update_rate" else ""
-                problems.append(f"{where}.{name} must be positive and finite{when}")
+                problems.append(
+                    _number_problem(x, f"{where}.{name}")
+                    or f"{where}.{name} must be positive and finite{when}"
+                )
         if c.info_set is not None:
             if not c.info_set:
                 problems.append(f"{where}.info_set must name at least one class")
@@ -247,9 +261,13 @@ def validate_config(config: SystemConfig) -> list[str]:
                 )
     services = [(f"vms[{k}]", v) for k, v in enumerate(config.vms)]
     for where, service in [*services, ("network", config.network)]:
-        if not (np.isfinite(service.rate) and service.rate > 0.0):
+        if problem := _number_problem(service.rate, f"{where}.rate"):
+            problems.append(problem)
+        elif not (np.isfinite(service.rate) and service.rate > 0.0):
             problems.append(f"{where}.rate must be positive and finite")
-        if not (np.isfinite(service.shift) and service.shift >= 0.0):
+        if problem := _number_problem(service.shift, f"{where}.shift"):
+            problems.append(problem)
+        elif not (np.isfinite(service.shift) and service.shift >= 0.0):
             problems.append(f"{where}.shift must be non-negative and finite")
 
     if not problems:
@@ -270,11 +288,12 @@ def validate_config(config: SystemConfig) -> list[str]:
             compute_ok = np.isfinite([m1, m2, lam[:, None] * m1]).all(axis=0)
             network_ok = np.isfinite([n1, n2, lam * n1]).all(axis=0)
         moments = "service moments or offered load are not finite"
-        for j, (row, net_ok) in enumerate(zip(compute_ok.tolist(), network_ok)):
+        for j in np.flatnonzero(~compute_ok.all(axis=1) | ~network_ok).tolist():
+            row = compute_ok[j].tolist()
             bad = ", ".join(f"vms[{k}]" for k, ok in enumerate(row) if not ok)
             if bad:
                 problems.append(f"classes[{j}]: compute {moments} on {bad}")
-            if not net_ok:
+            if not network_ok[j]:
                 problems.append(f"classes[{j}]: network {moments}")
     if not problems:
         # Networking load does not depend on the schedule, so an overloaded
@@ -349,13 +368,30 @@ def _json_field(container, key, where: str = "", kind: type = float, default=_RE
             raise ConfigError(f"config missing required key: {path}")
         return default
     value = container[key]
-    # A bool is no number here, and NaN is the one value unequal to itself.
-    types = numbers.Real if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, types) or value != value:
-        raise ConfigError(f"{path} must be {_KINDS[kind]}, got {value!r}")
-    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ConfigError(f"{path} must be a finite number, got an integer past 1e308")
-    return float(value) if kind is float else value
+    if kind is not float:
+        if not isinstance(value, kind):
+            raise ConfigError(f"{path} must be {_KINDS[kind]}, got {value!r}")
+        return value
+    # NaN, the one value unequal to itself, is no JSON number either.
+    problem = _number_problem(value, path)
+    if problem is None and value != value:
+        problem = f"{path} must be a number, got {value!r}"
+    if problem:
+        raise ConfigError(problem)
+    return float(value)
+
+
+def _number_problem(value, path: str) -> str | None:
+    """The number rule's objection to value at JSON path `path`, or None: a
+    bool, a string, None or any other non-number is refused, and so is an
+    integer past any float. The one rule for a config file's numbers and a
+    config built in Python."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"{path} must be a number, got {value!r}"
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"{path} must be a finite number, got an integer past 1e308"
+    return None
+
 
 
 def _service(obj: dict, where: str) -> ServiceProfile:

@@ -329,10 +329,14 @@ def _replay(
     s1, s2 = service_times(config, tr.cls, vm_idx, *rng.exponential(1.0, (2, n)))
     start1 = _kernels.fcfs_start(tr.times, vm_idx, s1, config.num_vms)
     dep1 = start1 + s1
-    start2 = network_start_times(dep1, tr.cls, keys, s2, J, "priority")
-    flow = Flow(tr.times, tr.cls, vm_idx, s1, s2, start1, dep1, start2)
+    # The link's starts are written over the departures it reads.
+    start2 = network_start_times(dep1, tr.cls, keys, s2, J, "priority", out=dep1)
+    flow = Flow(tr.times, tr.cls, vm_idx, s1, s2, start1, start2)
     horizon = n_windows * tr.window_length
-    run = reduce_run(flow, J, config.num_vms, tr.win >= 1, horizon, config)
+    # Jobs are in arrival order, so windows 1.. are the jobs from the first
+    # one past window 0 on.
+    kept = slice(int(np.searchsorted(tr.win, 1)), None)
+    run = reduce_run(flow, J, config.num_vms, kept, horizon, config)
     return OnlineResult(
         windows=tr.windows,
         schedules=schedules,

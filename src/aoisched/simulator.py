@@ -163,16 +163,18 @@ class SimResult:
         write_table(path, SIM_COLUMNS, self._class_rows())
 
 
-def interdeparture_stats(departures: np.ndarray, keep=None) -> tuple[float, float]:
-    """Mean and coefficient of variation of sorted inter-departure gaps,
-    over the departures `keep` selects (all of them by default).
+def interdeparture_stats(departures: np.ndarray) -> tuple[float, float]:
+    """Mean and coefficient of variation of sorted inter-departure gaps.
 
-    The selection is the one copy made: it is sorted in place and dropped
-    before the gaps' deviation is taken, which bounds a long run's peak
-    memory.
+    Sorts a copy; the caller's array is left as it was.
     """
-    d = np.asarray(departures, dtype=np.float64)
-    d = d.copy() if keep is None else d[keep]
+    return _gap_stats(np.array(departures, dtype=np.float64))
+
+
+def _gap_stats(d: np.ndarray) -> tuple[float, float]:
+    """interdeparture_stats on departures it may reorder: d is sorted in
+    place and dropped before the gaps' deviation, which bounds a long run's
+    peak memory when the caller holds no other reference to it."""
     d.sort()
     if d.size < 3:
         return float("nan"), float("nan")
@@ -278,20 +280,22 @@ def network_start_times(
     s2: np.ndarray,
     n_classes: int,
     networking: str,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Service start time at the shared link for every job.
 
-    key holds each job's priority key; the FCFS link never reads it.
+    key holds each job's priority key; the FCFS link never reads it. The
+    starts go into `out`, a new array by default; out may be dep1 itself,
+    which the kernels read before they write over it.
     """
     order = np.argsort(dep1, kind="stable")
     if networking == "fcfs":
-        return _kernels.fcfs_start(dep1, None, s2, 1, order)
+        return _kernels.fcfs_start(dep1, None, s2, 1, order, out)
     if networking != "priority":
         raise ValueError(f"unknown networking discipline {networking!r}")
     grouped, offsets = group_by_class(cls[order], n_classes)
-    return _kernels.priority_start(
-        dep1, order, grouped, offsets, np.asarray(key, dtype=np.float64), s2
-    )
+    key = np.asarray(key, dtype=np.float64)
+    return _kernels.priority_start(dep1, order, grouped, offsets, key, s2, out)
 
 
 def _staleness(
@@ -382,7 +386,11 @@ def service_times(
 
 @dataclass(frozen=True)
 class Flow:
-    """Per-job times of one run, jobs in arrival order."""
+    """Per-job times of one run, jobs in arrival order.
+
+    A job's compute departure is start1 + s1, summed where it is read; no
+    run holds it beside the arrays below.
+    """
 
     t: np.ndarray  # arrival
     cls: np.ndarray  # zero-based class index
@@ -390,12 +398,12 @@ class Flow:
     s1: np.ndarray
     s2: np.ndarray
     start1: np.ndarray
-    dep1: np.ndarray
     start2: np.ndarray
 
     def event_log(self, class_ids: np.ndarray) -> np.ndarray:
         serial = np.arange(len(self.t), dtype=np.int64)
-        times = [self.t, self.start1, self.dep1, self.start2, self.start2 + self.s2]
+        dep1 = self.start1 + self.s1
+        times = [self.t, self.start1, dep1, self.start2, self.start2 + self.s2]
         return np.rec.fromarrays([serial, class_ids, *times], names=EVENT_LOG_COLUMNS)
 
 
@@ -406,8 +414,9 @@ def _flow(t, cls, vm_idx, s1, s2, num_vms: int, key, networking: str) -> Flow:
     dep1 = start1 + s1
     # Only the priority link reads per-job keys.
     job_key = key[cls] if networking == "priority" else None
-    start2 = network_start_times(dep1, cls, job_key, s2, len(key), networking)
-    return Flow(t, cls, vm_idx, s1, s2, start1, dep1, start2)
+    # The link's starts are written over the departures it reads.
+    start2 = network_start_times(dep1, cls, job_key, s2, len(key), networking, out=dep1)
+    return Flow(t, cls, vm_idx, s1, s2, start1, start2)
 
 
 class ClassMeans(NamedTuple):
@@ -466,44 +475,47 @@ class RunRecord:
     dep_cv: float
 
 
-def _class_means(flow: Flow, group, n_groups: int, keep, y=None) -> ClassMeans:
-    """Means of the kept jobs in each group; y is the per-job source staleness.
+def _class_means(flow: Flow, group, n_groups: int, kept: slice, y=None) -> ClassMeans:
+    """Means of the jobs at positions `kept` in each group; y is the per-job
+    source staleness.
 
-    Each per-job quantity is derived, reduced and dropped in turn rather than
-    held all at once, which bounds peak memory on million-job runs. Jobs not
-    kept are counted in one extra group, so no quantity is gathered: each
-    group still sums its kept jobs in job order.
+    Each per-job quantity is derived over the kept range, reduced and
+    dropped in turn rather than held all at once, which bounds peak memory
+    on million-job runs. Every group sums its jobs in job order.
     """
-    codes = group.astype(np.intp)
-    codes[~keep] = n_groups
-    counts = np.bincount(codes, minlength=n_groups + 1)[:n_groups]
+    codes = group[kept]
+    counts = np.bincount(codes, minlength=n_groups)
     nz = counts > 0
 
     def mean(values):
-        sums = np.bincount(codes, weights=values, minlength=n_groups + 1)
+        sums = np.bincount(codes, weights=values, minlength=n_groups)
         out = np.full(n_groups, np.nan)
-        out[nz] = sums[:n_groups][nz] / counts[nz]
+        out[nz] = sums[nz] / counts[nz]
         return out
 
-    wait = flow.start2 - flow.dep1
+    t, s1, s2 = flow.t[kept], flow.s1[kept], flow.s2[kept]
+    start1, start2 = flow.start1[kept], flow.start2[kept]
+    y = None if y is None else y[kept]
+    wait = start1 + s1  # the compute departure, then start2 minus it
+    np.subtract(start2, wait, out=wait)
     wait_network = mean(wait)
     age = wait  # s1 + network wait + s2 (+ y), summed in that order in place
-    age += flow.s1
-    age += flow.s2
+    age += s1
+    age += s2
     if y is not None:
         age += y
     aoi = mean(age)
     del wait, age
-    sojourn = flow.start2 + flow.s2
-    sojourn -= flow.t
+    sojourn = start2 + s2
+    sojourn -= t
     completion = mean(sojourn)
     del sojourn
     return ClassMeans(
         counts=counts,
-        wait_compute=mean(flow.start1 - flow.t),
-        service_compute=mean(flow.s1),
+        wait_compute=mean(start1 - t),
+        service_compute=mean(s1),
         wait_network=wait_network,
-        service_network=mean(flow.s2),
+        service_network=mean(s2),
         aoi=aoi,
         completion=completion,
         staleness=np.zeros(n_groups) if y is None else mean(y),
@@ -511,15 +523,24 @@ def _class_means(flow: Flow, group, n_groups: int, keep, y=None) -> ClassMeans:
 
 
 def reduce_run(
-    flow: Flow, n_classes: int, n_vms: int, keep, horizon: float, config=None, y=None
+    flow: Flow, n_classes: int, n_vms: int, kept, horizon: float, config=None, y=None
 ) -> RunRecord:
-    """The record of one run: class means of the kept jobs (y is the per-job
-    source staleness), the objective of `config` on them (nan without one),
-    VM utilization, backlog growth and departure statistics."""
-    means = _class_means(flow, flow.cls, n_classes, keep, y)
-    span = max(horizon, float(flow.dep1.max()))
-    unstable_net = _backlog_growing(flow.dep1, flow.start2, horizon, None, 1)[0]
-    dep_mean, dep_cv = interdeparture_stats(flow.dep1, keep)
+    """The record of one run: class means of the jobs at positions `kept`
+    (y is the per-job source staleness), the objective of `config` on them
+    (nan without one), VM utilization, backlog growth, and the gaps between
+    the kept jobs' compute departures.
+
+    Jobs are in arrival order, so each kept set a caller forms (arrivals
+    past the warm-up, windows 1 on, every job) is one slice of positions.
+    Each step sums the compute departures it reads and drops them before
+    the next, so no departure array is alive while the class means run.
+    """
+    means = _class_means(flow, flow.cls, n_classes, kept, y)
+    dep1 = flow.start1 + flow.s1
+    span = max(horizon, float(dep1.max()))
+    unstable_net = _backlog_growing(dep1, flow.start2, horizon, None, 1)[0]
+    del dep1
+    dep_mean, dep_cv = _gap_stats(flow.start1[kept] + flow.s1[kept])
     return RunRecord(
         means=means,
         objective=float("nan") if config is None else means.objective(config),
@@ -537,10 +558,10 @@ def group_objectives(
     """The objective of each group of jobs, every job kept.
 
     One reduction over (group, class) cells sums each cell's jobs in job
-    order, exactly as reduce_run with that group as its keep mask would.
+    order, exactly as reduce_run over that group's jobs alone would.
     """
-    J, every = config.num_classes, np.ones(len(flow.t), bool)
-    cells = _class_means(flow, group * J + flow.cls, n_groups * J, every)
+    J = config.num_classes
+    cells = _class_means(flow, group * J + flow.cls, n_groups * J, slice(None))
     grid = [v.reshape(n_groups, J) for v in cells]
     rows = (ClassMeans(*(v[k] for v in grid)) for k in range(n_groups))
     return np.array([row.objective(config) for row in rows])
@@ -567,8 +588,9 @@ def _replication(
     class_key = wsept_keys(lam, config.output_sizes())
     flow = _flow(t, cls, vm_idx, s1, s2, config.num_vms, class_key, sim.networking)
     y = _staleness(rng, config, cls, flow.start1) if sim.simulate_updates else None
-    keep = t >= sim.warmup_fraction * sim.horizon
-    run = reduce_run(flow, len(lam), config.num_vms, keep, sim.horizon, config, y)
+    # Arrivals are sorted, so the jobs past the warm-up are a suffix.
+    kept = slice(int(np.searchsorted(t, sim.warmup_fraction * sim.horizon)), None)
+    run = reduce_run(flow, len(lam), config.num_vms, kept, sim.horizon, config, y)
     if not want_log:
         return run, None
     # Widened first: a narrow class code would wrap at the last class id.
@@ -692,7 +714,7 @@ def scripted_arrivals(
     n_classes = len(distinct)
 
     flow = _flow(t, cls, vm_idx, s1, s2, num_vms, np.zeros(n_classes), "fcfs")
-    run = reduce_run(flow, n_classes, num_vms, np.ones(len(t), dtype=bool), 0.0)
+    run = reduce_run(flow, n_classes, num_vms, slice(None), 0.0)
     return aggregate_runs(
         [run],
         distinct,

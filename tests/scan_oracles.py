@@ -1,9 +1,10 @@
 """Reference loops the simulator's fast paths are checked against.
 
 These are the original O(n*J) head scan, the numpy-indexed Lindley loop,
-the per-class arrival draws and VM choice, and the record-per-row trace
-reader and class resolver, kept verbatim as slow oracles: every value the
-fast paths return must equal theirs exactly.
+the per-class arrival draws and VM choice, the record-per-row trace
+reader and class resolver, and the reducer that held each job's compute
+departure and took a keep mask, kept verbatim as slow oracles: every value
+the fast paths return must equal theirs exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from aoisched.model import ConfigError
-from aoisched.simulator import _poisson_arrivals
+from aoisched.model import ConfigError, SystemConfig
+from aoisched.simulator import (
+    ClassMeans,
+    RunRecord,
+    _backlog_growing,
+    _poisson_arrivals,
+)
 
 
 def fcfs_scan(arrivals, server_idx, service, n_servers):
@@ -184,3 +190,128 @@ def resolve_classes_records(
     cls = np.array([mapping[k] - 1 for k in keys], dtype=np.int64)
     order = np.argsort(times, kind="stable")
     return times[order], cls[order], mapping
+
+
+@dataclass(frozen=True)
+class MaskedFlow:
+    """Per-job times of one run, jobs in arrival order."""
+
+    t: np.ndarray  # arrival
+    cls: np.ndarray  # zero-based class index
+    vm_idx: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    start1: np.ndarray
+    dep1: np.ndarray
+    start2: np.ndarray
+
+
+def interdeparture_stats_masked(
+    departures: np.ndarray, keep=None
+) -> tuple[float, float]:
+    """Mean and coefficient of variation of sorted inter-departure gaps,
+    over the departures `keep` selects (all of them by default).
+
+    The selection is the one copy made: it is sorted in place and dropped
+    before the gaps' deviation is taken, which bounds a long run's peak
+    memory.
+    """
+    d = np.asarray(departures, dtype=np.float64)
+    d = d.copy() if keep is None else d[keep]
+    d.sort()
+    if d.size < 3:
+        return float("nan"), float("nan")
+    gaps = np.diff(d)
+    del d
+    mean = float(gaps.mean())
+    if mean <= 0.0:
+        return mean, float("nan")
+    return mean, float(gaps.std(ddof=1) / mean)
+
+
+def class_means_masked(
+    flow: MaskedFlow, group, n_groups: int, keep, y=None
+) -> ClassMeans:
+    """Means of the kept jobs in each group; y is the per-job source staleness.
+
+    Each per-job quantity is derived, reduced and dropped in turn rather than
+    held all at once, which bounds peak memory on million-job runs. Jobs not
+    kept are counted in one extra group, so no quantity is gathered: each
+    group still sums its kept jobs in job order.
+    """
+    codes = group.astype(np.intp)
+    codes[~keep] = n_groups
+    counts = np.bincount(codes, minlength=n_groups + 1)[:n_groups]
+    nz = counts > 0
+
+    def mean(values):
+        sums = np.bincount(codes, weights=values, minlength=n_groups + 1)
+        out = np.full(n_groups, np.nan)
+        out[nz] = sums[:n_groups][nz] / counts[nz]
+        return out
+
+    wait = flow.start2 - flow.dep1
+    wait_network = mean(wait)
+    age = wait  # s1 + network wait + s2 (+ y), summed in that order in place
+    age += flow.s1
+    age += flow.s2
+    if y is not None:
+        age += y
+    aoi = mean(age)
+    del wait, age
+    sojourn = flow.start2 + flow.s2
+    sojourn -= flow.t
+    completion = mean(sojourn)
+    del sojourn
+    return ClassMeans(
+        counts=counts,
+        wait_compute=mean(flow.start1 - flow.t),
+        service_compute=mean(flow.s1),
+        wait_network=wait_network,
+        service_network=mean(flow.s2),
+        aoi=aoi,
+        completion=completion,
+        staleness=np.zeros(n_groups) if y is None else mean(y),
+    )
+
+
+def reduce_run_masked(
+    flow: MaskedFlow,
+    n_classes: int,
+    n_vms: int,
+    keep,
+    horizon: float,
+    config=None,
+    y=None,
+) -> RunRecord:
+    """The record of one run: class means of the kept jobs (y is the per-job
+    source staleness), the objective of `config` on them (nan without one),
+    VM utilization, backlog growth and departure statistics."""
+    means = class_means_masked(flow, flow.cls, n_classes, keep, y)
+    span = max(horizon, float(flow.dep1.max()))
+    unstable_net = _backlog_growing(flow.dep1, flow.start2, horizon, None, 1)[0]
+    dep_mean, dep_cv = interdeparture_stats_masked(flow.dep1, keep)
+    return RunRecord(
+        means=means,
+        objective=float("nan") if config is None else means.objective(config),
+        vm_util=np.bincount(flow.vm_idx, weights=flow.s1, minlength=n_vms) / span,
+        unstable_vms=_backlog_growing(flow.t, flow.start1, horizon, flow.vm_idx, n_vms),
+        unstable_net=bool(unstable_net),
+        dep_mean=dep_mean,
+        dep_cv=dep_cv,
+    )
+
+
+def group_objectives_masked(
+    flow: MaskedFlow, config: SystemConfig, group: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """The objective of each group of jobs, every job kept.
+
+    One reduction over (group, class) cells sums each cell's jobs in job
+    order, exactly as reduce_run with that group as its keep mask would.
+    """
+    J, every = config.num_classes, np.ones(len(flow.t), bool)
+    cells = class_means_masked(flow, group * J + flow.cls, n_groups * J, every)
+    grid = [v.reshape(n_groups, J) for v in cells]
+    rows = (ClassMeans(*(v[k] for v in grid)) for k in range(n_groups))
+    return np.array([row.objective(config) for row in rows])

@@ -195,6 +195,41 @@ def test_fcfs_start_through_an_order_matches_gather_scan_scatter(n, n_servers):
         )
 
 
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 7])
+def test_link_kernels_write_their_starts_over_their_arrivals(n):
+    # Tied, unsorted arrivals, as compute departures reach the link. Starts
+    # written into the arrival buffer must equal an out-of-place call's:
+    # each block reads its arrivals before its starts land on them.
+    rng = np.random.default_rng(n)
+    t = np.round(rng.uniform(0.0, n, n), 1)
+    s = rng.exponential(0.95, n)
+    s[::7] = 0.0
+    cls = rng.integers(0, 3, n)
+    key = np.array([0.0, 2.0, 2.0])[cls]
+    order = np.argsort(t, kind="stable")
+    grouped, offsets = group_by_class(cls[order], 3)
+    kernels = {
+        "fcfs": lambda a, out=None: _kernels.fcfs_start(a, None, s, 1, order, out),
+        "priority": lambda a, out=None: _kernels.priority_start(
+            a, order, grouped, offsets, key, s, out
+        ),
+    }
+    for networking, kernel in kernels.items():
+        expected = kernel(t)
+        assert n < 2 or not np.array_equal(expected, t)  # some job waits
+        buf = t.copy()
+        assert kernel(buf, buf) is buf
+        np.testing.assert_array_equal(buf, expected)
+        buf = t.copy()
+        assert network_start_times(buf, cls, key, s, 3, networking, out=buf) is buf
+        np.testing.assert_array_equal(buf, expected)
+    # In position order too, across servers, as the docstring allows.
+    ts, srv = np.sort(t), rng.integers(0, 3, n)
+    expected = _kernels.fcfs_start(ts, srv, 3 * s, 3)
+    assert _kernels.fcfs_start(ts, srv, 3 * s, 3, out=ts) is ts
+    np.testing.assert_array_equal(ts, expected)
+
+
 @st.composite
 def _fcfs_runs(draw):
     # Sizes up to several blocks, one to five servers with uneven shares:

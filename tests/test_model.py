@@ -118,6 +118,38 @@ def test_validate_holds_info_set_entries_to_the_integer_rule():
     assert validate_config(dataclasses.replace(cfg, classes=tuple(classes))) == []
 
 
+def test_validate_holds_numeric_fields_to_the_number_rule(tmp_path):
+    # The JSON reader's number rule, for a config built in Python: a numeric
+    # string is a problem, the same one load_config reports for the file
+    # that save_config writes, and not a number read through float().
+    cfg = default_config(num_classes=4)
+    classes = list(cfg.classes)
+    classes[0] = dataclasses.replace(classes[0], arrival_rate="0.01")
+    bad = dataclasses.replace(cfg, classes=tuple(classes))
+    message = "classes[0].arrival_rate must be a number, got '0.01'"
+    assert validate_config(bad) == [message]
+    save_config(bad, tmp_path / "bad.json")
+    with pytest.raises(ConfigError) as refused:
+        load_config(tmp_path / "bad.json")
+    assert message in str(refused.value)
+    # A bool, None, an integer past any float, and the other numeric fields.
+    classes[0] = dataclasses.replace(classes[0], arrival_rate=True, output_size=None)
+    classes[2] = dataclasses.replace(classes[2], update_rate=10**400)
+    vms = (dataclasses.replace(cfg.vms[0], shift="0"), *cfg.vms[1:])
+    bad = dataclasses.replace(cfg, classes=tuple(classes), vms=vms, theta="0.5")
+    assert validate_config(bad) == [
+        "theta must be a number, got '0.5'",
+        "classes[0].arrival_rate must be a number, got True",
+        "classes[0].output_size must be a number, got None",
+        "classes[2].update_rate must be a finite number, got an integer past 1e308",
+        "vms[0].shift must be a number, got '0'",
+    ]
+    # Integers and numpy floats are numbers.
+    classes = [dataclasses.replace(c, compute_size=2) for c in cfg.classes]
+    classes[1] = dataclasses.replace(classes[1], arrival_rate=np.float32(0.01))
+    assert validate_config(dataclasses.replace(cfg, classes=tuple(classes))) == []
+
+
 def test_validate_messages_exact_text_and_order():
     # Several bad fields at once: messages follow class order, then field
     # order within a class, then VMs, with the text written out in full.

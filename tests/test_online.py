@@ -392,9 +392,13 @@ def test_window_objectives_match_per_window_masks(num_classes, window, jobs, see
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(online, "reduce_run", spy)
         res = online._replay(config, tr, schedules, ["x"] * K, keys, seed % 100)
+    # Jobs are in arrival order, so window k is one range of positions.
+    edges = np.searchsorted(tr.win, np.arange(K + 1)).tolist()
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        np.testing.assert_array_equal(np.flatnonzero(tr.win == k), np.arange(lo, hi))
     expected = [
-        simulator.reduce_run(flows[0], J, 2, tr.win == k, 1.0, config).objective
-        for k in range(K)
+        simulator.reduce_run(flows[0], J, 2, slice(lo, hi), 1.0, config).objective
+        for lo, hi in zip(edges, edges[1:])
     ]
     # Exact equality; nan (an empty window) must meet nan.
     np.testing.assert_array_equal(res.window_objectives, expected)
@@ -434,9 +438,9 @@ def test_empty_estimation_window_falls_back(online_config):
     keys = []
     real = online.network_start_times
 
-    def spy(dep1, cls, key, *args):
+    def spy(dep1, cls, key, *args, **kwargs):
         keys.append(key)
-        return real(dep1, cls, key, *args)
+        return real(dep1, cls, key, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(online, "network_start_times", spy)
@@ -513,9 +517,9 @@ def _served_keys(monkeypatch, *args, **kwargs):
     window's jobs were served with at the link."""
     seen = []
 
-    def spy(dep1, cls, key, *rest):
+    def spy(dep1, cls, key, *rest, **kwargs):
         seen.append((cls, np.asarray(key)))
-        return simulator.network_start_times(dep1, cls, key, *rest)
+        return simulator.network_start_times(dep1, cls, key, *rest, **kwargs)
 
     monkeypatch.setattr(online, "network_start_times", spy)
     res = online_driver(*args, **kwargs)

@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aoisched import _kernels, simulator
+from aoisched.analytics import wsept_keys
 from aoisched.model import ConfigError, default_config
 from aoisched.simulator import (
     ScriptedJob,
@@ -25,7 +26,15 @@ from aoisched.simulator import (
 )
 
 from conftest import instances, make_system, schedules
-from scan_oracles import assign_vms_per_class, fcfs_scan, merged_arrivals_per_class
+from scan_oracles import (
+    MaskedFlow,
+    assign_vms_per_class,
+    fcfs_scan,
+    group_objectives_masked,
+    interdeparture_stats_masked,
+    merged_arrivals_per_class,
+    reduce_run_masked,
+)
 
 
 def test_interdeparture_needs_three_points():
@@ -392,11 +401,13 @@ def test_littles_law_holds_per_server(data):
     scans = []
     fcfs_start = _kernels.fcfs_start
 
-    def recording(arrivals, server_idx, service, n_servers, order=None):
-        start = fcfs_start(arrivals, server_idx, service, n_servers, order)
+    def recording(arrivals, server_idx, service, n_servers, order=None, out=None):
         walk = slice(None) if order is None else order
+        # Gathered first: the link writes its starts over its arrivals.
+        a = arrivals[walk]
+        start = fcfs_start(arrivals, server_idx, service, n_servers, order, out)
         srv = None if server_idx is None else server_idx[walk]
-        scans.append((arrivals[walk], srv, service[walk], n_servers, start[walk]))
+        scans.append((a, srv, service[walk], n_servers, start[walk]))
         return start
 
     with pytest.MonkeyPatch.context() as mp:
@@ -451,12 +462,15 @@ def test_kleinrock_conservation_on_the_simulated_link(data):
 
 def test_fcfs_replication_peak_memory_per_job():
     # The tracemalloc peak of one replication on the FCFS link, per job
-    # offered (rate x horizon; 200,772 were drawn). A run holds six float64
-    # arrays per job (arrival, the two service times, both starts, the
-    # compute departure: 48 bytes) plus one-byte class and VM codes, and at
-    # its peak about two arrays more. With int64 codes and full-length
-    # sorted copies the peak measured 91 bytes per job; with narrow codes,
-    # in-place arithmetic and the link gathering per block, 67.
+    # offered (rate x horizon; 200,772 were drawn). A run holds five float64
+    # arrays per job (arrival, the two service times, both starts: 40
+    # bytes) plus one-byte class and VM codes. At its peak, in the class
+    # means and the departure gaps, it holds two more arrays over the kept
+    # 80% of the jobs. Holding the compute departures as well, and a
+    # full-length intp code array in the class means, the peak measured 67
+    # bytes per job; summing the departures where they are read, with the
+    # link's starts written over them and the reducer over a range of
+    # positions, 55.
     config = default_config()
     p = np.full((config.num_classes, config.num_vms), 1.0 / config.num_vms)
     jobs = 2.0e5
@@ -469,7 +483,90 @@ def test_fcfs_replication_peak_memory_per_job():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / jobs < 79.0
+    assert peak / jobs < 62.0
+
+
+def _assert_records_equal(got, want):
+    # Exact equality field by field; nan must meet nan.
+    for name in simulator.RunRecord.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        for x, y in zip(a, b) if name == "means" else [(a, b)]:
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_reducer_over_a_range_matches_the_masked_oracle(data):
+    # The reducer over a range of positions against the one that held the
+    # compute departures and took a keep mask. The warm-up cut keeps no
+    # job, some jobs or every job; arrivals on a coarse grid put ties at
+    # the cut, and staleness is there or not.
+    config = data.draw(instances())
+    p = data.draw(schedules(config))
+    networking = data.draw(st.sampled_from(["priority", "fcfs"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lam, J, V = config.arrival_rates(), config.num_classes, config.num_vms
+    horizon = data.draw(st.sampled_from([3, 40, 400])) / config.total_rate
+    t, cls = simulator.merged_arrivals(rng, lam, horizon)
+    n = len(t)
+    assume(n > 0)
+    if data.draw(st.booleans()):
+        grid = 4.0 / config.total_rate  # about four arrivals per step
+        t = np.floor(t / grid) * grid
+    vm_idx = simulator.assign_vms(rng.random(n), p, cls)
+    s1, s2 = simulator.service_times(config, cls, vm_idx, *rng.exponential(1.0, (2, n)))
+    key = wsept_keys(lam, config.output_sizes())
+    flow = simulator._flow(t, cls, vm_idx, s1, s2, V, key, networking)
+    dep1 = flow.start1 + flow.s1
+    masked = MaskedFlow(t, cls, vm_idx, s1, s2, flow.start1, dep1, flow.start2)
+    cut = data.draw(st.sampled_from(["none", "some", "all"]))
+    warm = {
+        "none": np.nextafter(t[-1], np.inf),
+        "some": t[rng.integers(n)],
+        "all": t[0],
+    }[cut]
+    keep = t >= warm
+    kept = slice(int(np.searchsorted(t, warm)), None)
+    assert keep.sum() == len(t[kept]) and (cut != "none" or not keep.any())
+    y = rng.exponential(5.0, n) if data.draw(st.booleans()) else None
+    _assert_records_equal(
+        simulator.reduce_run(flow, J, V, kept, horizon, config, y),
+        reduce_run_masked(masked, J, V, keep, horizon, config, y),
+    )
+    n_groups = data.draw(st.integers(1, 4))
+    group = rng.integers(0, n_groups, n)
+    np.testing.assert_array_equal(
+        simulator.group_objectives(flow, config, group, n_groups),
+        group_objectives_masked(masked, config, group, n_groups),
+    )
+    before = dep1.copy()
+    for got, want in (
+        (interdeparture_stats(dep1[kept]), interdeparture_stats_masked(dep1, keep)),
+        (interdeparture_stats(dep1), interdeparture_stats_masked(dep1)),
+    ):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(dep1, before)  # sorted a copy
+
+
+@pytest.mark.parametrize("warmup", [0.0, 0.3, 0.99])
+def test_replication_keeps_the_jobs_past_the_warmup(warmup):
+    # The kept range the replication cuts is the jobs arriving at or after
+    # warmup x horizon, as the event log's release times say.
+    config = default_config(num_classes=3)
+    p = np.full((3, config.num_vms), 1.0 / config.num_vms)
+    sim = SimConfig(
+        horizon=500 / config.total_rate,
+        replications=1,
+        seed=5,
+        warmup_fraction=warmup,
+        collect_event_log=True,
+    )
+    res = run_simulation(config, p, sim)
+    log = res.event_log
+    kept = log.release >= warmup * sim.horizon
+    np.testing.assert_array_equal(
+        res.counts, np.bincount(log.class_id[kept] - 1, minlength=3)
+    )
 
 
 def test_unstable_vm_is_flagged():
