@@ -12,12 +12,15 @@ rounded the guess the other way, the block runs through the job-by-job
 list loop instead. Servers with few jobs in a block take that loop too, as
 it is cheaper there. Either way the result is bit-identical to the loop.
 
-The priority scan loops over Python lists (``.tolist()``) in plain float
-arithmetic, the same IEEE double arithmetic numpy's scalars do. It walks
-the jobs in the arrival order its caller sorted, and checks that order
-rather than sorting again. numpy lays out each job's arrival, service,
-negated key and class by walk position, and links each job to the next job
-of its class, its successor, so the class FIFO costs one list read per job.
+The priority scan is a Python loop in plain float arithmetic, the same
+IEEE double arithmetic numpy's scalars do. It walks the jobs in the arrival
+order its caller sorted, and checks that order rather than sorting again.
+numpy lays out each job's arrival, service, negated key and class by walk
+position, and links each job to the next job of its class, its successor,
+so the class FIFO costs one read per job. Arrivals and classes are read as
+lists; service, key and successor are read, and starts written, through
+memoryviews of numpy buffers, which hold no Python object per job and give
+the same Python floats and ints a list would.
 A heap holds only the heads of classes that have a job waiting. Serving a
 job costs one push and one pop on a heap as large as the number of waiting
 classes, not a scan of every head, and a job that finds the link idle with
@@ -217,8 +220,9 @@ def priority_start(arrivals, order, grouped, offsets, key, service, out=None):
 
     succ[w] is the walk position of the next job of w's class, or n after
     its last job, and queued[c] says whether class c has a head in the heap.
-    The starts go into `out` (a new array by default), which may be arrivals
-    itself: the walk reads its own copy of them.
+    The walk writes each start into one float64 buffer by walk position,
+    then scatters it through `order` into `out` (a new array by default),
+    which may be arrivals itself: the walk reads its own copy of them.
     """
     _require_finite(arrivals=arrivals, service=service)
     if np.isnan(key).any():
@@ -237,13 +241,17 @@ def priority_start(arrivals, order, grouped, offsets, key, service, out=None):
     del nxt
     cw = np.empty(n, dtype=np.intp)
     cw[grouped] = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+    # Arrivals are read up to three times per job, so they pay for a list;
+    # class codes below 257 are cached ints, 8 bytes each in a list. The
+    # columns read once per job are read through memoryviews.
     aw = aw.tolist()
-    succ = succ.tolist()
     cw = cw.tolist()
-    sw = service[order].tolist()
-    nk = (-key[order]).tolist()
+    succ = memoryview(succ)
+    sw = memoryview(service[order])
+    nk = memoryview(-key[order])
     queued = [False] * (offsets.shape[0] - 1)
-    start = [0.0] * n
+    start = np.empty(n, dtype=np.float64)
+    sv = memoryview(start)
     # Heads that have arrived as (-key, arrival, class, walk position); the
     # class is unique in the heap, so entries order by the tie rule above.
     # Whenever it is empty, every walked job has been served.
@@ -259,7 +267,7 @@ def priority_start(arrivals, order, grouped, offsets, key, service, out=None):
             w += 1
             if w == n or aw[w] > now:
                 # No rival has arrived by the time the link takes this job.
-                start[v] = now
+                sv[v] = now
                 now += sw[v]
                 continue
             c = cw[v]
@@ -275,16 +283,16 @@ def priority_start(arrivals, order, grouped, offsets, key, service, out=None):
                 queued[c] = True
             w += 1
         _, _, c, v = heappop(ready)
-        start[v] = now
+        sv[v] = now
         now += sw[v]
         v = succ[v]
         if v < w:
             heappush(ready, (nk[v], aw[v], c, v))
         else:
             queued[c] = False
-    # The walk lists go before the result array is built; with them alive
+    # The walk columns go before the result array is built; with them alive
     # the end of a long run would be the kernel's memory peak.
-    del aw, sw, nk, succ, cw
+    del aw, sw, nk, succ, cw, sv
     if out is None:
         out = np.empty(n, dtype=np.float64)
     out[order] = start

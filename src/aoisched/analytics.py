@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig, fraction, write_table
+from .model import ConfigError, SystemConfig, fraction, require_numbers, write_table
 
 # A queue meets a stability margin m when its utilization is at most
 # margin_limit(m), in the optimizer and in stability_report alike; analytic
@@ -335,6 +335,7 @@ def weighted_metrics(
     p: np.ndarray, config: SystemConfig, networking: str = "priority"
 ) -> tuple[float, float]:
     """(weighted completion, weighted age), both share-weighted over classes."""
+    require_numbers(config)
     ev = Evaluator(config, networking)
     *_, aoi, completion = ev.classes(require_schedule(p, config, "p"))
     return ev.weighted(aoi, completion)
@@ -362,6 +363,7 @@ def stability_report(
 ) -> StabilityReport:
     """Utilizations of every queue plus a margin-aware stability verdict."""
     fraction(margin, "margin")
+    require_numbers(config)
     p = require_schedule(p, config, "p")
     m1, _ = service_moment_matrices(config)
     rho_vm = vm_utilization(config.arrival_rates(), m1, p)
@@ -445,6 +447,7 @@ def analytic_report(
     networking: str = "priority",
 ) -> AnalyticReport:
     """Evaluate every closed-form quantity for one schedule."""
+    require_numbers(config)
     p = require_schedule(p, config, "p")
     ev = Evaluator(config, networking)
     w1, s1, w2, mean_s2, aoi, completion = ev.classes(p)

@@ -195,6 +195,41 @@ def fraction(value: float, name: str) -> float:
     return value
 
 
+def require_numbers(config: SystemConfig) -> None:
+    """A ConfigError naming the first number the analytics cannot use:
+    theta outside [0, 1], an arrival rate or a shift that is negative or not
+    finite, or a size or a service rate that is not positive and finite. A
+    zero arrival rate passes, where validate_config refuses one: the online
+    driver solves for windows in which a class did not arrive. The analytic
+    and optimizer entry points run it on every call, so it stays a few array
+    operations, where validate_config costs about 0.4 ms at J = 400."""
+    theta = config.theta
+    if _number_problem(theta, "") or not (math.isfinite(theta) and 0 <= theta <= 1):
+        raise ConfigError(f"theta must lie in [0, 1], got {theta!r}")
+    # Per table: its items, their fields, and which fields may be zero.
+    sizes = ("arrival_rate", "compute_size", "output_size")
+    tables = (
+        ("classes", config.classes, sizes, (True, False, False)),
+        ("vms", (*config.vms, config.network), ("rate", "shift"), (False, True)),
+    )
+    for table, items, names, may_be_zero in tables:
+        raw = list(chain.from_iterable(map(attrgetter(*names), items)))
+        try:
+            values = np.array(raw, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):  # a value that is no number
+            values = np.array([math.nan if _number_problem(x, "") else x for x in raw])
+        values = values.reshape(-1, len(names))
+        ok = ((values > 0.0) | (values == 0.0) & may_be_zero) & (values < math.inf)
+        if not ok.all():
+            i, k = divmod(int(np.argmin(ok)), len(names))
+            where = "network" if i == len(getattr(config, table)) else f"{table}[{i}]"
+            rule = "non-negative" if may_be_zero[k] else "positive"
+            raise ConfigError(
+                f"{where}.{names[k]} must be {rule} and finite, "
+                f"got {raw[i * len(names) + k]!r}"
+            )
+
+
 def validate_config(config: SystemConfig) -> list[str]:
     """Collect rule violations as human-readable strings.
 

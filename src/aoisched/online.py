@@ -21,6 +21,7 @@ class (r mod J) + 1.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
@@ -108,8 +109,11 @@ def ingest_trace(path: str | Path) -> Trace:
     ConfigError naming the first bad line.
     """
     path = Path(path)
-    stamps: list[float] = []
-    names: list[str] = []
+    # One float64 and one int64 code per row, and one entry per distinct raw
+    # key: no Python object is kept per row.
+    stamps = array("d")
+    raw_codes = array("q")
+    raw_keys: dict[str, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -139,14 +143,16 @@ def ingest_trace(path: str | Path) -> Trace:
             if not isfinite(ts):
                 raise ConfigError(f"{path}: line {lineno}: non-finite timestamp")
             stamps.append(ts)
-            names.append(row[k_col])
+            raw_codes.append(raw_keys.setdefault(row[k_col], len(raw_keys)))
     if not stamps:
         raise ConfigError(f"{path}: trace has no records")
-    # Code each distinct raw key once; stripped keys keep first-seen order.
+    # Raw keys are coded in first-seen order, so stripped keys keep it too.
     index: dict[str, int] = {}
-    code_of = {r: index.setdefault(r.strip(), len(index)) for r in dict.fromkeys(names)}
-    codes = np.fromiter(map(code_of.__getitem__, names), np.int64, len(names))
-    return Trace(np.array(stamps), tuple(index), codes)
+    lut = np.array(
+        [index.setdefault(r.strip(), len(index)) for r in raw_keys], dtype=np.int64
+    )
+    codes = lut[np.frombuffer(raw_codes, dtype=np.int64)]
+    return Trace(np.frombuffer(stamps), tuple(index), codes)
 
 
 def resolve_classes(

@@ -47,7 +47,15 @@ from .analytics import (
     service_moment_matrices,
     vm_utilization,
 )
-from .model import ConfigError, SystemConfig, fraction, integer, positive, write_table
+from .model import (
+    ConfigError,
+    SystemConfig,
+    fraction,
+    integer,
+    positive,
+    require_numbers,
+    write_table,
+)
 
 
 # Schedule entries in one lockstep batch, summed over its descents. A round
@@ -184,6 +192,7 @@ def _require_network_stable(config: SystemConfig, margin: float) -> None:
     for name in ("classes", "vms"):
         if not getattr(config, name):
             raise ConfigError(f"config.{name} is empty: no schedule to solve for")
+    require_numbers(config)
     rho = float(link_utilization(config)[1][-1])
     if not rho <= margin_limit(margin):
         raise InfeasibleError(

@@ -21,8 +21,8 @@ from aoisched.analytics import (
     weighted_metrics,
     wsept_order,
 )
-from aoisched.model import ConfigError, default_config
-from aoisched.optimizer import optimize_pps
+from aoisched.model import ConfigError, default_config, validate_config
+from aoisched.optimizer import baseline_pca, baseline_rca, optimize_many, optimize_pps
 from aoisched.simulator import SimConfig, run_simulation
 
 from conftest import instances, make_system, objective, random_instance, schedules
@@ -310,6 +310,80 @@ def test_entries_refuse_a_bad_schedule_naming_the_argument(entry, case):
         with pytest.raises(ConfigError) as info:
             call(p, default_config(4))
     assert str(info.value) == f"{name}: {problems}"
+
+
+def _replace_at(items, k, **changes):
+    """items with item k's fields replaced."""
+    return tuple(
+        dataclasses.replace(x, **changes) if i == k else x for i, x in enumerate(items)
+    )
+
+
+# Every public entry that reads a config for the analytics, with a valid
+# schedule where it takes one.
+_CONFIG_ENTRIES = {
+    "optimize_pps": optimize_pps,
+    "optimize_many": lambda cfg: optimize_many([cfg]),
+    "baseline_rca": baseline_rca,
+    "baseline_pca": baseline_pca,
+    "analytic_report": lambda cfg: analytic_report(np.full((4, 5), 0.2), cfg),
+    "stability_report": lambda cfg: stability_report(np.full((4, 5), 0.2), cfg),
+    "weighted_metrics": lambda cfg: weighted_metrics(np.full((4, 5), 0.2), cfg),
+}
+_BAD_CONFIGS = {
+    "negative rate": (
+        lambda c: dataclasses.replace(
+            c, classes=_replace_at(c.classes, 1, arrival_rate=-0.01)
+        ),
+        "classes[1].arrival_rate must be non-negative and finite, got -0.01",
+    ),
+    "theta": (
+        lambda c: dataclasses.replace(c, theta=2.0),
+        "theta must lie in [0, 1], got 2.0",
+    ),
+    "nan vm rate": (
+        lambda c: dataclasses.replace(c, vms=_replace_at(c.vms, 2, rate=np.nan)),
+        "vms[2].rate must be positive and finite, got nan",
+    ),
+    "text size": (
+        lambda c: dataclasses.replace(
+            c, classes=_replace_at(c.classes, 3, output_size="big")
+        ),
+        "classes[3].output_size must be positive and finite, got 'big'",
+    ),
+    "negative link shift": (
+        lambda c: dataclasses.replace(
+            c, network=dataclasses.replace(c.network, shift=-1.0)
+        ),
+        "network.shift must be non-negative and finite, got -1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", _CONFIG_ENTRIES)
+@pytest.mark.parametrize("case", _BAD_CONFIGS)
+def test_entries_refuse_a_config_naming_the_field(entry, case):
+    # Before the cheap rule these returned objectives (34.64 for the
+    # negative rate, 71.15 for theta 2), a verdict ("stable" at a negative
+    # rate) or failed inside scipy (NaN rate).
+    bend, problem = _BAD_CONFIGS[case]
+    config = bend(default_config(4))
+    assert validate_config(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic
+        with pytest.raises(ConfigError) as info:
+            _CONFIG_ENTRIES[entry](config)
+    assert str(info.value) == problem
+
+
+@pytest.mark.parametrize("entry", _CONFIG_ENTRIES)
+def test_entries_admit_a_class_with_zero_rate(entry):
+    # The online driver solves for windows in which a class did not arrive.
+    base = default_config(4)
+    config = base.with_rates([0.0, *base.arrival_rates()[1:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _CONFIG_ENTRIES[entry](config)
 
 
 def test_reports_and_metrics_agree_bitwise():

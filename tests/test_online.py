@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aoisched.analytics import wsept_keys
-from aoisched.model import ConfigError
+from aoisched.model import ConfigError, write_table
 from aoisched.online import (
     Trace,
     default_window,
@@ -150,6 +150,8 @@ _KEYS = ["a", " a", "a ", "b", "b,c", " b,c ", "\u00e9", "0"]
 
 @st.composite
 def _trace_csv(draw):
+    # "\r\n" is csv.writer's default, and what model.write_table writes.
+    end = draw(st.sampled_from(["\n", "\r\n"]))
     extra = draw(st.integers(0, 2))
     header = ["timestamp_ms", "key"] + [f"x{i}" for i in range(extra)]
     header = draw(st.permutations(header))
@@ -175,12 +177,12 @@ def _trace_csv(draw):
     lines = []
     for row in rows:
         if row is None:
-            lines.append("\n")
+            lines.append(end)
         else:
             buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow(row)
+            csv.writer(buf, lineterminator=end).writerow(row)
             lines.append(buf.getvalue())
-    return ",".join(header) + "\n" + "".join(lines)
+    return ",".join(header) + end + "".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -204,19 +206,56 @@ def _outcome(fn, *args):
 def test_trace_path_matches_record_oracle(
     csv_path, text, num_classes, map_seed, drop_one
 ):
-    csv_path.write_text(text)
+    # newline="" keeps the line ends as drawn.
+    csv_path.write_text(text, newline="")
     trace = _outcome(ingest_trace, csv_path)
     records = _outcome(ingest_trace_records, csv_path)
     if isinstance(records, str):
         assert trace == records  # the same ConfigError text
         return
-    assert len(trace) == len(records)
     # The explicit map covers the keys that occur, or all but one of them.
     rng = np.random.default_rng(map_seed)
     present = sorted({r.class_key for r in records})
     class_map = {k: int(rng.integers(1, num_classes + 1)) for k in present}
     if drop_one:
         del class_map[present[int(rng.integers(len(present)))]]
+    _assert_matches_record_oracle(trace, records, num_classes, class_map)
+
+
+def test_trace_with_many_keys_matches_record_oracle(tmp_path):
+    # 1,000 distinct keys, so codes run past the small-int cache, each also
+    # written with whitespace around it; CRLF line ends, as csv.writer and
+    # model.write_table write them.
+    rng = np.random.default_rng(30)
+    names = [f"key-{k}" for k in range(1000)]
+    jobs = np.concatenate([np.arange(1000), rng.integers(0, 1000, 5000)])
+    jobs = rng.permutation(jobs)  # every key occurs
+    rows = [
+        [repr(float(t)), pad + names[k] + trail]
+        for t, k, pad, trail in zip(
+            rng.integers(0, 5000, 6000) / 4.0,  # many tied timestamps
+            jobs.tolist(),
+            rng.choice(["", " ", "\t"], 6000),
+            rng.choice(["", " ", "  "], 6000),
+        )
+    ]
+    path = tmp_path / "many.csv"
+    write_table(path, ["timestamp_ms", "key"], rows)
+    assert b"\r\n" in path.read_bytes()
+    trace = ingest_trace(path)
+    records = ingest_trace_records(path)
+    assert len(trace.keys) == 1000
+    class_map = {k: int(c) for k, c in zip(names, rng.integers(1, 8, 1000))}
+    _assert_matches_record_oracle(trace, records, 7, class_map)
+
+
+def _assert_matches_record_oracle(trace, records, num_classes, class_map):
+    """The Trace and the oracle's records hold the same jobs in the same
+    order, and resolve to the same classes by rank and by class_map."""
+    assert len(trace) == len(records)
+    assert [trace.keys[c] for c in trace.codes.tolist()] == [
+        r.class_key for r in records
+    ]
     for mapping in (None, class_map):
         got = _outcome(resolve_classes, trace, num_classes, mapping)
         want = _outcome(resolve_classes_records, records, num_classes, mapping)

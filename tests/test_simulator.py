@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from aoisched import _kernels, simulator
 from aoisched.analytics import wsept_keys
-from aoisched.model import ConfigError, default_config
+from aoisched.model import ConfigError, default_config, write_table
+from aoisched.online import ingest_trace
 from aoisched.simulator import (
     ScriptedJob,
     SimConfig,
@@ -471,19 +472,57 @@ def test_fcfs_replication_peak_memory_per_job():
     # bytes per job; summing the departures where they are read, with the
     # link's starts written over them and the reducer over a range of
     # positions, 55.
+    assert _replication_peak_per_job("fcfs") < 62.0
+
+
+def test_priority_replication_peak_memory_per_job():
+    # The same replication on the priority link (200,772 jobs drawn). At
+    # its peak the kernel's walk holds arrivals as a list of floats (32
+    # bytes per job) and class codes as a list of cached small ints (8),
+    # and reads service, negated key and successor, and writes the starts,
+    # through numpy buffers (8 each). Walking lists of all five columns
+    # and collecting the starts in a sixth, the peak measured 232 bytes
+    # per job; walking the buffers, 139.
+    assert _replication_peak_per_job("priority") < 160.0
+
+
+def test_ingest_trace_peak_memory_per_record(tmp_path):
+    # The tracemalloc peak of reading a 50,000-record trace with 300 keys,
+    # CRLF line ends as csv.writer writes them, per record. The reader
+    # keeps one float64 and one int64 code per row, and sorting the Trace
+    # holds about five arrays of 8 bytes per record. Keeping a float object
+    # and a key string per row, the peak measured about 140 bytes per
+    # record; coding keys as rows are read, 51.
+    rng = np.random.default_rng(7)
+    records = 50_000
+    keys = [f"svc-{k:04d}" for k in range(300)]
+    stamps = rng.uniform(0.0, 1.0e6, records).tolist()
+    rows = ((t, keys[k]) for t, k in zip(stamps, rng.integers(0, 300, records)))
+    path = tmp_path / "trace.csv"
+    write_table(path, ["timestamp_ms", "key"], rows)
+    assert _traced_peak(ingest_trace, path) / records < 70.0
+
+
+def _traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _replication_peak_per_job(networking: str) -> float:
+    """The tracemalloc peak of one seed-3 default_config replication per job
+    offered (rate x horizon, 2e5 jobs), under the uniform schedule."""
     config = default_config()
     p = np.full((config.num_classes, config.num_vms), 1.0 / config.num_vms)
     jobs = 2.0e5
     sim = SimConfig(
-        horizon=jobs / config.total_rate, replications=1, seed=3, networking="fcfs"
+        horizon=jobs / config.total_rate, replications=1, seed=3, networking=networking
     )
-    tracemalloc.start()
-    try:
-        run_simulation(config, p, sim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / jobs < 62.0
+    return _traced_peak(run_simulation, config, p, sim) / jobs
 
 
 def _assert_records_equal(got, want):
