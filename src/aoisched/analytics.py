@@ -103,17 +103,19 @@ def service_moment_matrices(config: SystemConfig) -> tuple[np.ndarray, np.ndarra
 
     A class-j job on VM v is served in shift*size + Exp(rate/size) ms.
     """
-    d = config.compute_sizes()[:, None]
-    rate = np.array([v.rate for v in config.vms])[None, :]
-    shift = np.array([v.shift for v in config.vms])[None, :]
-    return _shifted_exp_moments(shift * d, d / rate, config.moment_mode)
+    numbers = config.numbers
+    d = numbers.compute_sizes[:, None]
+    return _shifted_exp_moments(
+        numbers.vm_shifts * d, d / numbers.vm_rates, config.moment_mode
+    )
 
 
 def net_service_moments(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """First and second network-service moments per class, shape (J,) each."""
-    e = config.output_sizes()
-    b = config.network.shift * e
-    return _shifted_exp_moments(b, e / config.network.rate, config.moment_mode)
+    numbers = config.numbers
+    e = numbers.output_sizes
+    b = numbers.link_shift * e
+    return _shifted_exp_moments(b, e / numbers.link_rate, config.moment_mode)
 
 
 def wsept_order(config: SystemConfig) -> np.ndarray:
@@ -182,11 +184,12 @@ class Evaluator:
     """The objective's schedule-independent pieces, computed once per config.
 
     Holds the service moments, traffic shares, AoI network weights c_j and
-    the per-class network waits under one discipline. `classes` gives the
-    per-class results at a schedule and `weighted` their share-weighted
-    means. The optimizer's objective and gradient, with the p-independent
-    network terms folded into one constant, are `EvaluatorStack`'s: one
-    config is a stack of one.
+    the per-class network waits under one discipline, all as read-only
+    arrays. `classes` gives the per-class results at a schedule and
+    `weighted` their share-weighted means. The optimizer's objective and
+    gradient, with the p-independent network terms folded into one
+    constant, are `EvaluatorStack`'s: one config is a stack of one.
+    `Evaluator.of` keeps one per config instance and discipline.
     """
 
     def __init__(self, config: SystemConfig, networking: str = "priority"):
@@ -211,6 +214,19 @@ class Evaluator:
         weight = self.share * (self.theta + (1.0 - self.theta) * self.c)
         self.net_const = float(np.dot(weight, self.w2 + self.mean_s2))
         self.lin = self.share[:, None] * self.m1
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    @classmethod
+    def of(cls, config: SystemConfig, networking: str = "priority") -> Evaluator:
+        """The Evaluator of `config` under `networking`, built on first use
+        and kept on the config instance, as its `numbers` are: a solve, the
+        scores of its schedules and their report share one."""
+        cache = vars(config).setdefault("_evaluators", {})
+        if networking not in cache:
+            cache[networking] = cls(config, networking)
+        return cache[networking]
 
     def classes(self, p: np.ndarray):
         """Per-class (w1, s1, w2, s2, aoi, completion) at schedule p."""
@@ -336,7 +352,7 @@ def weighted_metrics(
 ) -> tuple[float, float]:
     """(weighted completion, weighted age), both share-weighted over classes."""
     require_numbers(config)
-    ev = Evaluator(config, networking)
+    ev = Evaluator.of(config, networking)
     *_, aoi, completion = ev.classes(require_schedule(p, config, "p"))
     return ev.weighted(aoi, completion)
 
@@ -449,7 +465,7 @@ def analytic_report(
     """Evaluate every closed-form quantity for one schedule."""
     require_numbers(config)
     p = require_schedule(p, config, "p")
-    ev = Evaluator(config, networking)
+    ev = Evaluator.of(config, networking)
     w1, s1, w2, mean_s2, aoi, completion = ev.classes(p)
     wc, wa = ev.weighted(aoi, completion)
     stability = stability_report(p, config)

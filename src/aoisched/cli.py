@@ -364,7 +364,10 @@ def cmd_online(args: argparse.Namespace) -> int:
     else:
         # The trailing partial window is dropped, so synthesize one extra.
         horizon = (args.windows + 1) * window
-        trace = synthesize_poisson_trace(config, horizon, seed)
+        try:
+            trace = synthesize_poisson_trace(config, horizon, seed)
+        except ConfigError as exc:  # the horizon is the user's --window
+            raise ConfigError(f"--window: {exc}") from None
         class_map = template_class_map(config)
         mapping_mode = "identity-synthetic"
         source = f"synthetic:{args.windows}x{window}ms"

@@ -29,6 +29,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -153,14 +154,21 @@ class SystemConfig:
     def num_vms(self) -> int:
         return len(self.vms)
 
+    @cached_property
+    def numbers(self) -> ConfigNumbers:
+        """The config's numbers, read on first use and kept on the instance
+        (never by value): a copy made with dataclasses.replace or with_rates
+        reads its own, and equality, hash, repr and JSON see fields only."""
+        return ConfigNumbers(self)
+
     def arrival_rates(self) -> np.ndarray:
-        return np.array([c.arrival_rate for c in self.classes], dtype=np.float64)
+        return self.numbers.arrival_rates
 
     def compute_sizes(self) -> np.ndarray:
-        return np.array([c.compute_size for c in self.classes], dtype=np.float64)
+        return self.numbers.compute_sizes
 
     def output_sizes(self) -> np.ndarray:
-        return np.array([c.output_size for c in self.classes], dtype=np.float64)
+        return self.numbers.output_sizes
 
     @property
     def total_rate(self) -> float:
@@ -195,39 +203,87 @@ def fraction(value: float, name: str) -> float:
     return value
 
 
+# The fields the number rule reads, per class and per VM or link, and
+# whether each may be zero.
+_CLASS_FIELDS = {"arrival_rate": True, "compute_size": False, "output_size": False}
+_SERVICE_FIELDS = {"rate": False, "shift": True}
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def _columns(items, fields) -> np.ndarray:
+    """Fields `fields` of each item as float64 rows, one per field. A value
+    that is no number reads as nan, as None does: no text is parsed."""
+    raw = list(chain.from_iterable(map(attrgetter(*fields), items)))
+    if not set(map(type, raw)) <= {float, type(None)}:
+        raw = [math.nan if x is None or _number_problem(x, "") else x for x in raw]
+    return _read_only(np.array(raw, dtype=np.float64).reshape(-1, len(fields)).T.copy())
+
+
+def _refused(values: np.ndarray, fields: dict) -> np.ndarray:
+    """(item, field) flags of the values the number rule refuses."""
+    zero_ok = np.array([*fields.values()])[:, None]
+    ok = np.where(zero_ok, values >= 0.0, values > 0.0) & (values < math.inf)
+    return _read_only(~ok.T)
+
+
+def _refusal(config: SystemConfig, i: int, field: str) -> tuple[str, str, object]:
+    """The JSON path of `field` of class i, or of VM i (the link after the
+    last VM), the number rule for it, and its value."""
+    if field in _CLASS_FIELDS:
+        where, item = f"classes[{i}]", config.classes[i]
+    else:
+        where = "network" if i == len(config.vms) else f"vms[{i}]"
+        item = (*config.vms, config.network)[i]
+    rule = "non-negative" if {**_CLASS_FIELDS, **_SERVICE_FIELDS}[field] else "positive"
+    return f"{where}.{field}", f"must be {rule} and finite", getattr(item, field)
+
+
+class ConfigNumbers:
+    """A config's numbers as read-only float64 arrays, and the number rule's
+    verdict on them: `SystemConfig.numbers`, read once per config instance.
+
+    Per class: arrival_rates, compute_sizes, output_sizes, update_rates (nan
+    where unset); per VM: vm_rates, vm_shifts; link_rate and link_shift as
+    floats. A value that is no number reads as nan. The rule refuses every
+    non-number, and a rate or a size that is not positive and finite, but an
+    arrival rate or a shift may be zero. class_refused (J, 3) and
+    service_refused (V + 1, 2, the link last) flag what it refuses, and
+    `problem` is its first objection, theta first, or None.
+    """
+
+    def __init__(self, config: SystemConfig):
+        classes = _columns(config.classes, [*_CLASS_FIELDS, "update_rate"])
+        services = _columns((*config.vms, config.network), [*_SERVICE_FIELDS])
+        self.arrival_rates, self.compute_sizes, self.output_sizes = classes[:3]
+        self.update_rates = classes[3]
+        self.vm_rates, self.vm_shifts = services[:, :-1]
+        self.link_rate, self.link_shift = services[:, -1].tolist()
+        self.class_refused = _refused(classes[:3], _CLASS_FIELDS)
+        self.service_refused = _refused(services, _SERVICE_FIELDS)
+        theta, refusals = config.theta, []
+        if _number_problem(theta, "") or not (math.isfinite(theta) and 0 <= theta <= 1):
+            refusals.append(("theta", "must lie in [0, 1]", theta))
+        for refused, fields in (
+            (self.class_refused, _CLASS_FIELDS),
+            (self.service_refused, _SERVICE_FIELDS),
+        ):
+            first = np.argwhere(refused)[:1].tolist()
+            refusals += [_refusal(config, i, [*fields][k]) for i, k in first]
+        self.problem = "{} {}, got {!r}".format(*refusals[0]) if refusals else None
+
+
 def require_numbers(config: SystemConfig) -> None:
-    """A ConfigError naming the first number the analytics cannot use:
-    theta outside [0, 1], an arrival rate or a shift that is negative or not
-    finite, or a size or a service rate that is not positive and finite. A
-    zero arrival rate passes, where validate_config refuses one: the online
-    driver solves for windows in which a class did not arrive. The analytic
-    and optimizer entry points run it on every call, so it stays a few array
-    operations, where validate_config costs about 0.4 ms at J = 400."""
-    theta = config.theta
-    if _number_problem(theta, "") or not (math.isfinite(theta) and 0 <= theta <= 1):
-        raise ConfigError(f"theta must lie in [0, 1], got {theta!r}")
-    # Per table: its items, their fields, and which fields may be zero.
-    sizes = ("arrival_rate", "compute_size", "output_size")
-    tables = (
-        ("classes", config.classes, sizes, (True, False, False)),
-        ("vms", (*config.vms, config.network), ("rate", "shift"), (False, True)),
-    )
-    for table, items, names, may_be_zero in tables:
-        raw = list(chain.from_iterable(map(attrgetter(*names), items)))
-        try:
-            values = np.array(raw, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # a value that is no number
-            values = np.array([math.nan if _number_problem(x, "") else x for x in raw])
-        values = values.reshape(-1, len(names))
-        ok = ((values > 0.0) | (values == 0.0) & may_be_zero) & (values < math.inf)
-        if not ok.all():
-            i, k = divmod(int(np.argmin(ok)), len(names))
-            where = "network" if i == len(getattr(config, table)) else f"{table}[{i}]"
-            rule = "non-negative" if may_be_zero[k] else "positive"
-            raise ConfigError(
-                f"{where}.{names[k]} must be {rule} and finite, "
-                f"got {raw[i * len(names) + k]!r}"
-            )
+    """A ConfigError naming the first number the analytics cannot use (see
+    ConfigNumbers); a zero arrival rate passes, where validate_config
+    refuses one. The analytic and optimizer entry points call it each time,
+    but the rule runs once per config instance."""
+    problem = config.numbers.problem
+    if problem:
+        raise ConfigError(problem)
 
 
 def validate_config(config: SystemConfig) -> list[str]:
@@ -255,29 +311,24 @@ def validate_config(config: SystemConfig) -> list[str]:
             f"{AOI_WEIGHTINGS}, got {config.aoi_network_weighting!r}"
         )
 
-    # The per-class numeric checks run over one array, and only the classes
-    # with a flagged value or an info_set are visited. A value the number
-    # rule refuses reads as nan there, so it is flagged; an unset
-    # update_rate reads as 1.0, which passes.
+    # The number rule's flags, plus this rule's own: a zero arrival rate, and
+    # an update_rate that is set but not positive and finite. Only the
+    # classes with a flagged value or an info_set are visited.
+    numbers = config.numbers
     num_classes = config.num_classes
-    names = ("arrival_rate", "compute_size", "output_size", "update_rate")
-    raw = list(chain.from_iterable(map(attrgetter(*names), config.classes)))
-    kinds = set(map(type, raw))
-    floats = raw
-    if not all(issubclass(k, float) or k is type(None) for k in kinds):
-        floats = [math.nan if _number_problem(x, "") else float(x) for x in raw]
-    values = np.array(floats, dtype=np.float64).reshape(-1, 4)
-    values[[c.update_rate is None for c in config.classes], 3] = 1.0
-    bad_values = ~(np.isfinite(values) & (values > 0.0))
+    rates, updates = numbers.arrival_rates, numbers.update_rates
+    unset = np.array([c.update_rate is None for c in config.classes], dtype=bool)
     has_info = np.array([c.info_set is not None for c in config.classes], dtype=bool)
-    for j in np.flatnonzero(bad_values.any(axis=1) | has_info).tolist():
+    update_bad = ~(unset | (updates > 0.0) & (updates < math.inf))
+    bad = np.column_stack((numbers.class_refused, update_bad))
+    bad[:, 0] |= rates == 0.0
+    for j in np.flatnonzero(bad.any(axis=1) | has_info).tolist():
         c, where = config.classes[j], f"classes[{j}]"
-        given = raw[4 * j : 4 * j + 4]
-        for name, x, is_bad in zip(names, given, bad_values[j].tolist()):
+        for name, is_bad in zip([*_CLASS_FIELDS, "update_rate"], bad[j].tolist()):
             if is_bad:
                 when = " when set" if name == "update_rate" else ""
                 problems.append(
-                    _number_problem(x, f"{where}.{name}")
+                    _number_problem(getattr(c, name), f"{where}.{name}")
                     or f"{where}.{name} must be positive and finite{when}"
                 )
         if c.info_set is not None:
@@ -294,16 +345,9 @@ def validate_config(config: SystemConfig) -> list[str]:
                 problems.append(
                     f"{where}.info_set names classes {missing} outside 1..{num_classes}"
                 )
-    services = [(f"vms[{k}]", v) for k, v in enumerate(config.vms)]
-    for where, service in [*services, ("network", config.network)]:
-        if problem := _number_problem(service.rate, f"{where}.rate"):
-            problems.append(problem)
-        elif not (np.isfinite(service.rate) and service.rate > 0.0):
-            problems.append(f"{where}.rate must be positive and finite")
-        if problem := _number_problem(service.shift, f"{where}.shift"):
-            problems.append(problem)
-        elif not (np.isfinite(service.shift) and service.shift >= 0.0):
-            problems.append(f"{where}.shift must be non-negative and finite")
+    for i, k in np.argwhere(numbers.service_refused).tolist():
+        path, rule, value = _refusal(config, i, [*_SERVICE_FIELDS][k])
+        problems.append(_number_problem(value, path) or f"{path} {rule}")
 
     if not problems:
         # Imported here: analytics imports this module.
@@ -316,12 +360,11 @@ def validate_config(config: SystemConfig) -> list[str]:
         # Finite inputs can still overflow the service moments (a size near
         # 1e308 times a shift) or a class's offered load (a rate near 1e308
         # times a mean), and no queue formula holds with one of them infinite.
-        lam = config.arrival_rates()
         with np.errstate(over="ignore", invalid="ignore"):
             m1, m2 = service_moment_matrices(config)
             n1, n2 = net_service_moments(config)
-            compute_ok = np.isfinite([m1, m2, lam[:, None] * m1]).all(axis=0)
-            network_ok = np.isfinite([n1, n2, lam * n1]).all(axis=0)
+            compute_ok = np.isfinite([m1, m2, rates[:, None] * m1]).all(axis=0)
+            network_ok = np.isfinite([n1, n2, rates * n1]).all(axis=0)
         moments = "service moments or offered load are not finite"
         for j in np.flatnonzero(~compute_ok.all(axis=1) | ~network_ok).tolist():
             row = compute_ok[j].tolist()

@@ -206,7 +206,8 @@ def template_class_map(config: SystemConfig) -> dict[str, int]:
 
 def default_window(config: SystemConfig) -> float:
     """1e5 ms, stretched so a window expects at least 1000 arrivals."""
-    return max(1.0e5, 1000.0 / config.total_rate)
+    total = positive(config.total_rate, "default window: total arrival rate")
+    return max(1.0e5, 1000.0 / total)
 
 
 @dataclass(frozen=True)

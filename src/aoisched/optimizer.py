@@ -470,7 +470,7 @@ def _starts(
 ) -> tuple[Evaluator, list[tuple[str, np.ndarray]]]:
     margin = settings.stability_margin
     _require_network_stable(config, margin)
-    ev = Evaluator(config)
+    ev = Evaluator.of(config)
     if initial is not None:
         anchors = [("given", require_schedule(initial, config, "initial"))]
     else:

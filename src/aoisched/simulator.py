@@ -190,7 +190,7 @@ def _poisson_arrivals(
     rng: np.random.Generator, rate: float, horizon: float
 ) -> np.ndarray:
     """Arrival times of a Poisson(rate) process on [0, horizon)."""
-    n_est = int(rate * horizon + 6.0 * np.sqrt(rate * horizon) + 16.0)
+    n_est = int(_draw_counts(np.array([rate]), horizon)[0])
     times = np.cumsum(rng.exponential(1.0 / rate, n_est))
     while times.size == 0 or times[-1] < horizon:
         extra = np.cumsum(rng.exponential(1.0 / rate, max(16, n_est // 4)))
@@ -199,10 +199,30 @@ def _poisson_arrivals(
     return times[times < horizon]
 
 
+def _draw_counts(rates: np.ndarray, horizon: float, what="arrival") -> np.ndarray:
+    """Per-class first-block draw counts of Poisson times on [0, horizon).
+    The one count rule, checked before anything is drawn: a count past the
+    longest array (or inf) is a ConfigError naming the horizon, or for
+    update times the class's update_rate."""
+    with np.errstate(over="ignore"):
+        mean = rates * horizon
+        sizes = mean + 6.0 * np.sqrt(mean) + 16.0
+    if not (sizes < np.iinfo(np.intp).max).all():
+        j = int(np.argmin(sizes < np.iinfo(np.intp).max))
+        rate = float(rates[j])
+        field, value = ("horizon", f"{horizon:.6g} ms")
+        if what == "update":
+            field, value = f"classes[{j}].update_rate", f"{rate!r} per ms"
+        raise ConfigError(
+            f"{field}: {value} asks for more {what} times than an array can hold "
+            f"(classes[{j}] at {rate!r} per ms over {horizon:.6g} ms)"
+        )
+    return sizes
+
+
 def _block_sizes(rates: np.ndarray, horizon: float) -> np.ndarray:
     """Per-class first-block draw counts, the n_est of _poisson_arrivals."""
-    mean = rates * horizon
-    return (mean + 6.0 * np.sqrt(mean) + 16.0).astype(np.int64)
+    return _draw_counts(rates, horizon).astype(np.int64)
 
 
 def merged_arrivals(
@@ -311,21 +331,12 @@ def _staleness(
     to the class itself.
     """
     horizon = float(compute_start.max()) + 1.0 if compute_start.size else 1.0
-    updates: list[np.ndarray] = []
-    for j, c in enumerate(config.classes):
-        if c.update_rate is None:
-            raise ConfigError(
-                f"classes[{j}].update_rate must be set to simulate updates"
-            )
-        # rate * horizon sizes the draw; past the longest array numpy can
-        # make (or at inf, where int() overflows) there is no draw to make.
-        if not c.update_rate * horizon < np.iinfo(np.intp).max:
-            raise ConfigError(
-                f"classes[{j}].update_rate: {c.update_rate!r} per ms asks for "
-                f"more update times over the {horizon:.6g} ms run than an "
-                "array can hold"
-            )
-        updates.append(_poisson_arrivals(rng, c.update_rate, horizon))
+    rates = config.numbers.update_rates  # nan only where unset, once validated
+    if np.isnan(rates).any():
+        j = int(np.argmax(np.isnan(rates)))
+        raise ConfigError(f"classes[{j}].update_rate must be set to simulate updates")
+    _draw_counts(rates, horizon, "update")
+    updates = [_poisson_arrivals(rng, rate, horizon) for rate in rates.tolist()]
     y = np.zeros(len(cls), dtype=np.float64)
     for j, c in enumerate(config.classes):
         mask = cls == j
@@ -373,14 +384,13 @@ def service_times(
     They equal d * (vm shift + e1 / vm rate) and e * (link shift + e2 / link
     rate) bit for bit, as IEEE addition and multiplication commute.
     """
-    vshift = np.array([v.shift for v in config.vms])
-    vrate = np.array([v.rate for v in config.vms])
-    e1 /= vrate[vm_idx]
-    e1 += vshift[vm_idx]
-    e1 *= config.compute_sizes()[cls]
-    e2 /= config.network.rate
-    e2 += config.network.shift
-    e2 *= config.output_sizes()[cls]
+    numbers = config.numbers
+    e1 /= numbers.vm_rates[vm_idx]
+    e1 += numbers.vm_shifts[vm_idx]
+    e1 *= numbers.compute_sizes[cls]
+    e2 /= numbers.link_rate
+    e2 += numbers.link_shift
+    e2 *= numbers.output_sizes[cls]
     return e1, e2
 
 

@@ -357,6 +357,13 @@ _BAD_CONFIGS = {
         ),
         "network.shift must be non-negative and finite, got -1.0",
     ),
+    # Read as a number, not parsed: numpy would read "2.0" as 2.0.
+    "numeric text": (
+        lambda c: dataclasses.replace(
+            c, classes=_replace_at(c.classes, 2, compute_size="2.0")
+        ),
+        "classes[2].compute_size must be positive and finite, got '2.0'",
+    ),
 }
 
 
@@ -384,6 +391,27 @@ def test_entries_admit_a_class_with_zero_rate(entry):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _CONFIG_ENTRIES[entry](config)
+
+
+def test_evaluators_are_kept_per_config_instance_and_refuse_writes():
+    cfg = default_config(4)
+    ev = Evaluator.of(cfg)
+    assert Evaluator.of(cfg, "priority") is ev
+    assert Evaluator.of(cfg, "fcfs") is not ev
+    assert Evaluator.of(dataclasses.replace(cfg)) is not ev  # a copy's own
+    arrays = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8
+    for values in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            values[...] = 0.0
+    report = analytic_report(np.full((4, 5), 0.2), cfg)
+    assert report.arrival_rates is ev.lam
+    with pytest.raises(ValueError, match="read-only"):
+        report.arrival_rates[0] = 1.0
+    # A failed build is not kept.
+    with pytest.raises(ValueError, match="networking"):
+        Evaluator.of(cfg, "lifo")
+    assert sorted(vars(cfg)["_evaluators"]) == ["fcfs", "priority"]
 
 
 def test_reports_and_metrics_agree_bitwise():

@@ -6,10 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoisched.analytics import InfeasibleError, StabilityError, weighted_metrics
+from aoisched.analytics import (
+    Evaluator,
+    InfeasibleError,
+    StabilityError,
+    weighted_metrics,
+)
 from aoisched.cli import _sweep_point_config, build_parser, main, read_schedule
 from aoisched.model import (
     ConfigError,
+    ConfigNumbers,
     JobClass,
     ServiceProfile,
     SystemConfig,
@@ -760,6 +766,58 @@ def test_simulate_updates_with_an_overflowing_update_rate_exits_2(tmp_path, caps
     )
     assert rc == 2
     assert "classes[1].update_rate: 1e+308 per ms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["simulate", "--policy", "rca", "--horizon", "1e300"], "horizon: 1e+300 ms"),
+        (["online", "--window", "1e300"], "--window: horizon: 9e+300 ms"),
+        (["online", "--window", "1e308"], "--window: horizon must be positive"),
+    ],
+)
+def test_draw_counts_past_any_array_exit_2(tmp_path, capsys, argv, named):
+    # Each asked numpy for a negative draw count after an overflowing cast,
+    # or named a horizon the user never set.
+    path = tmp_path / "c.json"
+    save_config(default_config(4), path)
+    command, *flags = argv
+    assert main([command, str(path), *flags, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err and "internal error" not in err
+
+
+def test_sweep_builds_one_evaluator_per_point_and_discipline(tmp_path, monkeypatch):
+    # Each point's cold and warm solves, its policy scores and the ocafcfs
+    # score share the point config's two Evaluators, and each config
+    # instance (the loaded one and every point's) reads its numbers once.
+    path = tmp_path / "c.json"
+    save_config(default_config(6), path)
+    built, read = [], []
+    real_evaluator, real_numbers = Evaluator.__init__, ConfigNumbers.__init__
+
+    def evaluator(self, config, networking="priority"):
+        built.append((id(config), networking))
+        real_evaluator(self, config, networking)
+
+    def numbers(self, config):
+        read.append(id(config))
+        real_numbers(self, config)
+
+    monkeypatch.setattr(Evaluator, "__init__", evaluator)
+    monkeypatch.setattr(ConfigNumbers, "__init__", numbers)
+    values = {"theta": "0.2,0.5,0.8", "vms": "3,4", "lambda-scale": "1,1.3",
+              "weights": "0.3,0.6"}
+    for axis, points in values.items():
+        built.clear()
+        read.clear()
+        argv = ["sweep", str(path), "--axis", axis, "--values", points, "--seed", "0"]
+        assert main([*argv, "--out-dir", str(tmp_path / axis)]) == 0
+        n = len(points.split(","))
+        assert len(set(built)) == len(built) == 2 * n
+        networks = sorted(network for _, network in built)
+        assert networks == ["fcfs"] * n + ["priority"] * n
+        assert len(set(read)) == len(read) == n + 1
 
 
 def test_optimize_reports_stop_reason_and_rejects_bad_settings(

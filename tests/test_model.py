@@ -166,6 +166,12 @@ def test_validate_messages_exact_text_and_order():
     vms = list(cfg.vms)
     vms[1] = dataclasses.replace(vms[1], rate=float("nan"), shift=-1.0)
     cfg = dataclasses.replace(cfg, classes=tuple(classes), vms=tuple(vms))
+    network = dataclasses.replace(cfg.network, rate=0.0, shift="1")
+    assert validate_config(dataclasses.replace(cfg, network=network))[-3:] == [
+        "vms[1].shift must be non-negative and finite",
+        "network.rate must be positive and finite",
+        "network.shift must be a number, got '1'",
+    ]
     assert validate_config(cfg) == [
         "classes[2].arrival_rate must be positive and finite",
         "classes[3].update_rate must be positive and finite when set",
@@ -521,6 +527,37 @@ def test_with_rates_replaces_and_validates():
     assert swapped.classes[1].compute_size == 2.0  # sizes untouched
     with pytest.raises(ConfigError):
         cfg.with_rates(np.array([0.005]))
+
+
+def test_numbers_are_read_once_and_refuse_writes():
+    cfg = default_config(num_classes=4, num_vms=3)
+    digest, text = config_hash(cfg), repr(cfg)
+    numbers = cfg.numbers
+    assert cfg.numbers is numbers and cfg.arrival_rates() is numbers.arrival_rates
+    arrays = {k: v for k, v in vars(numbers).items() if isinstance(v, np.ndarray)}
+    assert len(arrays) == 8
+    for values in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    assert numbers.vm_rates.tolist() == [r for r, _ in REFERENCE_VM_PARAMS[:3]]
+    assert (numbers.link_rate, numbers.link_shift) == (112.0, 18.0)
+    assert np.isnan(numbers.update_rates).all()  # none is set
+    # The cache is no field: hash, repr, equality and the JSON form ignore it.
+    assert config_hash(cfg) == digest and repr(cfg) == text
+    assert cfg == dataclasses.replace(cfg) and "numbers" not in config_to_dict(cfg)
+
+
+def test_copies_read_their_own_numbers():
+    cfg = default_config(num_classes=4)
+    before = cfg.arrival_rates().copy()
+    doubled = cfg.with_rates(cfg.arrival_rates() * 2.0)
+    np.testing.assert_array_equal(doubled.arrival_rates(), 2.0 * before)
+    slower = dataclasses.replace(cfg, network=ServiceProfile(56.0, 18.0))
+    assert slower.numbers.link_rate == 56.0 and cfg.numbers.link_rate == 112.0
+    vms = dataclasses.replace(cfg, vms=reference_vms(2))
+    assert vms.numbers.vm_rates.tolist() == [82.0, 76.0]
+    np.testing.assert_array_equal(cfg.arrival_rates(), before)
+    assert cfg.numbers.vm_rates.size == 5
 
 
 def test_default_config_is_valid_and_seeded():

@@ -309,6 +309,13 @@ def test_template_map_and_default_window(online_config):
     assert default_window(online_config) == 1.0e5
     slow = make_system([(0.001, 1.0, 1.0)], [(0.05, 0.0)])
     assert default_window(slow) == 1.0e6  # stretched to expect 1000 arrivals
+    with pytest.raises(ConfigError, match="total arrival rate must be positive"):
+        default_window(online_config.with_rates([0.0, 0.0, 0.0]))
+
+
+def test_synthetic_trace_past_any_array_names_the_horizon(online_config):
+    with pytest.raises(ConfigError, match=r"^horizon: 1e\+300 ms asks for more"):
+        synthesize_poisson_trace(online_config, 1e300, seed=0)
 
 
 def test_driver_needs_two_windows(online_config):

@@ -648,6 +648,20 @@ def test_staleness_requires_update_rate(small_system):
         run_simulation(small_system, np.full((2, 2), 0.5), sim)
 
 
+def test_draw_counts_are_checked_before_any_draw(small_system):
+    # One count rule for arrivals and updates; past the longest array numpy
+    # can make, a ConfigError names the field instead of a negative count.
+    sim = SimConfig(horizon=1e300, replications=1)
+    with pytest.raises(ConfigError, match=r"^horizon: 1e\+300 ms asks for more"):
+        run_simulation(small_system, np.full((2, 2), 0.5), sim)
+    rates = np.array([0.5, 1e300])
+    with pytest.raises(ConfigError, match=r"^classes\[1\]\.update_rate: 1e\+300 per"):
+        simulator._draw_counts(rates, 10.0, "update")
+    counts = simulator._draw_counts(rates[:1], 1e4)
+    assert counts.tolist() == [5000.0 + 6.0 * math.sqrt(5000.0) + 16.0]
+    assert simulator._block_sizes(rates[:1], 1e4).tolist() == [int(counts[0])]
+
+
 def test_sim_config_validation(small_system):
     cases = [
         ({"horizon": 0.0}, "horizon"),
