@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -92,7 +93,9 @@ def _digest(path: Path) -> str:
 def run_commands(workdir: Path) -> dict[str, dict[str, str]]:
     """Run every command in `workdir`; per command, each file's digest."""
     digests = {}
-    with contextlib.chdir(workdir):
+    cwd = os.getcwd()
+    os.chdir(workdir)  # relative paths keep the manifests' paths fixed
+    try:
         _write_inputs()
         for name, argv in COMMANDS:
             out = Path("out") / name
@@ -100,6 +103,8 @@ def run_commands(workdir: Path) -> dict[str, dict[str, str]]:
                 rc = cli.main([*argv, "--out-dir", str(out)])
             assert rc == 0, f"{name}: exit {rc}"
             digests[name] = {p.name: _digest(p) for p in sorted(out.iterdir())}
+    finally:
+        os.chdir(cwd)
     return digests
 
 
