@@ -2,15 +2,19 @@
 
 The FCFS scan is the Lindley recursion: a job starts at the later of its
 arrival and its server's free time, and leaves that server free at start
-plus service. It runs in blocks of jobs, carrying each server's free time
-from one block into the next. In a block, numpy finds every busy period at
-once from the max-plus closed form of the recursion. Within a period the
-start times are one sequential ``np.add.accumulate``, which makes the same
-float additions, in the same order, as the loop. The guessed periods are
-then checked exactly against the loop's own comparison; where a near-tie
-rounded the guess the other way, the block runs through the job-by-job
-list loop instead. Servers with few jobs in a block take that loop too, as
-it is cheaper there. Either way the result is bit-identical to the loop.
+plus service. It serves jobs in stable arrival order whatever their
+position order, and makes no full-length order to do so: it sorts one
+block of positions at a time together with a carry of jobs still pending
+from earlier blocks, where a job waits while a later block holds an
+earlier arrival. Each server's free time carries from one block into the
+next. In a block, numpy finds every busy period at once from the max-plus
+closed form of the recursion. Within a period the start times are one
+sequential ``np.add.accumulate``, which makes the same float additions, in
+the same order, as the loop. The guessed periods are then checked exactly
+against the loop's own comparison; where a near-tie rounded the guess the
+other way, the block runs through the job-by-job list loop instead.
+Servers with few jobs in a block take that loop too, as it is cheaper
+there. Either way the result is bit-identical to the loop.
 
 The priority scan is a Python loop in plain float arithmetic, the same
 IEEE double arithmetic numpy's scalars do. It walks the jobs in the arrival
@@ -36,8 +40,8 @@ from itertools import repeat
 
 import numpy as np
 
-# Jobs per block of the FCFS scan. The block's temporaries stay a few
-# hundred kB however long the run.
+# Positions per block of the FCFS scan and of the simulator's reducer. A
+# block's temporaries stay a few hundred kB however long the run.
 FCFS_BLOCK = 16384
 # A server with fewer jobs than this in a block takes the list loop; below
 # it the numpy calls cost more than the loop.
@@ -54,30 +58,48 @@ def _require_finite(**arrays: np.ndarray) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def fcfs_start(arrivals, server_idx, service, n_servers, order=None, out=None):
+def fcfs_start(arrivals, server_idx, service, n_servers, out=None):
     """Start times of jobs served FCFS by `n_servers` parallel queues.
 
-    Jobs are served in `order`, which must sort arrivals, or without one in
-    position order, which must then sort them; tied arrivals are served in
-    that order. Job k waits for server server_idx[k] to finish the jobs sent
-    to it before. With one server, server_idx is never read and may be None.
+    Jobs are served in stable arrival order, whatever their position order:
+    by arrival, tied arrivals by position. Job k waits for server
+    server_idx[k] to finish the jobs sent to it before. With one server,
+    server_idx is never read and may be None.
 
-    With `order`, each block of jobs is gathered through it and its start
-    times scattered back to the jobs' positions, so no full-length sorted
-    copy of the inputs is made. The starts go into `out` (a new array by
-    default), which may be arrivals itself: a block's arrivals are read
-    before its starts are written, and no later block reads those positions.
+    Positions are taken one block at a time and sorted together with the
+    jobs still pending from earlier blocks. A job is served once no later
+    block holds an earlier arrival: its arrival is at most the suffix
+    minimum of the later blocks' minima. The rest stay pending; they sit at
+    smaller positions than any later job, so ties go as in one stable sort
+    of every job, and no full-length order is made. The starts go into
+    `out` (a new array by default), which may be arrivals itself: a job's
+    arrival is read before its start is written, and no other job reads
+    that position.
     """
     _require_finite(arrivals=arrivals, service=service)
     n = arrivals.shape[0]
     start = np.empty(n, dtype=np.float64) if out is None else out
+    if n == 0:
+        return start
     free = [0.0] * n_servers
-    for lo in range(0, n, FCFS_BLOCK):
-        jobs = slice(lo, lo + FCFS_BLOCK)
-        if order is not None:
-            jobs = order[jobs]
+    # bound[b]: the smallest arrival at positions past block b.
+    bound = np.minimum.reduceat(arrivals, np.arange(0, n, FCFS_BLOCK))
+    bound = np.append(np.minimum.accumulate(bound[:0:-1])[::-1], np.inf)
+    pending = np.empty(0, dtype=np.intp)
+    for lo, cut in zip(range(0, n, FCFS_BLOCK), bound.tolist()):
+        hi = min(lo + FCFS_BLOCK, n)
+        a = arrivals[lo:hi]
+        if not pending.size and a[-1] <= cut and (a[1:] >= a[:-1]).all():
+            jobs = slice(lo, hi)  # sorted and all due: served as they stand
+        else:
+            jobs = np.concatenate((pending, np.arange(lo, hi)))
+            a = arrivals[jobs]
+            order = np.argsort(a, kind="stable")
+            jobs, a = jobs[order], a[order]
+            served = np.searchsorted(a, cut, side="right")
+            jobs, pending, a = jobs[:served], jobs[served:], a[:served]
         srv = None if n_servers == 1 else server_idx[jobs]
-        start[jobs] = _fcfs_block(arrivals[jobs], srv, service[jobs], free)
+        start[jobs] = _fcfs_block(a, srv, service[jobs], free)
     return start
 
 

@@ -161,6 +161,12 @@ class SystemConfig:
         reads its own, and equality, hash, repr and JSON see fields only."""
         return ConfigNumbers(self)
 
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        """validate_config's verdict, reached on first use and kept on the
+        instance as numbers is."""
+        return tuple(_config_problems(self))
+
     def arrival_rates(self) -> np.ndarray:
         return self.numbers.arrival_rates
 
@@ -290,8 +296,14 @@ def validate_config(config: SystemConfig) -> list[str]:
     """Collect rule violations as human-readable strings.
 
     An empty list means the config is usable. Violations are data, not
-    exceptions; callers decide whether to stop.
+    exceptions; callers decide whether to stop. The rules run once per
+    config instance (a copy made with dataclasses.replace or with_rates runs
+    its own); each call returns a fresh list.
     """
+    return list(config._problems)
+
+
+def _config_problems(config: SystemConfig) -> list[str]:
     problems: list[str] = []
     if not config.classes:
         problems.append("classes must list at least one job class")

@@ -325,6 +325,8 @@ def _replay(
     job position), so two replays of the same trace with the same seed are
     driven by identical draws even when their schedules differ. Statistics
     cover windows 1..K-1; the uniform cold-start window counts as warmup.
+    Uses up tr.times, which reduce_run writes over; _prepare_trace makes
+    each replay its own copy.
     """
     rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
     n = len(tr.times)
@@ -343,12 +345,14 @@ def _replay(
     # Jobs are in arrival order, so windows 1.. are the jobs from the first
     # one past window 0 on.
     kept = slice(int(np.searchsorted(tr.win, 1)), None)
+    # Scored before the reducer uses up the arrivals, tr.times.
+    window_objectives = group_objectives(flow, config, tr.win, n_windows)
     run = reduce_run(flow, J, config.num_vms, kept, horizon, config)
     return OnlineResult(
         windows=tr.windows,
         schedules=schedules,
         sources=sources,
-        window_objectives=group_objectives(flow, config, tr.win, n_windows),
+        window_objectives=window_objectives,
         result=aggregate_runs([run], np.arange(1, J + 1), horizon),
         class_map=tr.mapping,
         window_length=tr.window_length,

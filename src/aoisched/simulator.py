@@ -50,6 +50,27 @@ CLASS_COLUMNS = (
     "ci_completion",
 )
 SIM_COLUMNS = ("class_id", "count", *CLASS_COLUMNS)
+# scipy.special.stdtrit(k, 0.975) for k = 1..64 degrees of freedom: the
+# two-sided 95 percent Student t quantile of up to 65 replications, read
+# here so that a run loads scipy only past that.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939, 1.9989715170333788, 1.998340542520741, 1.997729654317693,
+)
 
 EVENT_LOG_COLUMNS = [
     "serial",
@@ -172,18 +193,30 @@ def interdeparture_stats(departures: np.ndarray) -> tuple[float, float]:
 
 
 def _gap_stats(d: np.ndarray) -> tuple[float, float]:
-    """interdeparture_stats on departures it may reorder: d is sorted in
-    place and dropped before the gaps' deviation, which bounds a long run's
-    peak memory when the caller holds no other reference to it."""
+    """interdeparture_stats on departures it may overwrite.
+
+    d is sorted in place, the gaps are written over it, and std(ddof=1)'s
+    own arithmetic runs on them in place: subtract the mean, square, sum,
+    divide by the gap count less one, take the root. So the result is that
+    of np.diff, .mean() and .std(ddof=1) bit for bit, and no array as long
+    as d is made.
+    """
     d.sort()
     if d.size < 3:
         return float("nan"), float("nan")
-    gaps = np.diff(d)
-    del d
+    # Gap i goes to d[i + 1]. Back to front, each block reads the departure
+    # before it while that is still unchanged.
+    for hi in range(d.size, 1, -_kernels.FCFS_BLOCK):
+        lo = max(hi - _kernels.FCFS_BLOCK, 1)
+        np.subtract(d[lo:hi], d[lo - 1 : hi - 1], out=d[lo:hi])
+    gaps = d[1:]
     mean = float(gaps.mean())
     if mean <= 0.0:
         return mean, float("nan")
-    return mean, float(gaps.std(ddof=1) / mean)
+    gaps -= mean
+    np.square(gaps, out=gaps)
+    std = np.sqrt(np.add.reduce(gaps) / (gaps.size - 1))
+    return mean, float(std / mean)
 
 
 def _poisson_arrivals(
@@ -306,13 +339,14 @@ def network_start_times(
 
     key holds each job's priority key; the FCFS link never reads it. The
     starts go into `out`, a new array by default; out may be dep1 itself,
-    which the kernels read before they write over it.
+    which the kernels read before they write over it. The FCFS kernel sorts
+    dep1 block by block itself; the priority walk needs one full order.
     """
-    order = np.argsort(dep1, kind="stable")
     if networking == "fcfs":
-        return _kernels.fcfs_start(dep1, None, s2, 1, order, out)
+        return _kernels.fcfs_start(dep1, None, s2, 1, out)
     if networking != "priority":
         raise ValueError(f"unknown networking discipline {networking!r}")
+    order = np.argsort(dep1, kind="stable")
     grouped, offsets = group_by_class(cls[order], n_classes)
     key = np.asarray(key, dtype=np.float64)
     return _kernels.priority_start(dep1, order, grouped, offsets, key, s2, out)
@@ -347,6 +381,8 @@ def _staleness(
         newest = np.zeros(len(starts), dtype=np.float64)
         for sid in sources:
             upd = updates[int(sid) - 1]
+            if not upd.size:
+                continue  # only the implicit update at 0, which newest holds
             idx = np.searchsorted(upd, starts, side="right")
             last = np.where(idx > 0, upd[np.maximum(idx - 1, 0)], 0.0)
             newest = np.maximum(newest, last)
@@ -354,21 +390,35 @@ def _staleness(
     return y
 
 
-def _backlog_growing(
-    enter: np.ndarray, leave: np.ndarray, horizon: float, group: np.ndarray | None,
+def _backlog(
+    enter: np.ndarray,
+    leave: np.ndarray,
+    checks: np.ndarray,
+    group: np.ndarray | None,
     n_groups: int,
 ) -> np.ndarray:
-    """Flag queues whose backlog rises monotonically across four checkpoints."""
-    checks = np.array([0.25, 0.5, 0.75, 1.0]) * horizon
+    """Jobs in each queue at each checkpoint, one row per checkpoint: jobs
+    that entered by it and had not left."""
     backlog = np.zeros((len(checks), n_groups), dtype=np.int64)
-    for i, t in enumerate(checks):
-        mask = (enter <= t) & (leave > t)
+    for i, t in enumerate(checks.tolist()):
+        inside = (enter <= t) & (leave > t)
         if group is None:
-            backlog[i, 0] = int(mask.sum())
+            backlog[i, 0] = np.count_nonzero(inside)
         else:
-            backlog[i] = np.bincount(group[mask], minlength=n_groups)
+            backlog[i] = np.bincount(group[inside], minlength=n_groups)
+    return backlog
+
+
+def _growing(backlog: np.ndarray) -> np.ndarray:
+    """Flag queues whose backlog rises monotonically across the checkpoints."""
     rising = np.all(np.diff(backlog, axis=0) > 0, axis=0)
     return rising & (backlog[-1] >= 10)
+
+
+def _blocks(lo: int, hi: int):
+    """Slices of at most FCFS_BLOCK positions that cover lo..hi in order."""
+    step = _kernels.FCFS_BLOCK
+    return (slice(b, min(b + step, hi)) for b in range(lo, hi, step))
 
 
 def service_times(
@@ -399,7 +449,9 @@ class Flow:
     """Per-job times of one run, jobs in arrival order.
 
     A job's compute departure is start1 + s1, summed where it is read; no
-    run holds it beside the arrays below.
+    run holds it beside the arrays below. reduce_run uses up t: it writes
+    the kept jobs' departure gaps over it, so whatever else a caller reads
+    of the flow, the event log included, it reads before reducing it.
     """
 
     t: np.ndarray  # arrival
@@ -489,47 +541,45 @@ def _class_means(flow: Flow, group, n_groups: int, kept: slice, y=None) -> Class
     """Means of the jobs at positions `kept` in each group; y is the per-job
     source staleness.
 
-    Each per-job quantity is derived over the kept range, reduced and
-    dropped in turn rather than held all at once, which bounds peak memory
-    on million-job runs. Every group sums its jobs in job order.
+    The kept range is walked one block of positions at a time, so no
+    per-job quantity is held longer than a block on million-job runs.
+    Every group sums its jobs in job order: np.add.at adds each job into its
+    group's running sum in turn, as np.bincount(..., weights=) does.
     """
-    codes = group[kept]
-    counts = np.bincount(codes, minlength=n_groups)
+    kept = range(len(flow.t))[kept]
+    counts = np.zeros(n_groups, dtype=np.intp)
+    # One row of sums per ClassMeans field after counts, in field order.
+    sums = np.zeros((len(ClassMeans._fields) - 1, n_groups))
+    wait_compute, service_compute, wait_network, service_network = sums[:4]
+    aoi, completion, staleness = sums[4:]
+    for jobs in _blocks(kept.start, kept.stop):
+        codes = group[jobs]
+        counts += np.bincount(codes, minlength=n_groups)
+        t, s1, s2 = flow.t[jobs], flow.s1[jobs], flow.s2[jobs]
+        start1, start2 = flow.start1[jobs], flow.start2[jobs]
+        wait = start1 + s1  # the compute departure, then start2 minus it
+        np.subtract(start2, wait, out=wait)
+        np.add.at(wait_network, codes, wait)
+        age = wait  # s1 + network wait + s2 (+ y), summed in that order in place
+        age += s1
+        age += s2
+        if y is not None:
+            age += y[jobs]
+            np.add.at(staleness, codes, y[jobs])
+        np.add.at(aoi, codes, age)
+        sojourn = start2 + s2
+        sojourn -= t
+        np.add.at(completion, codes, sojourn)
+        np.subtract(start1, t, out=sojourn)
+        np.add.at(wait_compute, codes, sojourn)
+        np.add.at(service_compute, codes, s1)
+        np.add.at(service_network, codes, s2)
     nz = counts > 0
-
-    def mean(values):
-        sums = np.bincount(codes, weights=values, minlength=n_groups)
-        out = np.full(n_groups, np.nan)
-        out[nz] = sums[nz] / counts[nz]
-        return out
-
-    t, s1, s2 = flow.t[kept], flow.s1[kept], flow.s2[kept]
-    start1, start2 = flow.start1[kept], flow.start2[kept]
-    y = None if y is None else y[kept]
-    wait = start1 + s1  # the compute departure, then start2 minus it
-    np.subtract(start2, wait, out=wait)
-    wait_network = mean(wait)
-    age = wait  # s1 + network wait + s2 (+ y), summed in that order in place
-    age += s1
-    age += s2
-    if y is not None:
-        age += y
-    aoi = mean(age)
-    del wait, age
-    sojourn = start2 + s2
-    sojourn -= t
-    completion = mean(sojourn)
-    del sojourn
-    return ClassMeans(
-        counts=counts,
-        wait_compute=mean(start1 - t),
-        service_compute=mean(s1),
-        wait_network=wait_network,
-        service_network=mean(s2),
-        aoi=aoi,
-        completion=completion,
-        staleness=np.zeros(n_groups) if y is None else mean(y),
-    )
+    means = np.full(sums.shape, np.nan)
+    means[:, nz] = sums[:, nz] / counts[nz]
+    if y is None:
+        means[-1] = 0.0  # staleness
+    return ClassMeans(counts, *means)
 
 
 def reduce_run(
@@ -542,21 +592,34 @@ def reduce_run(
 
     Jobs are in arrival order, so each kept set a caller forms (arrivals
     past the warm-up, windows 1 on, every job) is one slice of positions.
-    Each step sums the compute departures it reads and drops them before
-    the next, so no departure array is alive while the class means run.
+    The class means, the span, both backlog checks and the VM busy time
+    walk blocks of positions, summing compute departures a block at a time.
+    Uses up flow.t, as service_times uses up its draws: after its last
+    read, the kept jobs' departures are summed into flow.t[:n_kept], and
+    their gaps are taken there in place.
     """
     means = _class_means(flow, flow.cls, n_classes, kept, y)
-    dep1 = flow.start1 + flow.s1
-    span = max(horizon, float(dep1.max()))
-    unstable_net = _backlog_growing(dep1, flow.start2, horizon, None, 1)[0]
-    del dep1
-    dep_mean, dep_cv = _gap_stats(flow.start1[kept] + flow.s1[kept])
+    checks = np.array([0.25, 0.5, 0.75, 1.0]) * horizon
+    net_backlog = np.zeros((len(checks), 1), dtype=np.int64)
+    vm_backlog = np.zeros((len(checks), n_vms), dtype=np.int64)
+    busy = np.zeros(n_vms)
+    span = horizon
+    for jobs in _blocks(0, len(flow.t)):
+        start1, s1, vm_idx = flow.start1[jobs], flow.s1[jobs], flow.vm_idx[jobs]
+        dep1 = start1 + s1
+        span = max(span, float(dep1.max()))
+        net_backlog += _backlog(dep1, flow.start2[jobs], checks, None, 1)
+        vm_backlog += _backlog(flow.t[jobs], start1, checks, vm_idx, n_vms)
+        np.add.at(busy, vm_idx, s1)  # in job order, as np.bincount sums
+    dep1 = flow.t[: len(flow.t[kept])]
+    np.add(flow.start1[kept], flow.s1[kept], out=dep1)
+    dep_mean, dep_cv = _gap_stats(dep1)
     return RunRecord(
         means=means,
         objective=float("nan") if config is None else means.objective(config),
-        vm_util=np.bincount(flow.vm_idx, weights=flow.s1, minlength=n_vms) / span,
-        unstable_vms=_backlog_growing(flow.t, flow.start1, horizon, flow.vm_idx, n_vms),
-        unstable_net=bool(unstable_net),
+        vm_util=busy / span,
+        unstable_vms=_growing(vm_backlog),
+        unstable_net=bool(_growing(net_backlog)[0]),
         dep_mean=dep_mean,
         dep_cv=dep_cv,
     )
@@ -600,11 +663,11 @@ def _replication(
     y = _staleness(rng, config, cls, flow.start1) if sim.simulate_updates else None
     # Arrivals are sorted, so the jobs past the warm-up are a suffix.
     kept = slice(int(np.searchsorted(t, sim.warmup_fraction * sim.horizon)), None)
+    # Taken before the reducer uses up the arrivals. Widened first: a narrow
+    # class code would wrap at the last class id.
+    log = flow.event_log(np.add(cls, 1, dtype=np.int64)) if want_log else None
     run = reduce_run(flow, len(lam), config.num_vms, kept, sim.horizon, config, y)
-    if not want_log:
-        return run, None
-    # Widened first: a narrow class code would wrap at the last class id.
-    return run, flow.event_log(np.add(cls, 1, dtype=np.int64))
+    return run, log
 
 
 def _mean_se_ci(rep_values: np.ndarray):
@@ -629,12 +692,16 @@ def _mean_se_ci(rep_values: np.ndarray):
             warnings.filterwarnings("ignore", "Degrees of freedom", RuntimeWarning)
             sd = np.nanstd(vals, axis=0, ddof=1)
         se = np.where(multi, sd / np.sqrt(np.maximum(n, 1)), np.nan)
-        # Imported here so that `import aoisched` does not load scipy.
-        from scipy.special import stdtrit
-
         # Two-sided 95 percent Student t on the replication means; dof
         # varies if classes miss reps.
-        tq = stdtrit(np.maximum(n - 1, 1), 0.975)
+        dof = np.maximum(n - 1, 1)
+        if dof.max() <= len(_T975):
+            tq = np.array(_T975)[dof - 1]
+        else:
+            # Imported here so that `import aoisched` does not load scipy.
+            from scipy.special import stdtrit
+
+            tq = stdtrit(dof, 0.975)
         tq = np.where(multi, tq, np.nan)
         ci = tq * se
     return mean, se, ci
@@ -711,7 +778,8 @@ def scripted_arrivals(
     if not jobs:
         raise ConfigError("scripted run needs at least one job")
     order = np.argsort([j.release for j in jobs], kind="stable")
-    t = np.array([jobs[i].release for i in order])
+    # float64 whatever the releases' type: the reducer writes floats over t.
+    t = np.array([jobs[i].release for i in order], dtype=np.float64)
     ids = np.array([jobs[i].class_id for i in order], dtype=np.int64)
     s1 = np.array([jobs[i].compute_time for i in order])
     s2 = np.array([jobs[i].network_time for i in order])
@@ -724,12 +792,10 @@ def scripted_arrivals(
     n_classes = len(distinct)
 
     flow = _flow(t, cls, vm_idx, s1, s2, num_vms, np.zeros(n_classes), "fcfs")
+    log = flow.event_log(ids)  # before the reducer uses up the arrivals
     run = reduce_run(flow, n_classes, num_vms, slice(None), 0.0)
     return aggregate_runs(
-        [run],
-        distinct,
-        float((flow.start2 + s2).max()),
-        event_log=flow.event_log(ids),
+        [run], distinct, float((flow.start2 + s2).max()), event_log=log
     )
 
 

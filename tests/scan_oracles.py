@@ -17,12 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from aoisched.model import ConfigError, SystemConfig
-from aoisched.simulator import (
-    ClassMeans,
-    RunRecord,
-    _backlog_growing,
-    _poisson_arrivals,
-)
+from aoisched.simulator import ClassMeans, RunRecord, _poisson_arrivals
 
 
 def fcfs_scan(arrivals, server_idx, service, n_servers):
@@ -273,6 +268,23 @@ def class_means_masked(
         completion=completion,
         staleness=np.zeros(n_groups) if y is None else mean(y),
     )
+
+
+def _backlog_growing(
+    enter: np.ndarray, leave: np.ndarray, horizon: float, group: np.ndarray | None,
+    n_groups: int,
+) -> np.ndarray:
+    """Flag queues whose backlog rises monotonically across four checkpoints."""
+    checks = np.array([0.25, 0.5, 0.75, 1.0]) * horizon
+    backlog = np.zeros((len(checks), n_groups), dtype=np.int64)
+    for i, t in enumerate(checks):
+        mask = (enter <= t) & (leave > t)
+        if group is None:
+            backlog[i, 0] = int(mask.sum())
+        else:
+            backlog[i] = np.bincount(group[mask], minlength=n_groups)
+    rising = np.all(np.diff(backlog, axis=0) > 0, axis=0)
+    return rising & (backlog[-1] >= 10)
 
 
 def reduce_run_masked(

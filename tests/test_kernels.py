@@ -176,23 +176,90 @@ def test_fcfs_start_across_chunk_boundaries(n):
 @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
 def test_fcfs_start_through_an_order_matches_gather_scan_scatter(n, n_servers):
     # Arrivals out of order with many ties, as compute departures reach the
-    # link; the order sorts them stably, and queues carry across blocks.
+    # link; the kernel serves them in their stable order, and queues carry
+    # across blocks.
     rng = np.random.default_rng(n + n_servers)
     t = np.round(rng.uniform(0.0, n, n), 1)
     srv = rng.integers(0, n_servers, n)
     s = rng.exponential(0.95 * n_servers, n)
     s[::7] = 0.0
-    order = np.argsort(t, kind="stable")
-    expected = np.empty(n)
-    expected[order] = fcfs_scan(t[order], srv[order], s[order], n_servers)
-    np.testing.assert_array_equal(
-        _kernels.fcfs_start(t, srv, s, n_servers, order), expected
-    )
+    expected = _gather_scan_scatter(t, srv, s, n_servers)
+    np.testing.assert_array_equal(_kernels.fcfs_start(t, srv, s, n_servers), expected)
     if n_servers == 1:
         cls = rng.integers(0, 3, n)
         np.testing.assert_array_equal(
             network_start_times(t, cls, None, s, 3, "fcfs"), expected
         )
+
+
+def _gather_scan_scatter(t, srv, s, n_servers):
+    """The FCFS oracle over the stable sort of t, scattered back to positions."""
+    order = np.argsort(t, kind="stable")
+    start = np.empty(len(t))
+    start[order] = fcfs_scan(t[order], srv[order], s[order], n_servers)
+    return start
+
+
+def _count_block_jobs(monkeypatch) -> list[int]:
+    """Record how many jobs each call of the block scan is handed."""
+    block = _kernels._fcfs_block
+    handed: list[int] = []
+
+    def counting(a, *rest):
+        handed.append(len(a))
+        return block(a, *rest)
+
+    monkeypatch.setattr(_kernels, "_fcfs_block", counting)
+    return handed
+
+
+@pytest.mark.parametrize("n_servers", [1, 3])
+@pytest.mark.parametrize(
+    "case",
+    ["ties", "ties_at_edges", "descending", "halves_swapped", "blocks_rotated", "rounded"],
+)
+def test_fcfs_start_serves_out_of_order_arrivals_in_stable_order(
+    monkeypatch, case, n_servers
+):
+    # n is no multiple of the block. "ties" draws a few hundred values, so
+    # tied jobs sit in every block and most wait pending over several;
+    # "ties_at_edges" is sorted with a run of ties across each block edge;
+    # "descending" keeps every job pending until the last block, and ties
+    # 50 of them with the latest arrival; "halves_swapped" puts the later
+    # half of the arrivals before the earlier one; "blocks_rotated" moves
+    # the first block of sorted arrivals behind the next two, so block 0's
+    # jobs wait for block 2 although block 1 holds none earlier.
+    rng = np.random.default_rng(len(case) + n_servers)
+    n = 3 * BLOCK + 123
+    if case == "ties":
+        t = rng.integers(0, 300, n).astype(np.float64)
+    elif case == "ties_at_edges":
+        t = np.sort(rng.uniform(0.0, n, n))
+        for edge in range(BLOCK, n, BLOCK):
+            t[edge - 3 : edge + 3] = t[edge - 3]
+    elif case == "descending":
+        t = np.sort(rng.uniform(0.0, n, n))[::-1].copy()
+        t[rng.integers(0, n, 50)] = t[0]
+    elif case == "halves_swapped":
+        t = np.sort(rng.uniform(0.0, n, n))
+        t = np.concatenate((t[n // 2 :], t[: n // 2]))
+    elif case == "blocks_rotated":
+        t = np.sort(rng.uniform(0.0, n, n))
+        t = np.concatenate((t[BLOCK : 3 * BLOCK], t[:BLOCK], t[3 * BLOCK :]))
+    else:
+        t = np.round(rng.uniform(0.0, n, n), 1)
+    srv = rng.integers(0, n_servers, n)
+    s = rng.exponential(0.95 * n_servers, n)
+    s[::7] = 0.0
+    expected = _gather_scan_scatter(t, srv, s, n_servers)
+    handed = _count_block_jobs(monkeypatch)
+    np.testing.assert_array_equal(_kernels.fcfs_start(t, srv, s, n_servers), expected)
+    assert sum(handed) == n  # each job served once
+    if case == "descending":
+        assert handed[-1] == n
+    buf = t.copy()
+    assert _kernels.fcfs_start(buf, srv, s, n_servers, out=buf) is buf
+    np.testing.assert_array_equal(buf, expected)
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 7])
@@ -209,7 +276,7 @@ def test_link_kernels_write_their_starts_over_their_arrivals(n):
     order = np.argsort(t, kind="stable")
     grouped, offsets = group_by_class(cls[order], 3)
     kernels = {
-        "fcfs": lambda a, out=None: _kernels.fcfs_start(a, None, s, 1, order, out),
+        "fcfs": lambda a, out=None: _kernels.fcfs_start(a, None, s, 1, out),
         "priority": lambda a, out=None: _kernels.priority_start(
             a, order, grouped, offsets, key, s, out
         ),
@@ -443,3 +510,17 @@ def test_import_leaves_scipy_solvers_unloaded():
         "print(np.isfinite(r.ci_weighted_objective), 'scipy.stats' in sys.modules)"
     )
     assert _run_python(script).strip() == "True False"
+
+
+def test_ten_replications_leave_scipy_special_unloaded():
+    # Their Student t quantile, at 9 degrees of freedom, comes from the
+    # simulator's table; scipy loads only past 64.
+    script = (
+        "import sys, numpy as np; "
+        "from aoisched import SimConfig, default_config, run_simulation; "
+        "r = run_simulation(default_config(3, 2), np.full((3, 2), 0.5), "
+        "SimConfig(horizon=2e4, replications=10)); "
+        "print(np.isfinite(r.ci_weighted_objective), "
+        "sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert _run_python(script).strip() == "True []"

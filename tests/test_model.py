@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoisched import model
 from aoisched.analytics import stability_report
 from aoisched.model import (
     REFERENCE_VM_PARAMS,
@@ -558,6 +559,22 @@ def test_copies_read_their_own_numbers():
     assert vms.numbers.vm_rates.tolist() == [82.0, 76.0]
     np.testing.assert_array_equal(cfg.arrival_rates(), before)
     assert cfg.numbers.vm_rates.size == 5
+
+
+def test_validate_config_runs_its_rules_once_per_instance(monkeypatch):
+    runs = []
+    rules = model._config_problems
+    monkeypatch.setattr(model, "_config_problems", lambda c: runs.append(c) or rules(c))
+    cfg = default_config(num_classes=4)
+    bad = dataclasses.replace(cfg, theta=2.0)  # a copy starts with no verdict
+    for _ in range(2):
+        problems = validate_config(bad)
+        assert problems == ["theta must lie in [0, 1], got 2.0"]
+        problems.clear()  # each call returns a fresh list
+    assert validate_config(cfg) == validate_config(cfg) == []
+    assert len(runs) == 2 and runs[0] is bad and runs[1] is cfg
+    assert validate_config(cfg.with_rates(cfg.arrival_rates() * 1e3))
+    assert len(runs) == 3
 
 
 def test_default_config_is_valid_and_seeded():

@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -432,7 +433,8 @@ def test_window_objectives_match_per_window_masks(num_classes, window, jobs, see
     real = online.reduce_run
 
     def spy(flow, *args):
-        flows.append(flow)
+        # A copy: the reducer uses up the flow's arrivals.
+        flows.append(replace(flow, t=flow.t.copy()))
         return real(flow, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -443,7 +445,9 @@ def test_window_objectives_match_per_window_masks(num_classes, window, jobs, see
     for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
         np.testing.assert_array_equal(np.flatnonzero(tr.win == k), np.arange(lo, hi))
     expected = [
-        simulator.reduce_run(flows[0], J, 2, slice(lo, hi), 1.0, config).objective
+        simulator.reduce_run(
+            replace(flows[0], t=flows[0].t.copy()), J, 2, slice(lo, hi), 1.0, config
+        ).objective
         for lo, hi in zip(edges, edges[1:])
     ]
     # Exact equality; nan (an empty window) must meet nan.

@@ -44,6 +44,25 @@ def test_interdeparture_needs_three_points():
     assert mean == 1.0 and cv == 0.0
 
 
+@pytest.mark.parametrize(
+    "n", [3, 4, 100, _kernels.FCFS_BLOCK + 1, 3 * _kernels.FCFS_BLOCK + 5]
+)
+@pytest.mark.parametrize("ties", [False, True])
+def test_gap_stats_in_place_match_numpy_on_a_sorted_copy(n, ties):
+    rng = np.random.default_rng(n)
+    d = rng.uniform(0.0, 1e4, n)
+    if ties:
+        d = np.round(d / 50.0)  # duplicates, so some gaps are zero
+    gaps = np.diff(np.sort(d))
+    mean = float(gaps.mean())
+    expected = (mean, float(gaps.std(ddof=1) / mean))
+    assert interdeparture_stats(d) == expected  # sorts a copy
+    # In place, on a view that does not start its buffer, as the reducer's
+    # kept departures do.
+    buf = np.concatenate(([np.nan], d))
+    assert simulator._gap_stats(buf[1:]) == expected
+
+
 def test_assign_vms_degenerate_and_boundary():
     p = np.array([[1.0, 0.0], [0.0, 1.0]])
     cls = np.array([0, 0, 1, 1])
@@ -268,6 +287,13 @@ def test_scripted_event_log_matches_report():
     ]
     res = scripted_arrivals(jobs, [1, 1, 1], num_vms=1)
     np.testing.assert_array_equal(res.class_ids, [5, 9])  # sparse ids allowed
+    # Integer times read as the same floats.
+    whole = [ScriptedJob(int(2 * j.release), j.class_id, 2, 1) for j in jobs]
+    halved = [ScriptedJob(2 * j.release, j.class_id, 2.0, 1.0) for j in jobs]
+    np.testing.assert_array_equal(
+        scripted_arrivals(whole, [1, 1, 1], 1).mean_completion,
+        scripted_arrivals(halved, [1, 1, 1], 1).mean_completion,
+    )
     log = res.event_log
     assert log is not None and len(log) == 3
     np.testing.assert_allclose(log.compute_start, [0.0, 2.0, 4.0])
@@ -402,11 +428,12 @@ def test_littles_law_holds_per_server(data):
     scans = []
     fcfs_start = _kernels.fcfs_start
 
-    def recording(arrivals, server_idx, service, n_servers, order=None, out=None):
-        walk = slice(None) if order is None else order
-        # Gathered first: the link writes its starts over its arrivals.
+    def recording(arrivals, server_idx, service, n_servers, out=None):
+        # Jobs in served order, the stable order of their arrivals, which
+        # are gathered first: the link writes its starts over them.
+        walk = np.argsort(arrivals, kind="stable")
         a = arrivals[walk]
-        start = fcfs_start(arrivals, server_idx, service, n_servers, order, out)
+        start = fcfs_start(arrivals, server_idx, service, n_servers, out)
         srv = None if server_idx is None else server_idx[walk]
         scans.append((a, srv, service[walk], n_servers, start[walk]))
         return start
@@ -465,14 +492,15 @@ def test_fcfs_replication_peak_memory_per_job():
     # The tracemalloc peak of one replication on the FCFS link, per job
     # offered (rate x horizon; 200,772 were drawn). A run holds five float64
     # arrays per job (arrival, the two service times, both starts: 40
-    # bytes) plus one-byte class and VM codes. At its peak, in the class
-    # means and the departure gaps, it holds two more arrays over the kept
-    # 80% of the jobs. Holding the compute departures as well, and a
-    # full-length intp code array in the class means, the peak measured 67
-    # bytes per job; summing the departures where they are read, with the
-    # link's starts written over them and the reducer over a range of
-    # positions, 55.
-    assert _replication_peak_per_job("fcfs") < 62.0
+    # bytes) plus one-byte class and VM codes, and at its peak, in the
+    # link, only fixed-size blocks beside them. Holding the compute
+    # departures as well, and a full-length intp code array in the class
+    # means, the peak measured 67 bytes per job; summing the departures
+    # where they are read, with the link's starts written over them and
+    # the reducer over a range of positions, 55.2 (the bound was 62); with
+    # the link sorting a block at a time, the reducer walking blocks and
+    # the gaps taken in the spent arrivals, 47.7.
+    assert _replication_peak_per_job("fcfs") < 49.0
 
 
 def test_priority_replication_peak_memory_per_job():
@@ -525,6 +553,11 @@ def _replication_peak_per_job(networking: str) -> float:
     return _traced_peak(run_simulation, config, p, sim) / jobs
 
 
+def _copy(flow):
+    """The flow with its own arrivals, the one array reduce_run uses up."""
+    return replace(flow, t=flow.t.copy())
+
+
 def _assert_records_equal(got, want):
     # Exact equality field by field; nan must meet nan.
     for name in simulator.RunRecord.__dataclass_fields__:
@@ -568,8 +601,9 @@ def test_reducer_over_a_range_matches_the_masked_oracle(data):
     kept = slice(int(np.searchsorted(t, warm)), None)
     assert keep.sum() == len(t[kept]) and (cut != "none" or not keep.any())
     y = rng.exponential(5.0, n) if data.draw(st.booleans()) else None
+    # The reducer uses up its flow's arrivals; each call gets a copy.
     _assert_records_equal(
-        simulator.reduce_run(flow, J, V, kept, horizon, config, y),
+        simulator.reduce_run(_copy(flow), J, V, kept, horizon, config, y),
         reduce_run_masked(masked, J, V, keep, horizon, config, y),
     )
     n_groups = data.draw(st.integers(1, 4))
@@ -640,6 +674,27 @@ def test_staleness_mean_matches_update_rate(small_system):
     gap = stale.mean_aoi - plain.mean_aoi
     assert gap[0] == pytest.approx(1.0 / rates[0], rel=0.15)
     assert gap[1] == pytest.approx(1.0 / rates[1], rel=0.15)
+
+
+def test_staleness_of_a_source_without_updates_is_its_age_since_zero():
+    # At 1e-9 updates per ms no source updates within the run; each keeps
+    # only the implicit update at time 0, so a job's staleness is its
+    # compute start, and its AoI exceeds the plain run's by exactly that.
+    config = default_config(4)
+    config = replace(
+        config, classes=tuple(replace(c, update_rate=1e-9) for c in config.classes)
+    )
+    p = np.full((4, config.num_vms), 1.0 / config.num_vms)
+    sim = SimConfig(horizon=2e4, replications=1, collect_event_log=True)
+    plain = run_simulation(config, p, sim)
+    stale = run_simulation(config, p, replace(sim, simulate_updates=True))
+    log = plain.event_log
+    kept = log.release >= sim.warmup_fraction * sim.horizon
+    for j in range(4):
+        jobs = kept & (log.class_id == j + 1)
+        expected = np.mean(log.compute_start[jobs])
+        gap = stale.mean_aoi[j] - plain.mean_aoi[j]
+        assert gap == pytest.approx(expected, rel=1e-9)
 
 
 def test_staleness_requires_update_rate(small_system):
@@ -740,6 +795,19 @@ def test_classes_without_kept_jobs_report_nan_without_warnings():
         assert np.isnan(values[empty]).all()
     assert np.isfinite(res.mean_aoi[~empty]).all()
     assert np.isfinite(res.weighted_objective)
+
+
+def test_student_t_table_is_stdtrit_bit_for_bit():
+    from scipy.special import stdtrit
+
+    dof = np.arange(1, 65)
+    assert len(simulator._T975) == 64
+    np.testing.assert_array_equal(simulator._T975, stdtrit(dof, 0.975))
+    # Past the table the quantile comes from stdtrit itself.
+    vals = np.random.default_rng(0).normal(size=(66, 2))
+    vals[1:, 1] = np.nan  # one column with a single value
+    _, se, ci = simulator._mean_se_ci(vals)
+    assert ci[0] == stdtrit(65, 0.975) * se[0] and np.isnan(ci[1])
 
 
 @pytest.mark.parametrize("reps", [1, 3])
