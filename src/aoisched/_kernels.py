@@ -10,21 +10,23 @@ earlier arrival. Each server's free time carries from one block into the
 next. In a block, numpy finds every busy period at once from the max-plus
 closed form of the recursion. Within a period the start times are one
 sequential ``np.add.accumulate``, which makes the same float additions, in
-the same order, as the loop. The guessed periods are then checked exactly
-against the loop's own comparison; where a near-tie rounded the guess the
-other way, the block runs through the job-by-job list loop instead.
-Servers with few jobs in a block take that loop too, as it is cheaper
-there. Either way the result is bit-identical to the loop.
+the same order, as the loop. A block's jobs are grouped by server, and
+every server's periods come from the same numpy calls, however few its
+jobs. The guessed periods are then checked exactly against the loop's own
+comparison; where a near-tie rounded the guess the other way, the block
+runs through the job-by-job list loop instead. Either way the result is
+bit-identical to the loop.
 
 The priority scan is a Python loop in plain float arithmetic, the same
 IEEE double arithmetic numpy's scalars do. It walks the jobs in the arrival
 order its caller sorted, and checks that order rather than sorting again.
 numpy lays out each job's arrival, service, negated key and class by walk
-position, and links each job to the next job of its class, its successor,
-so the class FIFO costs one read per job. Arrivals and classes are read as
-lists; service, key and successor are read, and starts written, through
-memoryviews of numpy buffers, which hold no Python object per job and give
-the same Python floats and ints a list would.
+position, groups the walk by class, and links each job to the next job of
+its class, its successor, so the class FIFO costs one read per job.
+Arrivals and classes are read as lists; service, key and successor are
+read, and starts written, through memoryviews of numpy buffers, which hold
+no Python object per job and give the same Python floats and ints a list
+would.
 A heap holds only the heads of classes that have a job waiting. Serving a
 job costs one push and one pop on a heap as large as the number of waiting
 classes, not a scan of every head, and a job that finds the link idle with
@@ -43,9 +45,6 @@ import numpy as np
 # Positions per block of the FCFS scan and of the simulator's reducer. A
 # block's temporaries stay a few hundred kB however long the run.
 FCFS_BLOCK = 16384
-# A server with fewer jobs than this in a block takes the list loop; below
-# it the numpy calls cost more than the loop.
-FCFS_MIN_SEGMENT = 1024
 # Busy periods of up to 64 jobs are summed together, as the columns of one
 # array per power-of-two width; each longer period gets its own 1-D call.
 _WIDTHS = (2, 4, 8, 16, 32, 64)
@@ -56,6 +55,22 @@ def _require_finite(**arrays: np.ndarray) -> None:
     for name, values in arrays.items():
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite")
+
+
+def group_by_class(cls, n_classes):
+    """Positions in `cls` grouped per class, each group in ascending order.
+
+    Returns (grouped, offsets): grouped[offsets[c]:offsets[c + 1]] lists
+    class c's positions. The class codes sort as the smallest unsigned type
+    that holds them, so up to 65,536 classes numpy's stable sort is a radix
+    sort; the permutation is the same.
+    """
+    codes = cls.astype(np.min_scalar_type(n_classes - 1))
+    grouped = np.argsort(codes, kind="stable")
+    counts = np.bincount(cls, minlength=n_classes)
+    offsets = np.zeros(n_classes + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return grouped, offsets
 
 
 def fcfs_start(arrivals, server_idx, service, n_servers, out=None):
@@ -105,28 +120,17 @@ def fcfs_start(arrivals, server_idx, service, n_servers, out=None):
 
 def _fcfs_block(a, srv, d, free):
     """Start times of one block of jobs (srv None: one server); updates free."""
+    if not len(a):
+        return a  # every job of the block still pending
     if srv is None:
-        if len(a) >= FCFS_MIN_SEGMENT:
-            done = _busy_periods(a, d, [0], free)
-            if done is not None:
-                start, (free[0],) = done
-                return start
-        return _lindley_loop(a, repeat(0), d, free)
-    n_servers = len(free)
-    counts = np.bincount(srv, minlength=n_servers)
-    wide = counts >= FCFS_MIN_SEGMENT
-    if not wide.any():
-        return _lindley_loop(a, srv.tolist(), d, free)
-    # Wide servers' jobs first, server by server, then the other servers'
-    # jobs. The sort is stable, so each server's jobs keep arrival order,
-    # and a small integer type lets numpy use its radix sort.
-    narrow = (counts > 0) & ~wide
-    key = np.where(wide[srv], srv, n_servers) if narrow.any() else srv
-    order = np.argsort(key.astype(np.min_scalar_type(n_servers)), kind="stable")
-    servers = np.flatnonzero(wide).tolist()
-    sizes = counts[servers]
-    first = (np.cumsum(sizes) - sizes).tolist()
-    grouped = order[: sizes.sum()]
+        done = _busy_periods(a, d, [0], free)
+        if done is None:
+            return _lindley_loop(a, repeat(0), d, free)
+        start, (free[0],) = done
+        return start
+    grouped, offsets = group_by_class(srv, len(free))
+    servers = np.flatnonzero(np.diff(offsets)).tolist()
+    first = offsets[servers].tolist()
     done = _busy_periods(a[grouped], d[grouped], first, [free[s] for s in servers])
     if done is None:
         return _lindley_loop(a, srv.tolist(), d, free)
@@ -134,9 +138,6 @@ def _fcfs_block(a, srv, d, free):
     start[grouped], last_free = done
     for s, f in zip(servers, last_free):
         free[s] = f
-    rest = order[len(grouped) :]
-    if len(rest):
-        start[rest] = _lindley_loop(a[rest], srv[rest].tolist(), d[rest], free)
     return start
 
 
@@ -144,8 +145,7 @@ def _lindley_loop(a, srv, d, free):
     """Start times of jobs taken one at a time; updates free in place.
 
     srv yields each job's server and free holds each server's free time.
-    This is the exact fallback of the busy-period scan, and its path for
-    servers with few jobs in a block.
+    This is the exact fallback of the busy-period scan.
     """
     out = []
     for t, s, x in zip(a.tolist(), srv, d.tolist()):
@@ -228,17 +228,17 @@ def _busy_periods(a, d, first, free):
     return start, after[np.array(first[1:] + [m]) - 1].tolist()
 
 
-def priority_start(arrivals, order, grouped, offsets, key, service, out=None):
+def priority_start(arrivals, order, cls, n_classes, key, service, out=None):
     """Start times at one non-preemptive priority server.
 
     The loop walks the jobs in `order`, which must sort arrivals, and a
-    job's walk position is its place there. grouped[offsets[c]:offsets[c+1]]
-    lists class c's walk positions in ascending order, which enforces FIFO
-    within a class, tied arrivals in walk order. Whenever the server frees,
-    it picks the waiting head with the largest key (ties: earlier arrival,
-    then lower class index); an idle server waits for the next head to
-    arrive. Every job that arrives by the next pick is walked before it, so
-    how `order` ranks tied arrivals of different classes changes no start.
+    job's walk position is its place there. Job k belongs to class cls[k]
+    in range(n_classes), and each class is served FIFO, tied arrivals in
+    walk order. Whenever the server frees, it picks the waiting head with
+    the largest key (ties: earlier arrival, then lower class index); an
+    idle server waits for the next head to arrive. Every job that arrives
+    by the next pick is walked before it, so how `order` ranks tied
+    arrivals of different classes changes no start.
 
     succ[w] is the walk position of the next job of w's class, or n after
     its last job, and queued[c] says whether class c has a head in the heap.
@@ -253,16 +253,16 @@ def priority_start(arrivals, order, grouped, offsets, key, service, out=None):
     aw = arrivals[order]
     if (aw[1:] < aw[:-1]).any():
         raise ValueError("order must sort arrivals")
+    cw = cls[order]
     # Within a class, grouped[g + 1] walks after grouped[g], unless g + 1
     # starts a class or ends the list; nxt reads n there.
+    grouped, offsets = group_by_class(cw, n_classes)
     nxt = np.empty(n + 1, dtype=np.intp)
     nxt[:n] = grouped
     nxt[offsets[1:]] = n
     succ = np.empty(n, dtype=np.intp)
     succ[grouped] = nxt[1:]
-    del nxt
-    cw = np.empty(n, dtype=np.intp)
-    cw[grouped] = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+    del nxt, grouped
     # Arrivals are read up to three times per job, so they pay for a list;
     # class codes below 257 are cached ints, 8 bytes each in a list. The
     # columns read once per job are read through memoryviews.
@@ -271,7 +271,7 @@ def priority_start(arrivals, order, grouped, offsets, key, service, out=None):
     succ = memoryview(succ)
     sw = memoryview(service[order])
     nk = memoryview(-key[order])
-    queued = [False] * (offsets.shape[0] - 1)
+    queued = [False] * n_classes
     start = np.empty(n, dtype=np.float64)
     sv = memoryview(start)
     # Heads that have arrived as (-key, arrival, class, walk position); the

@@ -204,7 +204,7 @@ class Evaluator:
         elif networking == "fcfs":
             self.w2 = np.full(config.num_classes, fcfs_waiting_time(config))
         else:
-            raise ValueError(
+            raise ConfigError(
                 f"networking must be 'priority' or 'fcfs', got {networking!r}"
             )
         if config.aoi_network_weighting == "paper_theorem1":

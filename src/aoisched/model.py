@@ -406,7 +406,10 @@ def sample_class_sizes(
     draw count deterministic). Every returned value lies in [scale, cap].
     """
     integer(count, "count", 0)
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        rng = np.random.default_rng(integer(seed, "seed", 0))
     raw = spec.scale * (1.0 + rng.pareto(spec.shape, size=count))
     return np.minimum(raw, spec.cap)
 
@@ -579,8 +582,9 @@ def generate_classes(
 ) -> tuple[JobClass, ...]:
     """Classes with rates proportional to 1/(j+1) and Pareto-drawn sizes."""
     integer(count, "num_classes", 1)
+    total = positive(total_arrival_rate, "total_arrival_rate")
     weights = 1.0 / (np.arange(1, count + 1) + 1.0)
-    rates = total_arrival_rate * weights / weights.sum()
+    rates = total * weights / weights.sum()
     compute = sample_class_sizes(pareto, count, seed)
     output = sample_class_sizes(pareto, count, seed + 1)
     return tuple(

@@ -166,6 +166,7 @@ def resolve_classes(
     class_map must cover every key that occurs; without one, the keys that
     occur are bucketed by frequency rank.
     """
+    integer(num_classes, "num_classes", 1)
     if not len(trace):
         raise ConfigError("empty trace")
     counts = np.bincount(trace.codes, minlength=len(trace.keys)).tolist()

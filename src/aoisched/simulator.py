@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
+from ._kernels import group_by_class
 from .model import ConfigError, SystemConfig, fraction, integer, positive
 from .model import validate_config, write_table
 from .analytics import require_schedule, wsept_keys
@@ -310,22 +311,6 @@ def assign_vms(u: np.ndarray, p: np.ndarray, cls: np.ndarray) -> np.ndarray:
     return np.minimum(vm_idx, p.shape[1] - 1)
 
 
-def group_by_class(cls: np.ndarray, n_classes: int):
-    """Positions in `cls` grouped per class, each group in ascending order.
-
-    Returns (grouped, offsets) in the layout the priority kernel expects.
-    The class codes sort as the smallest unsigned type that holds them, so
-    up to 65,536 classes numpy's stable sort is a radix sort; the
-    permutation is the same.
-    """
-    codes = cls.astype(np.min_scalar_type(n_classes - 1))
-    grouped = np.argsort(codes, kind="stable")
-    counts = np.bincount(cls, minlength=n_classes)
-    offsets = np.zeros(n_classes + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return grouped, offsets
-
-
 def network_start_times(
     dep1: np.ndarray,
     cls: np.ndarray,
@@ -347,9 +332,8 @@ def network_start_times(
     if networking != "priority":
         raise ValueError(f"unknown networking discipline {networking!r}")
     order = np.argsort(dep1, kind="stable")
-    grouped, offsets = group_by_class(cls[order], n_classes)
     key = np.asarray(key, dtype=np.float64)
-    return _kernels.priority_start(dep1, order, grouped, offsets, key, s2, out)
+    return _kernels.priority_start(dep1, order, cls, n_classes, key, s2, out)
 
 
 def _staleness(
@@ -372,12 +356,13 @@ def _staleness(
     _draw_counts(rates, horizon, "update")
     updates = [_poisson_arrivals(rng, rate, horizon) for rate in rates.tolist()]
     y = np.zeros(len(cls), dtype=np.float64)
+    grouped, offsets = group_by_class(cls, len(config.classes))
     for j, c in enumerate(config.classes):
-        mask = cls == j
-        if not np.any(mask):
+        jobs = grouped[offsets[j] : offsets[j + 1]]
+        if not jobs.size:
             continue
         sources = c.info_set if c.info_set is not None else (j + 1,)
-        starts = compute_start[mask]
+        starts = compute_start[jobs]
         newest = np.zeros(len(starts), dtype=np.float64)
         for sid in sources:
             upd = updates[int(sid) - 1]
@@ -386,7 +371,7 @@ def _staleness(
             idx = np.searchsorted(upd, starts, side="right")
             last = np.where(idx > 0, upd[np.maximum(idx - 1, 0)], 0.0)
             newest = np.maximum(newest, last)
-        y[mask] = starts - newest
+        y[jobs] = starts - newest
     return y
 
 
@@ -771,21 +756,30 @@ def scripted_arrivals(
     time this coincides with any priority rule). Class ids need not be
     contiguous here; each distinct id reports its own row. Every job counts
     (no warmup) and, with no config to weigh them by, weighted_objective is
-    nan.
+    nan. Releases must be finite, and durations non-negative and finite.
     """
+    num_vms = integer(num_vms, "num_vms", 1)
     if len(jobs) != len(vm_assignment):
         raise ConfigError("need one VM id per scripted job")
     if not jobs:
         raise ConfigError("scripted run needs at least one job")
-    order = np.argsort([j.release for j in jobs], kind="stable")
-    # float64 whatever the releases' type: the reducer writes floats over t.
-    t = np.array([jobs[i].release for i in order], dtype=np.float64)
+    vms = [
+        integer(v, f"vm_assignment[{i}]", 1, num_vms)
+        for i, v in enumerate(vm_assignment)
+    ]
+    # float64 whatever the times' type: the reducer writes floats over t.
+    fields = ("release", "compute_time", "network_time")
+    times = np.array([[getattr(j, f) for f in fields] for j in jobs], dtype=np.float64)
+    ok = np.isfinite(times) & (times >= [-np.inf, 0.0, 0.0])
+    if not ok.all():
+        i, k = np.argwhere(~ok)[0].tolist()
+        rule = "finite" if k == 0 else "non-negative and finite"
+        value = getattr(jobs[i], fields[k])
+        raise ConfigError(f"jobs[{i}].{fields[k]} must be {rule}, got {value!r}")
+    order = np.argsort(times[:, 0], kind="stable")
+    t, s1, s2 = times[order].T.copy()
     ids = np.array([jobs[i].class_id for i in order], dtype=np.int64)
-    s1 = np.array([jobs[i].compute_time for i in order])
-    s2 = np.array([jobs[i].network_time for i in order])
-    vm_idx = np.array([vm_assignment[i] - 1 for i in order], dtype=np.int64)
-    if vm_idx.min() < 0 or vm_idx.max() >= num_vms:
-        raise ConfigError("vm assignment outside 1..num_vms")
+    vm_idx = np.array(vms, dtype=np.int64)[order] - 1
 
     distinct = np.unique(ids)
     cls = np.searchsorted(distinct, ids)

@@ -750,6 +750,22 @@ def test_bad_config_fields_exit_2(tmp_path, capsys, command, field, value, named
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate, got", [("-0.02", "-0.02"), ("0", "0.0"), ("1e400", "inf")])
+def test_num_classes_config_with_a_bad_total_rate_exits_2(tmp_path, capsys, rate, got):
+    # 1e400 reads as inf. Each once named classes[0..2].arrival_rate, paths
+    # the file does not contain.
+    data = config_to_dict(default_config(3))
+    del data["classes"]
+    data.update(num_classes=3, pareto={"shape": 2.0, "scale": 0.5})
+    data["total_arrival_rate"] = "RATE"
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps(data).replace('"RATE"', rate))
+    assert main(["optimize", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: total_arrival_rate must be positive and finite, got {got}\n"
+    )
+
+
 def test_simulate_updates_with_an_overflowing_update_rate_exits_2(tmp_path, capsys):
     # update_rate * horizon overflows to inf, which sized no draw.
     data = config_to_dict(default_config(4))

@@ -1,10 +1,10 @@
 """Golden CLI outputs: every file a fixed set of commands writes, by digest.
 
-The commands run in-process on `default_config(6)` inside a scratch
-directory, with relative paths, and each output file's sha256 is compared
-with `tests/golden_outputs.json`. CSVs are hashed as bytes; JSON is hashed
-after the `created` timestamp and the config path are dropped, as canonical
-JSON with sorted keys.
+The commands run in-process on `default_config(6)`, two of them on its
+24-VM variant, inside a scratch directory, with relative paths, and each
+output file's sha256 is compared with `tests/golden_outputs.json`. CSVs
+are hashed as bytes; JSON is hashed after the `created` timestamp and the
+config path are dropped, as canonical JSON with sorted keys.
 
 A change that moves an output on purpose regenerates the digests with
 
@@ -54,6 +54,12 @@ COMMANDS = [
                            "out/optimize/schedule.csv", *_SIM]),
     ("online-trace", ["online", "config.json", "--trace", "trace.csv",
                       "--class-map", "class_map.json", "--window", "2e4"]),
+    # 24 VMs leave each VM a few dozen jobs per replication.
+    *(
+        (f"simulate-24vms-{policy}", ["simulate", "vms24.json", "--policy", policy,
+                                      "--event-log", *_SIM])
+        for policy in ("pps", "ocafcfs")
+    ),
 ]
 
 
@@ -62,6 +68,7 @@ def _write_inputs() -> None:
     current directory."""
     config = default_config(num_classes=6)
     save_config(config, "config.json")
+    save_config(default_config(num_classes=6, num_vms=24), "vms24.json")
     # Every class updates; class 2 reads its own source and class 1's.
     classes = [dataclasses.replace(c, update_rate=0.05) for c in config.classes]
     classes[1] = dataclasses.replace(classes[1], info_set=(1, 2))

@@ -85,13 +85,13 @@ def _priority_edge_inputs(draw):
 def _kernel_inputs(dep1, cls, n_classes, key, s2, rng):
     """The kernel's arguments, walking tied arrivals in a random order."""
     order = np.lexsort((rng.permutation(len(dep1)), dep1))
-    grouped, offsets = group_by_class(cls[order], n_classes)
-    return dep1, order, grouped, offsets, key, s2
+    return dep1, order, cls, n_classes, key, s2
 
 
-def _scan(dep1, order, grouped, offsets, key, s2):
+def _scan(dep1, order, cls, n_classes, key, s2):
     """The oracle on the kernel's arguments: grouped job indices, each class
     in walk order."""
+    grouped, offsets = group_by_class(cls[order], n_classes)
     return priority_scan(dep1, order[grouped], offsets, key, s2)
 
 
@@ -109,10 +109,10 @@ def test_priority_start_matches_scan_at_the_edges(inputs):
 
 def test_priority_start_rejects_an_order_that_does_not_sort_arrivals():
     dep1 = np.array([0.0, 2.0, 1.0])
-    grouped, offsets = group_by_class(np.zeros(3, dtype=np.int64), 1)
+    cls = np.zeros(3, dtype=np.int64)
     s2 = np.ones(3)
     with pytest.raises(ValueError, match="order must sort arrivals"):
-        _kernels.priority_start(dep1, np.arange(3), grouped, offsets, s2, s2)
+        _kernels.priority_start(dep1, np.arange(3), cls, 1, s2, s2)
 
 
 @pytest.mark.parametrize("n_classes", [1, 256, 257, 70_000])
@@ -151,7 +151,6 @@ def test_fcfs_start_matches_scan(case):
 
 
 BLOCK = _kernels.FCFS_BLOCK
-MIN_SEGMENT = _kernels.FCFS_MIN_SEGMENT
 
 
 @pytest.mark.parametrize(
@@ -274,11 +273,10 @@ def test_link_kernels_write_their_starts_over_their_arrivals(n):
     cls = rng.integers(0, 3, n)
     key = np.array([0.0, 2.0, 2.0])[cls]
     order = np.argsort(t, kind="stable")
-    grouped, offsets = group_by_class(cls[order], 3)
     kernels = {
         "fcfs": lambda a, out=None: _kernels.fcfs_start(a, None, s, 1, out),
         "priority": lambda a, out=None: _kernels.priority_start(
-            a, order, grouped, offsets, key, s, out
+            a, order, cls, 3, key, s, out
         ),
     }
     for networking, kernel in kernels.items():
@@ -301,12 +299,13 @@ def test_link_kernels_write_their_starts_over_their_arrivals(n):
 def _fcfs_runs(draw):
     # Sizes up to several blocks, one to five servers with uneven shares:
     # a zero share leaves a server without jobs, and a small one leaves it
-    # under MIN_SEGMENT jobs per block while the others are over.
+    # a few jobs per block while the others have thousands.
+    small = 1024
     n_servers = draw(st.integers(1, 5))
     n = draw(
         st.one_of(
-            st.integers(0, 3 * MIN_SEGMENT),
-            st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + MIN_SEGMENT]),
+            st.integers(0, 3 * small),
+            st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + small]),
         )
     )
     shares = draw(
@@ -350,24 +349,22 @@ def _count_loop_jobs(monkeypatch) -> list[int]:
     return handed
 
 
-@pytest.mark.parametrize(
-    "per_server",
-    [
-        [MIN_SEGMENT - 1],
-        [MIN_SEGMENT],
-        [MIN_SEGMENT - 1, MIN_SEGMENT, 0, MIN_SEGMENT + 1],
-    ],
-)
-def test_servers_under_the_crossover_take_the_loop(monkeypatch, per_server):
-    rng = np.random.default_rng(len(per_server))
-    srv = rng.permutation(np.repeat(np.arange(len(per_server)), per_server))
-    n = len(srv)
+@pytest.mark.parametrize("n_servers", [24, 100])
+@pytest.mark.parametrize("n", [1, 40, 1000, BLOCK, 2 * BLOCK + 7])
+def test_fcfs_start_matches_scan_on_many_servers(monkeypatch, n, n_servers):
+    # From under one job per server up to whole blocks of a few hundred per
+    # server, in the simulator's narrow server codes. Every server's jobs
+    # take the busy-period scan: on continuous times no job takes the loop.
+    rng = np.random.default_rng(n + n_servers)
+    srv = rng.integers(0, n_servers, n).astype(np.min_scalar_type(n_servers))
     t = np.cumsum(rng.exponential(1.0, n))
-    s = rng.exponential(0.9 * n / max(per_server), n)
+    s = rng.exponential(0.9 * n_servers, n)
+    s[::9] = 0.0
     handed = _count_loop_jobs(monkeypatch)
-    got = _kernels.fcfs_start(t, srv, s, len(per_server))
-    assert handed == [c for c in per_server if 0 < c < MIN_SEGMENT]
-    np.testing.assert_array_equal(got, fcfs_scan(t, srv, s, len(per_server)))
+    np.testing.assert_array_equal(
+        _kernels.fcfs_start(t, srv, s, n_servers), fcfs_scan(t, srv, s, n_servers)
+    )
+    assert handed == []
 
 
 @pytest.mark.parametrize("n_servers", [1, 2])
@@ -387,8 +384,7 @@ def test_fcfs_start_falls_back_when_the_guess_is_wrong(monkeypatch, n_servers):
     srv = rng.integers(0, n_servers, n)
     s = rng.exponential(0.9 * n_servers, n)
     got = _kernels.fcfs_start(t, srv, s, n_servers)
-    # Both full blocks fail the check and run whole through the loop; the
-    # last 100 jobs are too few for the busy-period scan.
+    # Every block fails the check and runs whole through the loop.
     assert handed == [BLOCK, BLOCK, 100]
     np.testing.assert_array_equal(got, fcfs_scan(t, srv, s, n_servers))
 
@@ -421,7 +417,7 @@ def test_network_start_times_matches_oracles():
     order = np.arange(n)
     np.testing.assert_array_equal(
         network_start_times(dep1, cls, key, s2, 3, "priority"),
-        _scan(dep1, order, *group_by_class(cls, 3), key, s2),
+        _scan(dep1, order, cls, 3, key, s2),
     )
     fcfs = np.empty(n)
     fcfs[order] = fcfs_scan(dep1[order], np.zeros(n, dtype=np.int64), s2[order], 1)
@@ -459,15 +455,15 @@ from aoisched import _kernels
 
 t = np.array([0.0, 1.0, 2.0])
 s = np.array([1.0, 1.0, 1.0])
-order, grouped, offsets = np.arange(3), np.array([0, 1, 2]), np.array([0, 2, 3])
+order, cls = np.arange(3), np.array([0, 0, 1])
 key = np.array([1.0, 1.0, 2.0])
 srv = np.zeros(3, dtype=np.int64)
 nan_at_1 = lambda a, bad=np.nan: np.where(np.arange(3) == 1, bad, a)
 calls = [
-    lambda: _kernels.priority_start(nan_at_1(t), order, grouped, offsets, key, s),
-    lambda: _kernels.priority_start(t, order, grouped, offsets, key, nan_at_1(s)),
-    lambda: _kernels.priority_start(t, order, grouped, offsets, key, nan_at_1(s, np.inf)),
-    lambda: _kernels.priority_start(t, order, grouped, offsets, nan_at_1(key), s),
+    lambda: _kernels.priority_start(nan_at_1(t), order, cls, 2, key, s),
+    lambda: _kernels.priority_start(t, order, cls, 2, key, nan_at_1(s)),
+    lambda: _kernels.priority_start(t, order, cls, 2, key, nan_at_1(s, np.inf)),
+    lambda: _kernels.priority_start(t, order, cls, 2, nan_at_1(key), s),
     lambda: _kernels.fcfs_start(nan_at_1(t), srv, s, 1),
     lambda: _kernels.fcfs_start(t, srv, nan_at_1(s), 1),
 ]

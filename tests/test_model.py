@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoisched import model
-from aoisched.analytics import stability_report
+from aoisched.analytics import analytic_report, stability_report, weighted_metrics
 from aoisched.model import (
     REFERENCE_VM_PARAMS,
     ConfigError,
@@ -25,6 +25,7 @@ from aoisched.model import (
     save_config,
     validate_config,
 )
+from aoisched.online import Trace, resolve_classes
 
 from conftest import instances, make_system, near_limit_link
 
@@ -363,6 +364,28 @@ def test_seed_must_be_a_non_negative_integer(seed):
     data = {**_sized_classes(), "seed": seed}
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict(data)
+
+
+_CONFIG = default_config(3, 2)
+_P = np.full((3, 2), 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        # A ZeroDivisionError, an AttributeError and a plain ValueError
+        # before each named its argument.
+        (lambda: resolve_classes(Trace([1.0], ("a",), [0]), 0), "num_classes"),
+        (lambda: sample_class_sizes(ParetoSpec(), 3, 1.5), "seed"),
+        (lambda: sample_class_sizes(ParetoSpec(), 3, -1), "seed"),
+        (lambda: analytic_report(_P, _CONFIG, networking="bogus"), "networking"),
+        (lambda: weighted_metrics(_P, _CONFIG, "bogus"), "networking"),
+    ],
+    ids=["resolve_classes", "float_seed", "negative_seed", "report", "metrics"],
+)
+def test_entry_points_name_the_argument_they_refuse(call, named):
+    with pytest.raises(ConfigError, match=rf"^{named} must be"):
+        call()
 
 
 def test_integral_seeds_load():

@@ -275,8 +275,30 @@ def test_scripted_arrivals_errors():
         scripted_arrivals([job], [1, 2], num_vms=2)
     with pytest.raises(ConfigError, match="at least one"):
         scripted_arrivals([], [], num_vms=1)
-    with pytest.raises(ConfigError, match="1..num_vms"):
+    with pytest.raises(ConfigError, match=r"vm_assignment\[0\] .* in \[1, 2\], got 3"):
         scripted_arrivals([job], [3], num_vms=2)
+
+
+@pytest.mark.parametrize(
+    "jobs, vms, num_vms, named",
+    [
+        # Each once ran job 1 on VM 1, raised a TypeError, the kernel's
+        # ValueError, or ran with a divide-by-zero warning.
+        ([(0, 1, 1), (1, 1, 1)], [1.5, 2], 2, r"vm_assignment\[0\] must be an integer"),
+        ([(0, 1, 1)], [1], 2.5, "num_vms must be an integer"),
+        ([(0, 1, 1), (np.nan, 1, 1)], [1, 1], 1, r"jobs\[1\]\.release must be finite"),
+        ([(np.inf, 1, 1)], [1], 1, r"jobs\[0\]\.release must be finite"),
+        ([(0, -5, 1)], [1], 1, r"jobs\[0\]\.compute_time must be non-negative"),
+        ([(0, 1, np.inf)], [1], 1, r"jobs\[0\]\.network_time must be non-negative"),
+        ([(0, 1, 1), (1, 1, np.nan)], [1, 1], 1, r"jobs\[1\]\.network_time"),
+    ],
+    ids=["float_vm", "float_num_vms", "nan_release", "inf_release",
+         "negative_compute", "inf_network", "nan_network"],
+)
+def test_scripted_arrivals_name_the_field_they_refuse(jobs, vms, num_vms, named):
+    scripted = [ScriptedJob(r, 1, c, e) for r, c, e in jobs]
+    with pytest.raises(ConfigError, match=named):
+        scripted_arrivals(scripted, vms, num_vms)
 
 
 def test_scripted_event_log_matches_report():
@@ -510,7 +532,8 @@ def test_priority_replication_peak_memory_per_job():
     # and reads service, negated key and successor, and writes the starts,
     # through numpy buffers (8 each). Walking lists of all five columns
     # and collecting the starts in a sixth, the peak measured 232 bytes
-    # per job; walking the buffers, 139.
+    # per job; walking the buffers, 139; with the class grouping freed
+    # before the walk, 131.
     assert _replication_peak_per_job("priority") < 160.0
 
 
